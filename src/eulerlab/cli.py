@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="n_max = 1e6 and full grids")
     p_verify.add_argument("--json", type=str, default=None, metavar="PATH",
                           help="write the machine-readable report here")
-    p_verify.add_argument("--jobs", type=int, default=None)
+    p_verify.add_argument("--jobs", type=int, default=None,
+                          help="accepted for compatibility; cases always run serially")
 
     p_table = sub.add_parser("table", help="emit a value table")
     p_table.add_argument("kind", choices=["doublesums", "hsums"])
@@ -161,9 +162,9 @@ def _cmd_compute(ns) -> int:
     elif ns.kind == "hsum":
         if len(ns.args) != 2:
             raise UsageError("compute hsum takes indices a b")
-        a, b = (int(t) for t in ns.args)
-        if a < 0 or b < 0:
-            raise UsageError("hsum indices must be nonnegative")
+        (a, a_bar), (b, b_bar) = (_parse_index_token(t) for t in ns.args)
+        if a_bar or b_bar:
+            raise UsageError("hsum indices take no bar")
         value = zg.hstar_closed(a, b) if ns.star else zg.h_closed(a, b)
     elif ns.kind == "hyp":
         if ns.upper is None or ns.lower is None:
@@ -191,32 +192,23 @@ def _cmd_verify(ns, out=None) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 
 
-_BAR_COMBOS = ((False, False), (True, False), (False, True), (True, True))
-_ROUTE = {
-    (False, False): "closed-plain",
-    (True, False): "closed-inner-bar",
-    (False, True): "closed-outer-bar",
-    (True, True): "closed-both-bars",
-}
-
-
 def _doublesums_rows(k: int, n_max: int, digits: int) -> List[dict]:
     if not 2 <= k <= 39:
         raise UsageError("doublesums weight must be in [2, 39]")
     rows = []
     for r in range(1, k):
         s = k - r
-        for rb, sb in _BAR_COMBOS:
+        for (rb, sb), (name, _) in es.CLOSED_FORMS.items():
             idx = es.DoubleIndex(r, s, rb, sb)
             if idx.convergent:
                 if k % 2 == 1:
-                    value, route = es.closed_form(idx).finite, _ROUTE[(rb, sb)]
+                    value, route = es.closed_form(idx).finite, f"closed-{name}"
                 else:
                     value, route = es.double_direct(idx, n_max).value, f"direct[n={n_max}]"
                 value_str = to_decimal(value, digits)
             elif k % 2 == 1:
                 value_str = to_decimal(es.closed_form(idx).finite, digits)
-                route = _ROUTE[(rb, sb)] + "-regularized"
+                route = f"closed-{name}-regularized"
             else:
                 value_str, route = "NA", "divergent"
             rows.append({

@@ -36,15 +36,20 @@ __all__ = [
     "closed_bar_s",
     "closed_bar_both",
     "closed_form",
+    "CLOSED_FORMS",
     "stuffle_check",
     "stuffle_closed_residual",
     "shuffle_check",
     "sum_formula_check",
     "SUM_FORMULAS",
     "DEFAULT_N_MAX",
+    "N_MAX_CAP",
 ]
 
 DEFAULT_N_MAX = 100_000
+# largest truncation a direct sum accepts: each run allocates several float64
+# arrays of length n_max (~80 MB apiece at the cap)
+N_MAX_CAP = 10_000_000
 _WEIGHT_CAP = 40
 
 
@@ -215,8 +220,8 @@ def double_direct(idx: DoubleIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
             f"{idx} diverges (unbarred outer exponent 1); "
             "use the regularized closed forms (closed_plain / closed_bar_r)"
         )
-    if n_max < 100:
-        raise DomainError("double_direct requires n_max >= 100")
+    if not 100 <= n_max <= N_MAX_CAP:
+        raise DomainError(f"double_direct requires 100 <= n_max <= {N_MAX_CAP}")
     value, est = _double_direct_cached(idx.r, idx.s, idx.r_bar, idx.s_bar, n_max)
     return SeriesResult(value=value, terms_used=n_max, tail_estimate=est)
 
@@ -240,106 +245,79 @@ def _check_odd(r: int, s: int) -> int:
     return k
 
 
-def _z(w: int) -> RegValue:
-    return zeta_reg(ZetaIndex(w, False))
+def _zeta(w: int, bar: bool) -> RegValue:
+    return zeta_reg(ZetaIndex(w, bar))
 
 
-def _zb(w: int) -> RegValue:
-    return zeta_reg(ZetaIndex(w, True))
+def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> RegValue:
+    """zeta(r, s) with optional bars, for odd k = r+s, as a finite zeta combination.
+
+    With x = r_bar xor s_bar:
+    -1/2 zeta(k; x) + (1+(-1)^s)/2 zeta(r; r_bar) zeta(s; s_bar)
+    + (-1)^r sum_l [C(k-2l-1, r-1) zeta(k-2l; r_bar)
+                    + C(k-2l-1, s-1) zeta(k-2l; s_bar)] zeta(2l; x),
+    where zeta(w; b) is zeta(w-bar) if b else zeta(w), zeta(1) enters as the
+    symbol T and zeta(0) = zeta(0-bar) = -1/2.  On convergent indices the
+    T-part cancels and the finite part is the double sum.
+    """
+    k = _check_odd(r, s)
+    x = r_bar != s_bar
+    acc = _zeta(k, x).scaled(-0.5)
+    if s % 2 == 0:
+        acc = acc + _zeta(r, r_bar) * _zeta(s, s_bar)
+    sgn = -1 if r % 2 else 1
+    half = range((k - 1) // 2 + 1)
+    c_r = [(l, binom(k - 2 * l - 1, r - 1), r_bar) for l in half]
+    c_s = [(l, binom(k - 2 * l - 1, s - 1), s_bar) for l in half]
+    # the order of the terms fixes the last printed digits at high weight
+    if r_bar == s_bar:
+        # both terms multiply the same zeta product: add the coefficients first
+        terms = [(l, a + b, r_bar) for (l, a, _), (_, b, _) in zip(c_r, c_s)]
+    elif r == 1 and s_bar:
+        # zeta(1, s-bar) sums every C(k-2l-1, 0) term first; interleaving
+        # moves its values by up to 3e-20 relative
+        terms = c_r + c_s
+    else:
+        terms = [t for pair in zip(c_r, c_s) for t in pair]
+    for l, c, bar in terms:
+        if c:
+            acc = acc + (_zeta(k - 2 * l, bar) * _zeta(2 * l, x)).scaled(sgn * c)
+    return acc
 
 
 def closed_plain(r: int, s: int) -> RegValue:
-    """zeta(r,s) for odd r+s as a finite zeta combination.
-
-    -1/2 zeta(k) + (1+(-1)^s)/2 zeta(r) zeta(s)
-    + (-1)^r sum_l [C(k-2l-1, r-1) + C(k-2l-1, s-1)] zeta(k-2l) zeta(2l),
-    with zeta(1) entering as the symbol T and zeta(0) = -1/2.  For s >= 2 the
-    T-part cancels and the finite part is the convergent double sum.
-    """
-    k = _check_odd(r, s)
-    acc = _z(k).scaled(-0.5)
-    if s % 2 == 0:
-        acc = acc + _z(r) * _z(s)
-    sgn = -1 if r % 2 else 1
-    for l in range(0, (k - 1) // 2 + 1):
-        c = binom(k - 2 * l - 1, r - 1) + binom(k - 2 * l - 1, s - 1)
-        if c:
-            acc = acc + (_z(k - 2 * l) * _z(2 * l)).scaled(sgn * c)
-    return acc
+    """zeta(r,s) for odd r+s (Euler); see _closed."""
+    return _closed(r, s, False, False)
 
 
 def closed_bar_r(r: int, s: int) -> RegValue:
-    """zeta(r-bar, s) for odd r+s: the bar-on-inner closed form."""
-    k = _check_odd(r, s)
-    acc = _zb(k).scaled(-0.5)
-    if s % 2 == 0:
-        acc = acc + _zb(r) * _z(s)
-    sgn = -1 if r % 2 else 1
-    for l in range(0, (k - 1) // 2 + 1):
-        c1 = binom(k - 2 * l - 1, r - 1)
-        c2 = binom(k - 2 * l - 1, s - 1)
-        if c1:
-            acc = acc + (_zb(k - 2 * l) * _zb(2 * l)).scaled(sgn * c1)
-        if c2:
-            acc = acc + (_z(k - 2 * l) * _zb(2 * l)).scaled(sgn * c2)
-    return acc
+    """zeta(r-bar, s) for odd r+s: bar on the inner slot."""
+    return _closed(r, s, True, False)
 
 
 def closed_bar_s(r: int, s: int) -> RegValue:
-    """zeta(r, s-bar) for odd r+s: bar on the outer slot.
-
-    The r = 1 case takes the dedicated branch in which the first binomial sum
-    stops at l = (k-3)/2 and the zeta(r) zeta(s-bar) product is absent; the
-    two dropped terms are the mutually cancelling T-parts of the generic form.
-    """
-    k = _check_odd(r, s)
-    acc = _zb(k).scaled(-0.5)
-    sgn = -1 if r % 2 else 1
-    if r == 1:
-        for l in range(0, (k - 3) // 2 + 1):
-            c1 = binom(k - 2 * l - 1, r - 1)
-            if c1:
-                acc = acc + (_z(k - 2 * l) * _zb(2 * l)).scaled(sgn * c1)
-        for l in range(0, (k - 1) // 2 + 1):
-            c2 = binom(k - 2 * l - 1, s - 1)
-            if c2:
-                acc = acc + (_zb(k - 2 * l) * _zb(2 * l)).scaled(sgn * c2)
-        return acc
-    if s % 2 == 0:
-        acc = acc + _z(r) * _zb(s)
-    for l in range(0, (k - 1) // 2 + 1):
-        c1 = binom(k - 2 * l - 1, r - 1)
-        c2 = binom(k - 2 * l - 1, s - 1)
-        if c1:
-            acc = acc + (_z(k - 2 * l) * _zb(2 * l)).scaled(sgn * c1)
-        if c2:
-            acc = acc + (_zb(k - 2 * l) * _zb(2 * l)).scaled(sgn * c2)
-    return acc
+    """zeta(r, s-bar) for odd r+s: bar on the outer slot."""
+    return _closed(r, s, False, True)
 
 
 def closed_bar_both(r: int, s: int) -> RegValue:
     """zeta(r-bar, s-bar) for odd r+s: bars on both slots."""
-    k = _check_odd(r, s)
-    acc = _z(k).scaled(-0.5)
-    if s % 2 == 0:
-        acc = acc + _zb(r) * _zb(s)
-    sgn = -1 if r % 2 else 1
-    for l in range(0, (k - 1) // 2 + 1):
-        c = binom(k - 2 * l - 1, r - 1) + binom(k - 2 * l - 1, s - 1)
-        if c:
-            acc = acc + (_zb(k - 2 * l) * _z(2 * l)).scaled(sgn * c)
-    return acc
+    return _closed(r, s, True, True)
+
+
+# (r_bar, s_bar) -> (pattern name, closed form); the names appear in verify
+# case ids and in table routes as closed-<name>
+CLOSED_FORMS = {
+    (False, False): ("plain", closed_plain),
+    (True, False): ("inner-bar", closed_bar_r),
+    (False, True): ("outer-bar", closed_bar_s),
+    (True, True): ("both-bars", closed_bar_both),
+}
 
 
 def closed_form(idx: DoubleIndex) -> RegValue:
     """Dispatch to the closed form matching the index's bar pattern."""
-    if idx.r_bar and idx.s_bar:
-        return closed_bar_both(idx.r, idx.s)
-    if idx.r_bar:
-        return closed_bar_r(idx.r, idx.s)
-    if idx.s_bar:
-        return closed_bar_s(idx.r, idx.s)
-    return closed_plain(idx.r, idx.s)
+    return CLOSED_FORMS[(idx.r_bar, idx.s_bar)][1](idx.r, idx.s)
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +361,12 @@ def stuffle_closed_residual(r: int, s: int, which: str = "mixed") -> RegValue:
     """
     k = r + s
     if which == "mixed":
-        lhs = _zb(r) * _z(s)
-        rhs = closed_bar_r(r, s) + closed_bar_s(s, r) + _zb(k)
+        lhs = _zeta(r, True) * _zeta(s, False)
+        rhs = closed_bar_r(r, s) + closed_bar_s(s, r) + _zeta(k, True)
         return lhs - rhs
     if which == "alternating":
-        lhs = _zb(r) * _zb(s)
-        rhs = closed_bar_both(r, s) + closed_bar_both(s, r) + _z(k)
+        lhs = _zeta(r, True) * _zeta(s, True)
+        rhs = closed_bar_both(r, s) + closed_bar_both(s, r) + _zeta(k, False)
         return lhs - rhs
     raise DomainError("which must be 'mixed' or 'alternating'")
 

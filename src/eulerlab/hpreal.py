@@ -17,10 +17,6 @@ from typing import Sequence, Union
 __all__ = [
     "DomainError",
     "ExtReal",
-    "dd_add",
-    "dd_sub",
-    "dd_mul",
-    "dd_div",
     "const_pi",
     "const_ln2",
     "const_gamma_f64",
@@ -228,22 +224,6 @@ def _mk(hi: float, lo: float) -> ExtReal:
 
 ZERO = _mk(0.0, 0.0)
 ONE = _mk(1.0, 0.0)
-
-
-def dd_add(a: Real, b: Real) -> ExtReal:
-    return ExtReal.from_real(a) + b
-
-
-def dd_sub(a: Real, b: Real) -> ExtReal:
-    return ExtReal.from_real(a) - b
-
-
-def dd_mul(a: Real, b: Real) -> ExtReal:
-    return ExtReal.from_real(a) * b
-
-
-def dd_div(a: Real, b: Real) -> ExtReal:
-    return ExtReal.from_real(a) / b
 
 
 # ---------------------------------------------------------------------------

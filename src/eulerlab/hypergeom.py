@@ -106,10 +106,6 @@ class ConvClass(enum.Enum):
     CONDITIONAL = "conditional"
     DIVERGENT = "divergent"
 
-    @property
-    def tag(self) -> str:
-        return self.value
-
 
 def pochhammer(x: Union[Param, ExtReal], n: int):
     """Rising factorial (x)_n = x (x+1) ... (x+n-1); exact for rational x."""

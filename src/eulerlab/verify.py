@@ -3,15 +3,12 @@
 Every case is a pure function returning (lhs, rhs, tolerance); the runner
 computes |lhs - rhs|, compares against the tolerance, and serializes all four
 quantities as 30-digit decimal strings so reports are bit-identical across
-platforms.  Cases may run on a worker pool; results are always emitted in id
-order, so the report never depends on scheduling.
+platforms.  Cases run serially and are emitted in id order.
 """
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -93,28 +90,19 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _run_case(fn: CaseFn):
-    lhs, rhs = fn()
-    return ExtReal.from_real(lhs), ExtReal.from_real(rhs)
-
-
-def _ext(x) -> ExtReal:
-    return x if isinstance(x, ExtReal) else ExtReal.from_real(x)
-
-
 Case = Tuple[str, float, CaseFn]
 
 
 def _residual_case(cid: str, tol: float, fn: Callable[[], object]) -> Case:
     """Case whose check is |value| <= tol (rhs fixed at 0)."""
-    return (cid, tol, lambda: (_ext(fn()), ExtReal(0.0)))
+    return (cid, tol, lambda: (fn(), ExtReal(0.0)))
 
 
 # ---------------------------------------------------------------------------
 # Suite builders
 # ---------------------------------------------------------------------------
 
-def _suite_stuffle(n_max: int) -> List[Case]:
+def _suite_stuffle(n_max: int, fast: bool) -> List[Case]:
     cases: List[Case] = []
     for k in (3, 4, 5):
         for r in range(1, k):
@@ -129,7 +117,7 @@ def _suite_stuffle(n_max: int) -> List[Case]:
     return cases
 
 
-def _suite_shuffle(n_max: int) -> List[Case]:
+def _suite_shuffle(n_max: int, fast: bool) -> List[Case]:
     cases: List[Case] = []
     for k in range(3, 9):
         for r in range(1, k):
@@ -144,7 +132,7 @@ def _suite_shuffle(n_max: int) -> List[Case]:
     return cases
 
 
-def _suite_sumformulas(n_max: int) -> List[Case]:
+def _suite_sumformulas(n_max: int, fast: bool) -> List[Case]:
     return [
         _residual_case(f"sumformula-{which}[k={k}]", 1e-6,
                        lambda k=k, which=which: es.sum_formula_check(k, which, n_max))
@@ -153,20 +141,12 @@ def _suite_sumformulas(n_max: int) -> List[Case]:
     ]
 
 
-_FORM_NAMES = {
-    (False, False): ("plain", es.closed_plain),
-    (True, False): ("inner-bar", es.closed_bar_r),
-    (False, True): ("outer-bar", es.closed_bar_s),
-    (True, True): ("both-bars", es.closed_bar_both),
-}
-
-
-def _suite_closedforms(n_max: int, k_cap: int) -> List[Case]:
+def _suite_closedforms(n_max: int, fast: bool) -> List[Case]:
     cases: List[Case] = []
-    for k in range(3, k_cap + 1, 2):
+    for k in range(3, (11 if fast else 15) + 1, 2):
         for r in range(1, k):
             s = k - r
-            for (rb, sb), (name, fn) in _FORM_NAMES.items():
+            for (rb, sb), (name, fn) in es.CLOSED_FORMS.items():
                 idx = es.DoubleIndex(r, s, rb, sb)
                 if idx.convergent:
                     def closed_vs_direct(fn=fn, r=r, s=s, idx=idx):
@@ -188,7 +168,7 @@ def _suite_closedforms(n_max: int, k_cap: int) -> List[Case]:
     return cases
 
 
-def _suite_genfun(n_max: int) -> List[Case]:
+def _suite_genfun(n_max: int, fast: bool) -> List[Case]:
     cases: List[Case] = []
     for k in range(3, 10):
         for rel, fn in (("stuffle", genfun.verify_stuffle_relations),
@@ -232,7 +212,7 @@ def _rational_grid(seed: int, count: int):
     return out
 
 
-def _suite_hyp(n_max: int) -> List[Case]:
+def _suite_hyp(n_max: int, fast: bool) -> List[Case]:
     cases: List[Case] = []
     for i, (a, b, c, n) in enumerate(_rational_grid(20250101, 200)):
         cases.append(_residual_case(
@@ -352,12 +332,12 @@ def _suite_hyp(n_max: int) -> List[Case]:
     return cases
 
 
-def _suite_zagier(n_max: int, ab_cap: int) -> List[Case]:
+def _suite_zagier(n_max: int, fast: bool) -> List[Case]:
     cases: List[Case] = []
     z3 = zeta(3)
     cases.append(("h-closed[0,0]=zeta3", 1e-24, lambda: (zg.h_closed(0, 0), z3)))
     cases.append(("hstar-closed[0,0]=zeta3", 1e-24, lambda: (zg.hstar_closed(0, 0), z3)))
-    for total in range(ab_cap + 1):
+    for total in range((4 if fast else 5) + 1):
         for a in range(total + 1):
             b = total - a
             cases.append((f"h-closed-vs-direct[{a},{b}]", 1e-6,
@@ -412,61 +392,48 @@ def _suite_zagier(n_max: int, ab_cap: int) -> List[Case]:
     return cases
 
 
-def _build_suite(name: str, fast: bool) -> List[Case]:
-    n_max = FAST_N_MAX if fast else SLOW_N_MAX
-    if name == "stuffle":
-        return _suite_stuffle(n_max)
-    if name == "shuffle":
-        return _suite_shuffle(n_max)
-    if name == "sumformulas":
-        return _suite_sumformulas(n_max)
-    if name == "closedforms":
-        return _suite_closedforms(n_max, k_cap=11 if fast else 15)
-    if name == "genfun":
-        return _suite_genfun(n_max)
-    if name == "hyp":
-        return _suite_hyp(n_max)
-    if name == "zagier":
-        return _suite_zagier(n_max, ab_cap=4 if fast else 5)
-    if name == "all":
-        cases: List[Case] = []
-        for sub in ("stuffle", "shuffle", "sumformulas", "closedforms",
-                    "genfun", "hyp", "zagier"):
-            cases.extend((f"{sub}:{cid}", tol, fn)
-                         for cid, tol, fn in _build_suite(sub, fast))
-        return cases
-    raise KeyError(name)
+# suite name -> case builder, called as builder(n_max, fast); "all" runs every
+# suite in this order, with case ids prefixed by the suite name
+_SUITE_BUILDERS: Dict[str, Callable[[int, bool], List[Case]]] = {
+    "stuffle": _suite_stuffle,
+    "shuffle": _suite_shuffle,
+    "sumformulas": _suite_sumformulas,
+    "closedforms": _suite_closedforms,
+    "genfun": _suite_genfun,
+    "hyp": _suite_hyp,
+    "zagier": _suite_zagier,
+}
 
-
-SUITES = ("stuffle", "shuffle", "sumformulas", "closedforms", "genfun", "hyp", "zagier", "all")
+SUITES = (*_SUITE_BUILDERS, "all")
 
 
 def run_suite(name: str, fast: bool = True, jobs: Optional[int] = None) -> VerifyReport:
-    """Run a named suite on a worker pool and return its report (cases sorted by id)."""
-    cases = _build_suite(name, fast)
+    """Run a named suite serially and return its report (cases sorted by id).
+
+    ``jobs`` is accepted for compatibility and has no effect.
+    """
+    n_max = FAST_N_MAX if fast else SLOW_N_MAX
+    if name == "all":
+        cases = [(f"{sub}:{cid}", tol, fn)
+                 for sub, build in _SUITE_BUILDERS.items()
+                 for cid, tol, fn in build(n_max, fast)]
+    else:
+        cases = _SUITE_BUILDERS[name](n_max, fast)
     start = time.monotonic()
-    jobs = jobs or os.cpu_count() or 1
     results: List[CaseResult] = []
-    def run_one(case: Case) -> CaseResult:
-        cid, tol, fn = case
-        lhs, rhs = _run_case(fn)
+    for cid, tol, fn in cases:
+        lhs, rhs = (ExtReal.from_real(v) for v in fn())
         residual = abs(lhs - rhs)
         # tolerances are decimal literals; compare and print them exactly
         tol_exact = parse_decimal(repr(tol))
-        passed = residual.to_fraction() <= tol_exact
-        return CaseResult(
+        results.append(CaseResult(
             id=cid,
             lhs=to_decimal(lhs),
             rhs=to_decimal(rhs),
             residual=to_decimal(residual),
             tolerance=to_decimal(tol_exact),
-            passed=passed,
-        )
-    if jobs <= 1:
-        results = [run_one(c) for c in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, cases))
+            passed=residual.to_fraction() <= tol_exact,
+        ))
     results.sort(key=lambda c: c.id)
     elapsed = int((time.monotonic() - start) * 1000)
     return VerifyReport(suite=name, cases=results, wall_time_ms=elapsed)

@@ -18,7 +18,14 @@ import numpy as np
 
 from .hpreal import DomainError, ExtReal, ONE, ZERO, binom, const_pi, sinc_pi
 from .zeta_core import SeriesResult, zeta, zeta_bar
-from .euler_sums import DEFAULT_N_MAX, DoubleIndex, double_direct, closed_bar_s
+from .euler_sums import (
+    DEFAULT_N_MAX,
+    N_MAX_CAP,
+    DoubleIndex,
+    _power_tail,
+    closed_bar_s,
+    double_direct,
+)
 from .hypergeom import HypSpec, evaluate
 
 __all__ = [
@@ -72,13 +79,6 @@ def h_single(a: int, star: bool = False) -> ExtReal:
 # Direct nested summation
 # ---------------------------------------------------------------------------
 
-def _power_tail_f64(q: float, n: float) -> float:
-    t = n ** (1.0 - q) / (q - 1.0) - 0.5 * n ** -q
-    t += q / 12.0 * n ** (-q - 1.0)
-    t -= q * (q + 1) * (q + 2) / 720.0 * n ** (-q - 3.0)
-    return t
-
-
 def mzv_direct(exponents: Sequence[int], star: bool = False,
                n_max: int = DEFAULT_N_MAX) -> SeriesResult:
     """Direct multiple zeta (star) value for an exponent tuple, inner to outer.
@@ -94,8 +94,8 @@ def mzv_direct(exponents: Sequence[int], star: bool = False,
         raise DomainError(f"direct summation supports depth 1..{_DIRECT_DEPTH_CAP}")
     if any(e < 2 for e in exps):
         raise DomainError("direct nested summation requires all exponents >= 2")
-    if n_max < 100:
-        raise DomainError("mzv_direct requires n_max >= 100")
+    if not 100 <= n_max <= N_MAX_CAP:
+        raise DomainError(f"mzv_direct requires 100 <= n_max <= {N_MAX_CAP}")
     m = np.arange(1, n_max + 1, dtype=np.float64)
     level = np.ones(n_max, dtype=np.float64)  # P_0(m) = 1
     limit = 1.0
@@ -111,11 +111,11 @@ def mzv_direct(exponents: Sequence[int], star: bool = False,
             terms = np.concatenate([[seed], level[:-1]]) * weights
         if j < d:
             level = np.cumsum(terms)
-            limit = float(level[-1]) + limits[-1] * _power_tail_f64(float(e), float(n_max))
+            limit = float(level[-1]) + limits[-1] * _power_tail(float(e), float(n_max))
             limits.append(limit)
         else:
             base = math.fsum(terms)
-            limit = base + limits[-1] * _power_tail_f64(float(e), float(n_max))
+            limit = base + limits[-1] * _power_tail(float(e), float(n_max))
     if d >= 2:
         e_out, e_in = float(exps[-1]), float(exps[-2])
         deeper = limits[-2] if len(limits) >= 2 else 1.0

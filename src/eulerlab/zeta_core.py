@@ -113,9 +113,6 @@ class RegValue:
         return f"{to_decimal(self.finite)} + ({to_decimal(self.tcoef)})*T"
 
 
-REG_ZERO = RegValue(ZERO, ZERO)
-
-
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin evaluation of zeta(k)
 # ---------------------------------------------------------------------------

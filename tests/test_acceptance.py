@@ -20,14 +20,6 @@ import oracles
 F = Fraction
 N = 100_000
 
-_FORMS = {
-    (False, False): es.closed_plain,
-    (True, False): es.closed_bar_r,
-    (False, True): es.closed_bar_s,
-    (True, True): es.closed_bar_both,
-}
-
-
 def _report(name: str, detail: str):
     print(f"ACCEPTANCE {name}: PASS ({detail})")
 
@@ -41,7 +33,7 @@ def test_criterion_1_closed_vs_direct():
     for k in range(3, 16, 2):
         for r in range(1, k):
             s = k - r
-            for (rb, sb), fn in _FORMS.items():
+            for (rb, sb), (_, fn) in es.CLOSED_FORMS.items():
                 idx = es.DoubleIndex(r, s, rb, sb)
                 if not idx.convergent:
                     continue
@@ -77,7 +69,7 @@ def test_criterion_3_t_coefficients_vanish():
     for k in range(3, 16, 2):
         for r in range(1, k):
             s = k - r
-            for (rb, sb), fn in _FORMS.items():
+            for (rb, sb), (_, fn) in es.CLOSED_FORMS.items():
                 if es.DoubleIndex(r, s, rb, sb).convergent:
                     t = abs(float(fn(r, s).tcoef))
                     worst = max(worst, t)

@@ -69,6 +69,10 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # bars beyond depth 2
     code, _, _ = run_cli(["table", "doublesums", "45"], capsys)
     assert code == 2
+    code, _, _ = run_cli(["compute", "hsum", "x", "1"], capsys)
+    assert code == 2
+    code, _, _ = run_cli(["compute", "mzv", "2", "2", "--n-max", "10000001"], capsys)
+    assert code == 2  # above the direct-summation cap
 
 
 def test_unknown_suite_exits_2(capsys):

@@ -5,6 +5,8 @@ import pytest
 from eulerlab.hpreal import DomainError
 from eulerlab.zeta_core import zeta, zeta_bar
 from eulerlab.euler_sums import (
+    CLOSED_FORMS,
+    N_MAX_CAP,
     SUM_FORMULAS,
     DoubleIndex,
     closed_bar_both,
@@ -113,20 +115,60 @@ def test_closed_forms_even_weight_rejected():
 
 
 def test_closed_reevaluation_identity():
-    # recompute the plain closed form with independently generated binomials
+    # recompute closed forms term by term with independently generated
+    # binomials, in the reference summation order, and demand exact equality
     from eulerlab.zeta_core import ZetaIndex, zeta_reg
-    r, s = 2, 5
-    k = r + s
-    acc = zeta_reg(ZetaIndex(k, False)).scaled(Fraction(-1, 2))
-    if s % 2 == 0:
-        acc = acc + zeta_reg(ZetaIndex(r, False)) * zeta_reg(ZetaIndex(s, False))
-    sgn = -1 if r % 2 else 1
-    for l in range(0, (k - 1) // 2 + 1):
-        c = oracles.pascal_binom(k - 2 * l - 1, r - 1) + oracles.pascal_binom(k - 2 * l - 1, s - 1)
-        acc = acc + (zeta_reg(ZetaIndex(k - 2 * l, False)) * zeta_reg(ZetaIndex(2 * l, False))).scaled(sgn * c)
-    v = closed_plain(r, s)
-    assert float(acc.finite - v.finite) == 0.0
-    assert float(acc.tcoef - v.tcoef) == 0.0
+
+    def z(w, bar=False):
+        return zeta_reg(ZetaIndex(w, bar))
+
+    def plain(r, s):
+        k = r + s
+        acc = z(k).scaled(Fraction(-1, 2))
+        if s % 2 == 0:
+            acc = acc + z(r) * z(s)
+        sgn = -1 if r % 2 else 1
+        for l in range(0, (k - 1) // 2 + 1):
+            c = oracles.pascal_binom(k - 2 * l - 1, r - 1) + oracles.pascal_binom(k - 2 * l - 1, s - 1)
+            acc = acc + (z(k - 2 * l) * z(2 * l)).scaled(sgn * c)
+        return acc
+
+    def bar_r(r, s):
+        k = r + s
+        acc = z(k, True).scaled(Fraction(-1, 2))
+        if s % 2 == 0:
+            acc = acc + z(r, True) * z(s)
+        sgn = -1 if r % 2 else 1
+        for l in range(0, (k - 1) // 2 + 1):
+            c1 = oracles.pascal_binom(k - 2 * l - 1, r - 1)
+            c2 = oracles.pascal_binom(k - 2 * l - 1, s - 1)
+            if c1:
+                acc = acc + (z(k - 2 * l, True) * z(2 * l, True)).scaled(sgn * c1)
+            if c2:
+                acc = acc + (z(k - 2 * l) * z(2 * l, True)).scaled(sgn * c2)
+        return acc
+
+    def one_bar_s(s):
+        # zeta(1, s-bar): the T-terms are left out, every C(k-2l-1, 0) term
+        # comes before the C(k-2l-1, s-1) terms
+        k = 1 + s
+        acc = z(k, True).scaled(Fraction(-1, 2))
+        for l in range(0, (k - 3) // 2 + 1):
+            acc = acc + (z(k - 2 * l) * z(2 * l, True)).scaled(-1)
+        for l in range(0, (k - 1) // 2 + 1):
+            c2 = oracles.pascal_binom(k - 2 * l - 1, s - 1)
+            if c2:
+                acc = acc + (z(k - 2 * l, True) * z(2 * l, True)).scaled(-c2)
+        return acc
+
+    for expected, got in ((plain(2, 5), closed_plain(2, 5)),
+                          (plain(1, 12), closed_plain(1, 12)),
+                          (bar_r(3, 8), closed_bar_r(3, 8)),
+                          (bar_r(1, 20), closed_bar_r(1, 20)),
+                          (one_bar_s(30), closed_bar_s(1, 30)),
+                          (one_bar_s(6), closed_bar_s(1, 6))):
+        assert (expected.finite.hi, expected.finite.lo) == (got.finite.hi, got.finite.lo)
+        assert (expected.tcoef.hi, expected.tcoef.lo) == (got.tcoef.hi, got.tcoef.lo)
 
 
 def test_closed_form_dispatch():
@@ -138,8 +180,7 @@ def test_tcoef_vanishes_on_convergent_grid():
     for k in range(3, 16, 2):
         for r in range(1, k):
             s = k - r
-            for (rb, sb), fn in (((False, False), closed_plain), ((True, False), closed_bar_r),
-                                 ((False, True), closed_bar_s), ((True, True), closed_bar_both)):
+            for (rb, sb), (_, fn) in CLOSED_FORMS.items():
                 if DoubleIndex(r, s, rb, sb).convergent:
                     assert abs(float(fn(r, s).tcoef)) <= 1e-24
 
@@ -201,3 +242,5 @@ def test_double_index_validation():
         DoubleIndex(30, 30)
     with pytest.raises(DomainError):
         double_direct(DoubleIndex(1, 2), 50)
+    with pytest.raises(DomainError):
+        double_direct(DoubleIndex(2, 2), N_MAX_CAP + 1)  # rejected before any allocation

@@ -5,7 +5,7 @@ import pytest
 
 from eulerlab.hpreal import DomainError, ExtReal, const_pi, sinc_pi
 from eulerlab.zeta_core import zeta, zeta_bar
-from eulerlab.euler_sums import DoubleIndex, double_direct
+from eulerlab.euler_sums import N_MAX_CAP, DoubleIndex, double_direct
 from eulerlab.zagier import (
     HIndex,
     eval_F,
@@ -66,6 +66,8 @@ def test_mzv_direct_validation():
         mzv_direct((1, 2), n_max=N)  # exponent below 2
     with pytest.raises(DomainError):
         mzv_direct((2,) * 10, n_max=N)
+    with pytest.raises(DomainError):
+        mzv_direct((2, 2), n_max=N_MAX_CAP + 1)  # rejected before any allocation
     # depth-2 all-2 cross-check: zeta(2,2) = pi^4/120
     res = mzv_direct((2, 2), n_max=N)
     assert abs(float(res.value - const_pi() ** 4 / 120)) < 1e-8
