@@ -1,9 +1,6 @@
 """eulerlab: high-precision zeta values, alternating double Euler sums,
 nested 2-3-2 sums, hypergeometric summation identities, and a verification
 harness that certifies all of them numerically.
-
-Set EULERLAB_PREC_CHECK=1 to validate the embedded constants against the
-in-repo exact-rational oracles at import time.
 """
 from __future__ import annotations
 
@@ -20,7 +17,6 @@ from .hpreal import (
 from .zeta_core import (
     RegValue,
     SeriesResult,
-    ZetaIndex,
     zeta,
     zeta_bar,
     zeta_bar_direct,

@@ -39,6 +39,20 @@ class UsageError(Exception):
     pass
 
 
+# the width str(ExtReal) prints: a double-double holds ~32 digits (2^-106 ~ 1.2e-32)
+_MAX_DIGITS = 32
+
+
+def _digits(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 1 <= value <= _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be an integer in [1, {_MAX_DIGITS}], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eulerlab",
@@ -50,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="print a single value")
     p_compute.add_argument("kind", choices=["zeta", "zetabar", "mzv", "hsum", "hyp"])
     p_compute.add_argument("args", nargs="*", help="indices; prefix ~ marks an alternating slot")
-    p_compute.add_argument("--digits", type=int, default=30)
+    p_compute.add_argument("--digits", type=_digits, default=30)
     p_compute.add_argument("--n-max", type=int, default=FAST_N_MAX,
                            help="truncation for direct summation routes")
     p_compute.add_argument("--star", action="store_true", help="hsum: star variant")
@@ -74,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("kind", choices=["doublesums", "hsums"])
     p_table.add_argument("bound", type=int, help="weight (doublesums) or K bound (hsums)")
     p_table.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-    p_table.add_argument("--digits", type=int, default=30)
+    p_table.add_argument("--digits", type=_digits, default=30)
     p_table.add_argument("--n-max", type=int, default=FAST_N_MAX)
     p_table.add_argument("--out", type=str, default=None)
     return parser

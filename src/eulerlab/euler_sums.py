@@ -17,15 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hpreal import DomainError, ExtReal, ZERO, binom, const_gamma_f64, euler_average_f64
-from .zeta_core import (
-    RegValue,
-    SeriesResult,
-    ZetaIndex,
-    zeta,
-    zeta_bar,
-    zeta_reg,
-)
+from .hpreal import DomainError, ExtReal, ZERO, binom, const_gamma_f64, euler_average
+from .zeta_core import RegValue, SeriesResult, zeta, zeta_bar, zeta_reg
 
 __all__ = [
     "DoubleIndex",
@@ -203,7 +196,7 @@ def _double_direct_cached(r: int, s: int, r_bar: bool, s_bar: bool, n_max: int):
             window = min(64, len(terms))
             suffix = np.concatenate([np.cumsum(terms[::-1])[::-1][1:], [0.0]])
             psums = base - suffix
-            value, delta = euler_average_f64(psums[-window:], 16)
+            value, delta = euler_average(psums[-window:].tolist(), 16)
             est = delta + noise
     return ExtReal(value), ExtReal(abs(est))
 
@@ -245,10 +238,6 @@ def _check_odd(r: int, s: int) -> int:
     return k
 
 
-def _zeta(w: int, bar: bool) -> RegValue:
-    return zeta_reg(ZetaIndex(w, bar))
-
-
 def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> RegValue:
     """zeta(r, s) with optional bars, for odd k = r+s, as a finite zeta combination.
 
@@ -262,9 +251,9 @@ def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> RegValue:
     """
     k = _check_odd(r, s)
     x = r_bar != s_bar
-    acc = _zeta(k, x).scaled(-0.5)
+    acc = zeta_reg(k, x) * -0.5
     if s % 2 == 0:
-        acc = acc + _zeta(r, r_bar) * _zeta(s, s_bar)
+        acc = acc + zeta_reg(r, r_bar) * zeta_reg(s, s_bar)
     sgn = -1 if r % 2 else 1
     half = range((k - 1) // 2 + 1)
     c_r = [(l, binom(k - 2 * l - 1, r - 1), r_bar) for l in half]
@@ -281,7 +270,7 @@ def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> RegValue:
         terms = [t for pair in zip(c_r, c_s) for t in pair]
     for l, c, bar in terms:
         if c:
-            acc = acc + (_zeta(k - 2 * l, bar) * _zeta(2 * l, x)).scaled(sgn * c)
+            acc = acc + zeta_reg(k - 2 * l, bar) * zeta_reg(2 * l, x) * (sgn * c)
     return acc
 
 
@@ -321,8 +310,25 @@ def closed_form(idx: DoubleIndex) -> RegValue:
 
 
 # ---------------------------------------------------------------------------
-# Stuffle relations
+# Stuffle and shuffle relations of zeta(r; a) zeta(s; b), and summation formulas
 # ---------------------------------------------------------------------------
+
+# which -> bars (a, b) of the product zeta(r; a) zeta(s; b)
+_PRODUCTS = {"mixed": (True, False), "alternating": (True, True)}
+
+
+def _product_bars(which: str):
+    if which not in _PRODUCTS:
+        raise DomainError("which must be 'mixed' or 'alternating'")
+    return _PRODUCTS[which]
+
+
+def _stuffle(r: int, s: int, a: bool, b: bool, double) -> RegValue:
+    """zeta(r; a) zeta(s; b) - D(r, s; a, b) - D(s, r; b, a) - zeta(r+s; a xor b),
+    with double(r, s, r_bar, s_bar) -> RegValue supplying the double sums D."""
+    return (zeta_reg(r, a) * zeta_reg(s, b) - double(r, s, a, b) - double(s, r, b, a)
+            - zeta_reg(r + s, a != b))
+
 
 def stuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_MAX) -> RegValue:
     """Residual of a double-stuffle relation with double sums taken directly.
@@ -332,25 +338,10 @@ def stuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_M
     which = "alternating":  zeta(r-bar) zeta(s-bar) - zeta(r-bar,s-bar)
                             - zeta(s-bar,r-bar) - zeta(r+s)   (r, s >= 1)
     """
-    if which == "mixed":
-        if s < 2:
-            raise DomainError("the product relation with an unbarred factor needs s >= 2")
-        res = (
-            zeta_bar(r) * zeta(s)
-            - _dd(r, s, True, False, n_max)
-            - _dd(s, r, False, True, n_max)
-            - zeta_bar(r + s)
-        )
-        return RegValue(res, ZERO)
-    if which == "alternating":
-        res = (
-            zeta_bar(r) * zeta_bar(s)
-            - _dd(r, s, True, True, n_max)
-            - _dd(s, r, True, True, n_max)
-            - zeta(r + s)
-        )
-        return RegValue(res, ZERO)
-    raise DomainError("which must be 'mixed' or 'alternating'")
+    a, b = _product_bars(which)
+    if not b and s < 2:
+        raise DomainError("the product relation with an unbarred factor needs s >= 2")
+    return _stuffle(r, s, a, b, lambda *idx: RegValue(_dd(*idx, n_max), ZERO))
 
 
 def stuffle_closed_residual(r: int, s: int, which: str = "mixed") -> RegValue:
@@ -359,55 +350,39 @@ def stuffle_closed_residual(r: int, s: int, which: str = "mixed") -> RegValue:
     No direct sums are involved; in the mixed relation at s = 1 both sides
     carry a T-part and the check runs symbolically in the T-ring.
     """
-    k = r + s
-    if which == "mixed":
-        lhs = _zeta(r, True) * _zeta(s, False)
-        rhs = closed_bar_r(r, s) + closed_bar_s(s, r) + _zeta(k, True)
-        return lhs - rhs
-    if which == "alternating":
-        lhs = _zeta(r, True) * _zeta(s, True)
-        rhs = closed_bar_both(r, s) + closed_bar_both(s, r) + _zeta(k, False)
-        return lhs - rhs
-    raise DomainError("which must be 'mixed' or 'alternating'")
+    a, b = _product_bars(which)
+    return _stuffle(r, s, a, b, lambda i, j, i_bar, j_bar: CLOSED_FORMS[(i_bar, j_bar)][1](i, j))
 
-
-# ---------------------------------------------------------------------------
-# Shuffle relations and summation formulas
-# ---------------------------------------------------------------------------
 
 def shuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_MAX) -> ExtReal:
     """Residual of a double-shuffle relation, all double sums taken directly.
 
-    which = "mixed" (r >= 1, s >= 2, k = r+s):
+    With x = a xor b:
+      zeta(r; a) zeta(s; b) = sum_j C(j-1,r-1) zeta(k-j, j; x, a)
+                            + sum_j C(j-1,s-1) zeta(k-j, j; x, b)
+    which = "mixed" (a, b = bar, no bar; r >= 1, s >= 2, k = r+s):
       zeta(r-bar) zeta(s) = sum_j C(j-1,r-1) zeta(k-j-bar, j-bar)
                           + sum_j C(j-1,s-1) zeta(k-j-bar, j)
-    which = "alternating" (r, s >= 1):
+    which = "alternating" (both bars; r, s >= 1):
       zeta(r-bar) zeta(s-bar) = sum_j [C(j-1,r-1)+C(j-1,s-1)] zeta(k-j, j-bar)
     """
+    a, b = _product_bars(which)
+    if not b and s < 2:
+        raise DomainError("the mixed shuffle relation is numeric only for s >= 2")
     k = r + s
-    if which == "mixed":
-        if s < 2:
-            raise DomainError("the mixed shuffle relation is numeric only for s >= 2")
-        total = zeta_bar(r) * zeta(s)
-        for j in range(1, k):
-            c1 = binom(j - 1, r - 1)
-            c2 = binom(j - 1, s - 1)
-            if c1:
-                total = total - c1 * _dd(k - j, j, True, True, n_max)
-            if c2:
-                total = total - c2 * _dd(k - j, j, True, False, n_max)
-        return total
-    if which == "alternating":
-        total = zeta_bar(r) * zeta_bar(s)
-        for j in range(1, k):
-            c = binom(j - 1, r - 1) + binom(j - 1, s - 1)
+    x = a != b
+    total = zeta_reg(r, a).finite * zeta_reg(s, b).finite
+    for j in range(1, k):
+        c_a, c_b = binom(j - 1, r - 1), binom(j - 1, s - 1)
+        # equal bars multiply the same double sum: add the coefficients first
+        for c, bar in ([(c_a + c_b, a)] if a == b else [(c_a, a), (c_b, b)]):
             if c:
-                total = total - c * _dd(k - j, j, False, True, n_max)
-        return total
-    raise DomainError("which must be 'mixed' or 'alternating'")
+                total = total - c * _dd(k - j, j, x, bar, n_max)
+    return total
 
 
-SUM_FORMULAS = ("plain", "inner-bar", "both-bars", "outer-bar")
+# pattern name -> (r_bar, s_bar) of the double sums a summation formula adds up
+SUM_FORMULAS = {name: bars for bars, (name, _) in CLOSED_FORMS.items()}
 
 
 def sum_formula_check(k: int, which: str, n_max: int = DEFAULT_N_MAX) -> ExtReal:
@@ -427,33 +402,23 @@ def sum_formula_check(k: int, which: str, n_max: int = DEFAULT_N_MAX) -> ExtReal
     """
     if k < 3:
         raise DomainError("summation formulas require k >= 3")
-    if which == "plain":
-        lhs = ZERO
-        for s in range(2, k):
-            lhs = lhs + _dd(k - s, s, False, False, n_max)
-        return lhs - zeta(k)
-    if which == "inner-bar":
-        lhs = ZERO
-        for s in range(2, k):
-            lhs = lhs + _dd(k - s, s, True, False, n_max)
-        rhs = zeta_bar(k) + _dd(1, k - 1, False, True, n_max) - _dd(1, k - 1, True, True, n_max)
-        return lhs - rhs
-    if which == "both-bars":
-        lhs = ZERO
-        for s in range(2, k):
-            lhs = lhs + _dd(k - s, s, True, True, n_max)
-        rhs = zeta_bar(k) + _dd(k - 1, 1, False, True, n_max) - _dd(k - 1, 1, True, True, n_max)
-        return lhs - rhs
-    if which == "outer-bar":
-        lhs = ZERO
-        for s in range(2, k):
-            lhs = lhs + _dd(k - s, s, False, True, n_max)
+    if which not in SUM_FORMULAS:
+        raise DomainError(f"which must be one of {tuple(SUM_FORMULAS)}")
+    r_bar, s_bar = SUM_FORMULAS[which]
+    lhs = ZERO
+    for s in range(2, k):
+        lhs = lhs + _dd(k - s, s, r_bar, s_bar, n_max)
+    rhs = zeta_reg(k, r_bar).finite
+    if r_bar and not s_bar:
+        rhs = rhs + _dd(1, k - 1, False, True, n_max) - _dd(1, k - 1, True, True, n_max)
+    elif r_bar:
+        rhs = rhs + _dd(k - 1, 1, False, True, n_max) - _dd(k - 1, 1, True, True, n_max)
+    elif s_bar:
         rhs = (
-            zeta(k)
+            rhs
             + _dd(k - 1, 1, True, True, n_max)
             + _dd(1, k - 1, True, True, n_max)
             - _dd(k - 1, 1, False, True, n_max)
             - _dd(1, k - 1, False, True, n_max)
         )
-        return lhs - rhs
-    raise DomainError(f"which must be one of {SUM_FORMULAS}")
+    return lhs - rhs

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 from .hpreal import DomainError, ZERO, binom
-from .zeta_core import RegValue, ZetaIndex, zeta, zeta_bar, zeta_reg
+from .zeta_core import RegValue, zeta, zeta_bar, zeta_reg
 from .euler_sums import DEFAULT_N_MAX, DoubleIndex, double_direct
 
 __all__ = [
     "HomogPoly",
-    "GENFUN_NAMES",
     "build",
     "substitute",
     "poly_sub",
@@ -27,8 +26,6 @@ __all__ = [
     "verify_shuffle_relations",
     "verify_reduction_relations",
 ]
-
-GENFUN_NAMES = ("F1", "F2", "G1", "G2", "G3", "T1", "T2")
 
 Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -49,10 +46,6 @@ class HomogPoly:
         return self.coeffs[r - 1]
 
 
-def _reg(w: int, bar: bool) -> RegValue:
-    return zeta_reg(ZetaIndex(w, bar))
-
-
 def _direct(r: int, s: int, r_bar: bool, s_bar: bool, n_max: int) -> RegValue:
     v = double_direct(DoubleIndex(r, s, r_bar, s_bar), n_max).value
     return RegValue(v, ZERO)
@@ -71,9 +64,9 @@ def build(name: str, k: int, n_max: int = DEFAULT_N_MAX) -> HomogPoly:
     for r in range(1, k):
         s = k - r
         if name == "F1":
-            c = _reg(r, True) * _reg(s, False)
+            c = zeta_reg(r, True) * zeta_reg(s, False)
         elif name == "F2":
-            c = _reg(r, True) * _reg(s, True)
+            c = zeta_reg(r, True) * zeta_reg(s, True)
         elif name == "G1":
             if s == 1:
                 finite = -double_direct(DoubleIndex(1, r, False, True), n_max).value - zeta_bar(r + 1)
@@ -127,7 +120,7 @@ def substitute(p: HomogPoly, mat: Matrix) -> HomogPoly:
                 if w == 0:
                     continue
                 u = i + j  # exponent of x
-                contrib = coeff.scaled(w)
+                contrib = coeff * w
                 acc[u] = contrib if acc[u] is None else acc[u] + contrib
     zero = RegValue(ZERO, ZERO)
     return HomogPoly(weight=k, coeffs=tuple(zero if c is None else c for c in acc))

@@ -9,7 +9,6 @@ construction, so everything in this module is safe to share across threads.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
@@ -29,8 +28,7 @@ __all__ = [
     "sin_dd",
     "cos_dd",
     "sinc_pi",
-    "euler_average_dd",
-    "euler_average_f64",
+    "euler_average",
     "to_decimal",
     "parse_decimal",
     "validate_constants",
@@ -83,6 +81,8 @@ class ExtReal:
 
     def __init__(self, hi: float = 0.0, lo: float = 0.0):
         h, l = _two_sum(float(hi), float(lo))
+        if not math.isfinite(h):
+            raise DomainError(f"ExtReal needs finite parts, got {hi!r}, {lo!r}")
         object.__setattr__(self, "hi", h)
         object.__setattr__(self, "lo", l)
 
@@ -253,10 +253,12 @@ def to_decimal(x: Union[ExtReal, float, Fraction], digits: int = 30) -> str:
     """
     if digits < 1:
         raise DomainError("digits must be >= 1")
-    if isinstance(x, ExtReal):
-        f = x.to_fraction()
-    elif isinstance(x, Fraction):
+    if isinstance(x, Fraction):
         f = x
+    elif not math.isfinite(float(x)):
+        raise DomainError(f"cannot print the non-finite value {x!r}")
+    elif isinstance(x, ExtReal):
+        f = x.to_fraction()
     else:
         f = Fraction(float(x))
     if f == 0:
@@ -294,8 +296,8 @@ def to_decimal(x: Union[ExtReal, float, Fraction], digits: int = 30) -> str:
 # Constants
 # ---------------------------------------------------------------------------
 
-# 40+ digit decimal literals; split into hi/lo at import, validated against
-# the exact-rational oracles below when EULERLAB_PREC_CHECK=1.
+# 40+ digit decimal literals; split into hi/lo and validated against the
+# exact-rational oracles below at import.
 _PI_LITERAL = "3.14159265358979323846264338327950288419716939937511"
 _LN2_LITERAL = "0.69314718055994530941723212145817656807550013436026"
 
@@ -369,8 +371,7 @@ def validate_constants() -> None:
             raise DomainError(f"embedded constant {name} split loses precision")
 
 
-if os.environ.get("EULERLAB_PREC_CHECK") == "1":
-    validate_constants()
+validate_constants()
 
 
 @lru_cache(maxsize=1)
@@ -528,31 +529,17 @@ def sinc_pi(y: Real) -> ExtReal:
 # Alternating-series acceleration (iterated forward-difference averaging)
 # ---------------------------------------------------------------------------
 
-def euler_average_dd(partial_sums: Sequence[ExtReal], order: int):
-    """Euler transform of alternating-series partial sums, ExtReal arithmetic.
+def euler_average(partial_sums: Sequence, order: int):
+    """Euler transform of alternating-series partial sums, float or ExtReal.
 
     Repeatedly replaces the sequence by adjacent means; returns (value,
     change-in-last-round) where the change is a heuristic error estimate.
     """
     v = list(partial_sums)
     if not v:
-        raise DomainError("euler_average_dd needs at least one partial sum")
-    half = ExtReal(0.5)
+        raise DomainError("euler_average needs at least one partial sum")
     prev_last = v[-1]
     for _ in range(min(order, len(v) - 1)):
         prev_last = v[-1]
-        v = [(v[i] + v[i + 1]) * half for i in range(len(v) - 1)]
-    est = abs(v[-1] - prev_last)
-    return v[-1], est
-
-
-def euler_average_f64(partial_sums, order: int):
-    """Float64 variant of euler_average_dd over a numpy array."""
-    import numpy as np
-
-    v = np.asarray(partial_sums, dtype=np.float64)
-    prev_last = float(v[-1])
-    for _ in range(min(order, len(v) - 1)):
-        prev_last = float(v[-1])
-        v = 0.5 * (v[1:] + v[:-1])
-    return float(v[-1]), abs(float(v[-1]) - prev_last)
+        v = [(v[i] + v[i + 1]) * 0.5 for i in range(len(v) - 1)]
+    return v[-1], abs(v[-1] - prev_last)

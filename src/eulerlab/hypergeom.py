@@ -13,9 +13,11 @@ iterated-averaging Euler transform.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Tuple, Union
 
 from .hpreal import (
@@ -26,7 +28,7 @@ from .hpreal import (
     bernoulli,
     bernoulli_poly,
     const_pi,
-    euler_average_dd,
+    euler_average,
     exp_dd,
     ln_dd,
 )
@@ -53,11 +55,7 @@ Param = Union[int, float, Fraction]
 
 
 def _frac(x: Param) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)  # floats convert exactly
+    return x if isinstance(x, Fraction) else Fraction(x)  # floats convert exactly
 
 
 def _is_nonpositive_int(x: Fraction) -> bool:
@@ -111,12 +109,7 @@ def pochhammer(x: Union[Param, ExtReal], n: int):
     """Rising factorial (x)_n = x (x+1) ... (x+n-1); exact for rational x."""
     if n < 0:
         raise DomainError("pochhammer requires n >= 0")
-    if isinstance(x, ExtReal):
-        acc = ONE
-        for i in range(n):
-            acc = acc * (x + i)
-        return acc
-    if isinstance(x, float):
+    if isinstance(x, (ExtReal, float)):
         acc = ONE
         v = ExtReal.from_real(x)
         for i in range(n):
@@ -146,24 +139,36 @@ def classify(spec: HypSpec) -> ConvClass:
 
 
 # ---------------------------------------------------------------------------
-# Exact terminating evaluation
+# Series terms and exact terminating evaluation
 # ---------------------------------------------------------------------------
+
+def _terms(upper, lower, argument: int, one):
+    """t_1, t_2, ... of sum_n t_n with t_0 = one and
+    t_{n+1} = argument * t_n * prod(u+n) / ((n+1) prod(l+n)).
+
+    The parameters and `one` are all Fractions (exact) or all ExtReals.
+    """
+    term = one
+    for n in itertools.count():
+        num = one
+        for u in upper:
+            num = num * (u + n)
+        den = n + 1
+        for l in lower:
+            den = den * (l + n)
+        term = term * num / den
+        if argument < 0:
+            term = -term
+        yield term
+
 
 def _terminating_sum(spec: HypSpec) -> Fraction:
     n_stop = min(-u.numerator for u in spec.upper if _is_nonpositive_int(u))
     for b in spec.lower:
         if b.denominator == 1 and -n_stop < b.numerator <= 0:
             raise DomainError("lower parameter degenerates inside the terminating range")
-    total = Fraction(1)
-    term = Fraction(1)
-    for n in range(n_stop):
-        for u in spec.upper:
-            term *= u + n
-        for l in spec.lower:
-            term /= l + n
-        term = term * spec.argument / (n + 1)
-        total += term
-    return total
+    terms = _terms(spec.upper, spec.lower, spec.argument, Fraction(1))
+    return sum(itertools.islice(terms, n_stop), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +208,11 @@ _ASYMP_ORDER = 10
 def _plus_one_value(spec: HypSpec, cap: int, tol: float) -> SeriesResult:
     upper = [ExtReal.from_fraction(u) for u in spec.upper]
     lower = [ExtReal.from_fraction(l) for l in spec.lower]
-    term = ONE
     total = ONE
-    n = 0
     small = 0
     n_target = max(128, min(cap, 3000))
-    while n < n_target:
-        ratio_num = ONE
-        for u in upper:
-            ratio_num = ratio_num * (u + n)
-        ratio_den = ExtReal.from_real(n + 1)
-        for l in lower:
-            ratio_den = ratio_den * (l + n)
-        term = term * ratio_num / ratio_den
+    for n, term in zip(range(1, n_target + 1), _terms(upper, lower, 1, ONE)):
         total = total + term
-        n += 1
         if abs(float(term)) < tol * max(1.0, abs(float(total))):
             small += 1
             if small >= 3 and n >= 128:
@@ -262,21 +257,13 @@ def _minus_one_value(spec: HypSpec, cap: int) -> SeriesResult:
     upper = [ExtReal.from_fraction(u) for u in spec.upper]
     lower = [ExtReal.from_fraction(l) for l in spec.lower]
     n_target = max(300, min(cap, 1200))
-    term = ONE
     total = ONE
     partials = [total]
-    for n in range(n_target):
-        ratio_num = ONE
-        for u in upper:
-            ratio_num = ratio_num * (u + n)
-        ratio_den = ExtReal.from_real(n + 1)
-        for l in lower:
-            ratio_den = ratio_den * (l + n)
-        term = term * ratio_num / ratio_den
-        total = total - term if n % 2 == 0 else total + term
+    for term in itertools.islice(_terms(upper, lower, -1, ONE), n_target):
+        total = total + term
         partials.append(total)
     window = min(64, len(partials))
-    value, est = euler_average_dd(partials[-window:], 16)
+    value, est = euler_average(partials[-window:], 16)
     floor = ExtReal(abs(float(value)) * 1e-30 + 1e-33)
     return SeriesResult(value=value, terms_used=n_target, tail_estimate=est + floor)
 
@@ -314,19 +301,16 @@ def evaluate_terminating_exact(spec: HypSpec) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _STIRLING_SHIFT = 20.0
-_LN_SQRT_2PI = None
 
 
+@lru_cache(maxsize=None)
 def _ln_sqrt_2pi() -> ExtReal:
-    global _LN_SQRT_2PI
-    if _LN_SQRT_2PI is None:
-        _LN_SQRT_2PI = ln_dd(const_pi() * 2) / 2
-    return _LN_SQRT_2PI
+    return ln_dd(const_pi() * 2) / 2
 
 
 def ln_gamma(x: Union[Param, ExtReal]) -> ExtReal:
     """log Gamma(x) for 0 < x <= 1e4: shift to x >= 20, then Stirling to B_30."""
-    z = x if isinstance(x, ExtReal) else ExtReal.from_real(_frac(x) if not isinstance(x, float) else x)
+    z = ExtReal.from_real(x)
     if float(z) <= 0.0:
         raise DomainError("ln_gamma requires a positive argument")
     if float(z) > 1e4:

@@ -20,13 +20,12 @@ from .hpreal import (
     ZERO,
     bernoulli,
     const_ln2,
-    euler_average_dd,
+    euler_average,
     to_decimal,
 )
 
 __all__ = [
     "WEIGHT_CAP",
-    "ZetaIndex",
     "RegValue",
     "SeriesResult",
     "zeta",
@@ -37,18 +36,6 @@ __all__ = [
 ]
 
 WEIGHT_CAP = 60
-
-
-@dataclass(frozen=True)
-class ZetaIndex:
-    """A (weight, bar-flag) pair naming zeta(k) or zeta(k-bar)."""
-
-    weight: int
-    bar: bool = False
-
-    def __post_init__(self):
-        if not (0 <= self.weight <= WEIGHT_CAP):
-            raise DomainError(f"zeta weight must be in [0, {WEIGHT_CAP}]")
 
 
 @dataclass(frozen=True)
@@ -75,10 +62,6 @@ class RegValue:
     finite: ExtReal
     tcoef: ExtReal
 
-    @staticmethod
-    def of(finite, tcoef=ZERO) -> "RegValue":
-        return RegValue(ExtReal.from_real(finite), ExtReal.from_real(tcoef))
-
     @property
     def is_convergent(self) -> bool:
         return float(self.tcoef) == 0.0
@@ -103,9 +86,6 @@ class RegValue:
         return RegValue(self.finite * other, self.tcoef * other)
 
     __rmul__ = __mul__
-
-    def scaled(self, c) -> "RegValue":
-        return RegValue(self.finite * c, self.tcoef * c)
 
     def __str__(self) -> str:
         if self.is_convergent:
@@ -164,13 +144,14 @@ def zeta_bar(k: int) -> ExtReal:
     return -(ONE - ExtReal(2.0 ** (1 - k))) * zeta(k)
 
 
-def zeta_reg(index: ZetaIndex) -> RegValue:
-    """Regularized zeta at any weight in [0, 60], as a RegValue.
+def zeta_reg(k: int, bar: bool = False) -> RegValue:
+    """Regularized zeta(k), or zeta(k-bar) if bar, at any weight in [0, 60].
 
     weight 0 -> -1/2 for both bar values; weight 1 -> the pure symbol T
     (unbarred) or -ln 2 (barred); weight >= 2 embeds the convergent value.
     """
-    k, bar = index.weight, index.bar
+    if not 0 <= k <= WEIGHT_CAP:
+        raise DomainError(f"zeta weight must be in [0, {WEIGHT_CAP}]")
     if k == 0:
         return RegValue(ExtReal(-0.5), ZERO)
     if k == 1:
@@ -202,6 +183,6 @@ def zeta_bar_direct(k: int, terms: int = 64) -> SeriesResult:
         total = total + (-term if m % 2 else term)
         partial.append(total)
     order = min(32, terms // 2)
-    value, est = euler_average_dd(partial, order)
+    value, est = euler_average(partial, order)
     floor = ExtReal(abs(float(value)) * 2.0 ** -100 + 1e-32)
     return SeriesResult(value=value, terms_used=terms, tail_estimate=est + floor)

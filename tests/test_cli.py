@@ -73,6 +73,10 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(["compute", "mzv", "2", "2", "--n-max", "10000001"], capsys)
     assert code == 2  # above the direct-summation cap
+    code, _, _ = run_cli(["compute", "zeta", "3", "--digits", "33"], capsys)
+    assert code == 2  # more digits than a double-double holds
+    code, _, _ = run_cli(["table", "hsums", "2", "--digits", "0"], capsys)
+    assert code == 2
 
 
 def test_unknown_suite_exits_2(capsys):
@@ -151,11 +155,9 @@ def test_console_script_entrypoint():
 
 
 def test_precision_check_env_var():
-    import os
-
-    env = dict(os.environ, EULERLAB_PREC_CHECK="1")
+    # the embedded constants are validated on every import
     proc = subprocess.run(
-        [sys.executable, "-c", "import eulerlab"], capture_output=True, text=True, env=env)
+        [sys.executable, "-c", "import eulerlab"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -14,7 +14,7 @@ from eulerlab.hpreal import (
     const_ln2,
     const_pi,
     cos_dd,
-    euler_average_f64,
+    euler_average,
     exp_dd,
     ln_dd,
     machin_pi_fraction,
@@ -95,6 +95,15 @@ def test_canonical_form_random():
 def test_division_by_zero():
     with pytest.raises(DomainError):
         ExtReal(1.0) / ExtReal(0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            ExtReal(bad)
+        with pytest.raises(DomainError):
+            ExtReal(1.0, bad)
+        with pytest.raises(DomainError):
+            to_decimal(bad)
+    with pytest.raises(DomainError):
+        to_decimal(ExtReal(1e300) * 1e300)  # overflows inside the operators
 
 
 def test_comparisons_and_pow():
@@ -223,8 +232,10 @@ def test_parse_to_decimal_consistency(f):
 
 def test_euler_average_on_alternating_harmonic():
     partials = oracles.harmonic_alternating(64)
-    value, _ = euler_average_f64(partials, 16)
+    value, _ = euler_average(partials, 16)
     assert abs(value + math.log(2)) < 1e-14
+    value, _ = euler_average([ExtReal(p) for p in partials], 16)
+    assert abs(float(value) + math.log(2)) < 1e-14
 
 
 def test_to_decimal_boundaries():
