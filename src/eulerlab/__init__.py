@@ -35,14 +35,7 @@ from .euler_sums import (
     stuffle_closed_residual,
     sum_formula_check,
 )
-from .genfun import (
-    HomogPoly,
-    build,
-    substitute,
-    verify_reduction_relations,
-    verify_shuffle_relations,
-    verify_stuffle_relations,
-)
+from .genfun import RELATIONS, HomogPoly, build, substitute, verify_relations
 from .hypergeom import (
     ConvClass,
     HypSpec,

@@ -16,16 +16,8 @@ from .hpreal import DomainError, ZERO, binom
 from .zeta_core import RegValue, zeta, zeta_bar, zeta_reg
 from .euler_sums import DEFAULT_N_MAX, DoubleIndex, double_direct
 
-__all__ = [
-    "HomogPoly",
-    "build",
-    "substitute",
-    "poly_sub",
-    "RelationResidual",
-    "verify_stuffle_relations",
-    "verify_shuffle_relations",
-    "verify_reduction_relations",
-]
+__all__ = ["HomogPoly", "build", "substitute", "RelationResidual", "RELATIONS",
+           "verify_relations"]
 
 Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -45,55 +37,61 @@ class HomogPoly:
         """Coefficient of x^(r-1) y^(k-r-1), r in 1..k-1."""
         return self.coeffs[r - 1]
 
+    def _pairs(self, other: "HomogPoly"):
+        if self.weight != other.weight:
+            raise DomainError("weights differ")
+        return zip(self.coeffs, other.coeffs)
+
+    def __add__(self, other: "HomogPoly") -> "HomogPoly":
+        return HomogPoly(self.weight, tuple(a + b for a, b in self._pairs(other)))
+
+    def __sub__(self, other: "HomogPoly") -> "HomogPoly":
+        return HomogPoly(self.weight, tuple(a - b for a, b in self._pairs(other)))
+
+    def __neg__(self) -> "HomogPoly":
+        return HomogPoly(self.weight, tuple(-c for c in self.coeffs))
+
 
 def _direct(r: int, s: int, r_bar: bool, s_bar: bool, n_max: int) -> RegValue:
     v = double_direct(DoubleIndex(r, s, r_bar, s_bar), n_max).value
     return RegValue(v, ZERO)
 
 
-def build(name: str, k: int, n_max: int = DEFAULT_N_MAX) -> HomogPoly:
-    """Generating function of weight k with coefficients from direct evaluators.
-
-    The divergent slot s = 1 of G1 uses the stuffle regularization
+def _g1(r: int, s: int, n_max: int) -> RegValue:
+    """zeta(r-bar, s); the divergent slot s = 1 uses the stuffle regularization
     zeta(r-bar, 1) = zeta(r-bar) T - zeta(1, r-bar) - zeta(r+1-bar), which is
-    the one genuinely T-carrying coefficient in the whole family.
-    """
+    the one genuinely T-carrying coefficient in the whole family."""
+    if s != 1:
+        return _direct(r, s, True, False, n_max)
+    finite = -double_direct(DoubleIndex(1, r, False, True), n_max).value - zeta_bar(r + 1)
+    return RegValue(finite, zeta_bar(r))
+
+
+# name -> coefficient c_{r,s} of x^(r-1) y^(s-1), from direct evaluators only
+_COEFFS = {
+    "F1": lambda r, s, n_max: zeta_reg(r, True) * zeta_reg(s, False),
+    "F2": lambda r, s, n_max: zeta_reg(r, True) * zeta_reg(s, True),
+    "G1": _g1,
+    "G2": lambda r, s, n_max: _direct(r, s, False, True, n_max),
+    "G3": lambda r, s, n_max: _direct(r, s, True, True, n_max),
+    "T1": lambda r, s, n_max: RegValue(zeta(r + s), ZERO),
+    "T2": lambda r, s, n_max: RegValue(zeta_bar(r + s), ZERO),
+}
+
+
+def build(name: str, k: int, n_max: int = DEFAULT_N_MAX) -> HomogPoly:
+    """Generating function of weight k with coefficients from direct evaluators."""
     if not 3 <= k <= 15:
         raise DomainError("generating functions supported for 3 <= k <= 15")
-    coeffs = []
-    for r in range(1, k):
-        s = k - r
-        if name == "F1":
-            c = zeta_reg(r, True) * zeta_reg(s, False)
-        elif name == "F2":
-            c = zeta_reg(r, True) * zeta_reg(s, True)
-        elif name == "G1":
-            if s == 1:
-                finite = -double_direct(DoubleIndex(1, r, False, True), n_max).value - zeta_bar(r + 1)
-                c = RegValue(finite, zeta_bar(r))
-            else:
-                c = _direct(r, s, True, False, n_max)
-        elif name == "G2":
-            c = _direct(r, s, False, True, n_max)
-        elif name == "G3":
-            c = _direct(r, s, True, True, n_max)
-        elif name == "T1":
-            c = RegValue(zeta(k), ZERO)
-        elif name == "T2":
-            c = RegValue(zeta_bar(k), ZERO)
-        else:
-            raise DomainError(f"unknown generating function {name!r}")
-        coeffs.append(c)
-    return HomogPoly(weight=k, coeffs=tuple(coeffs))
+    if name not in _COEFFS:
+        raise DomainError(f"unknown generating function {name!r}")
+    coeff = _COEFFS[name]
+    return HomogPoly(weight=k, coeffs=tuple(coeff(r, k - r, n_max) for r in range(1, k)))
 
 
 # ---------------------------------------------------------------------------
 # Linear substitution (x, y) -> (a x + b y, c x + d y)
 # ---------------------------------------------------------------------------
-
-def _ipow(base: int, e: int) -> int:
-    return 1 if e == 0 else base ** e
-
 
 def substitute(p: HomogPoly, mat: Matrix) -> HomogPoly:
     """Coefficientwise binomial expansion of p(a x + b y, c x + d y).
@@ -112,11 +110,11 @@ def substitute(p: HomogPoly, mat: Matrix) -> HomogPoly:
         s = k - r
         coeff = p.coeffs[r - 1]
         for i in range(r):  # (a x + b y)^(r-1) term i
-            w1 = binom(r - 1, i) * _ipow(a, i) * _ipow(b, r - 1 - i)
+            w1 = binom(r - 1, i) * a ** i * b ** (r - 1 - i)
             if w1 == 0:
                 continue
             for j in range(s):  # (c x + d y)^(s-1) term j
-                w = w1 * binom(s - 1, j) * _ipow(c, j) * _ipow(d, s - 1 - j)
+                w = w1 * binom(s - 1, j) * c ** j * d ** (s - 1 - j)
                 if w == 0:
                     continue
                 u = i + j  # exponent of x
@@ -126,18 +124,6 @@ def substitute(p: HomogPoly, mat: Matrix) -> HomogPoly:
     return HomogPoly(weight=k, coeffs=tuple(zero if c is None else c for c in acc))
 
 
-def poly_sub(p: HomogPoly, q: HomogPoly) -> HomogPoly:
-    if p.weight != q.weight:
-        raise DomainError("weights differ")
-    return HomogPoly(p.weight, tuple(a - b for a, b in zip(p.coeffs, q.coeffs)))
-
-
-def _poly_add(p: HomogPoly, q: HomogPoly) -> HomogPoly:
-    if p.weight != q.weight:
-        raise DomainError("weights differ")
-    return HomogPoly(p.weight, tuple(a + b for a, b in zip(p.coeffs, q.coeffs)))
-
-
 class RelationResidual(NamedTuple):
     """Max |LHS - RHS| over coefficients, finite parts and T-parts separately."""
 
@@ -145,95 +131,71 @@ class RelationResidual(NamedTuple):
     tpart: float
 
 
-def _max_residual(*polys: HomogPoly) -> RelationResidual:
-    fin = 0.0
-    tp = 0.0
-    for p in polys:
-        for c in p.coeffs:
-            fin = max(fin, abs(float(c.finite)))
-            tp = max(tp, abs(float(c.tcoef)))
-    return RelationResidual(fin, tp)
-
-
 _ID: Matrix = ((1, 0), (0, 1))
-_NEG: Matrix = ((-1, 0), (0, -1))
-_SWAP: Matrix = ((0, 1), (1, 0))
+
+# family -> relations (lhs_terms, rhs_terms); a term (sign, name, M) stands for
+# sign * name(a x + b y, c x + d y) with M = ((a, b), (c, d))
+RELATIONS = {
+    # F1 = G1 + G2(y,x) + T2 and F2 = G3 + G3(y,x) + T1
+    "stuffle": (
+        (((1, "F1", _ID),),
+         ((1, "G1", _ID), (1, "G2", ((0, 1), (1, 0))), (1, "T2", _ID))),
+        (((1, "F2", _ID),),
+         ((1, "G3", _ID), (1, "G3", ((0, 1), (1, 0))), (1, "T1", _ID))),
+    ),
+    # F1 = G1(x,x+y) + G3(y,x+y) and F2 = G2(x,x+y) + G2(y,x+y)
+    "shuffle": (
+        (((1, "F1", _ID),),
+         ((1, "G1", ((1, 0), (1, 1))), (1, "G3", ((0, 1), (1, 1))))),
+        (((1, "F2", _ID),),
+         ((1, "G2", ((1, 0), (1, 1))), (1, "G2", ((0, 1), (1, 1))))),
+    ),
+    # odd weight: G_i(x,y) - G_i(-x,-y) through sign-flipped and sheared F1/F2
+    # plus T1/T2 corrections, exactly as the three displayed relations state
+    "reduction": (
+        (((1, "G1", _ID), (-1, "G1", ((-1, 0), (0, -1)))),
+         ((1, "F1", _ID), (-1, "F1", ((1, 0), (0, -1))),
+          (-1, "F2", ((1, -1), (0, 1))), (1, "F2", ((1, -1), (0, -1))),
+          (1, "F1", ((1, 0), (1, -1))), (-1, "F1", ((-1, 0), (1, -1))),
+          (-1, "T2", _ID), (-1, "T2", ((1, 0), (1, -1))), (-1, "T1", ((1, -1), (0, -1))))),
+        (((1, "G2", _ID), (-1, "G2", ((-1, 0), (0, -1)))),
+         ((1, "F1", ((0, 1), (1, 0))), (-1, "F1", ((0, -1), (1, 0))),
+          (-1, "F1", ((0, 1), (1, -1))), (1, "F1", ((0, -1), (1, -1))),
+          (1, "F2", ((1, 0), (1, -1))), (-1, "F2", ((-1, 0), (1, -1))),
+          (-1, "T2", _ID), (-1, "T1", ((1, 0), (1, -1))), (-1, "T2", ((1, -1), (0, -1))))),
+        (((1, "G3", _ID), (-1, "G3", ((-1, 0), (0, -1)))),
+         ((1, "F2", _ID), (-1, "F2", ((1, 0), (0, -1))),
+          (-1, "F1", ((1, -1), (0, 1))), (1, "F1", ((1, -1), (0, -1))),
+          (1, "F1", ((1, -1), (1, 0))), (-1, "F1", ((1, -1), (-1, 0))),
+          (-1, "T1", _ID), (-1, "T2", ((1, 0), (1, -1))), (-1, "T2", ((1, -1), (0, -1))))),
+    ),
+}
 
 
-def verify_stuffle_relations(k: int, n_max: int = DEFAULT_N_MAX) -> RelationResidual:
-    """Stuffle identities: F1 = G1 + G2(y,x) + T2 and F2 = G3 + G3(y,x) + T1."""
-    f1, f2 = build("F1", k, n_max), build("F2", k, n_max)
-    g1, g2, g3 = build("G1", k, n_max), build("G2", k, n_max), build("G3", k, n_max)
-    t1, t2 = build("T1", k, n_max), build("T2", k, n_max)
-    r17 = poly_sub(f1, _poly_add(_poly_add(g1, substitute(g2, _SWAP)), t2))
-    r18 = poly_sub(f2, _poly_add(_poly_add(g3, substitute(g3, _SWAP)), t1))
-    return _max_residual(r17, r18)
+def verify_relations(family: str, k: int, n_max: int = DEFAULT_N_MAX) -> RelationResidual:
+    """Max residual of LHS - RHS over the relations of one RELATIONS family.
 
-
-def verify_shuffle_relations(k: int, n_max: int = DEFAULT_N_MAX) -> RelationResidual:
-    """Shuffle identities: F1 = G1(x,x+y) + G3(y,x+y), F2 = G2(x,x+y) + G2(y,x+y)."""
-    f1, f2 = build("F1", k, n_max), build("F2", k, n_max)
-    g1, g2, g3 = build("G1", k, n_max), build("G2", k, n_max), build("G3", k, n_max)
-    shear_x: Matrix = ((1, 0), (1, 1))   # (x, x+y)
-    shear_y: Matrix = ((0, 1), (1, 1))   # (y, x+y)
-    r29 = poly_sub(f1, _poly_add(substitute(g1, shear_x), substitute(g3, shear_y)))
-    r30 = poly_sub(f2, _poly_add(substitute(g2, shear_x), substitute(g2, shear_y)))
-    return _max_residual(r29, r30)
-
-
-def verify_reduction_relations(k: int, n_max: int = DEFAULT_N_MAX) -> RelationResidual:
-    """Odd-weight antisymmetrized relations expressing G1, G2, G3 via F1, F2.
-
-    Each LHS is G_i(x,y) - G_i(-x,-y); the RHS mixes sign-flipped and sheared
-    F1/F2 plus T1/T2 correction polynomials, exactly as the three displayed
-    relations state.
+    Each side is summed left to right; every named polynomial is built once.
     """
-    if k % 2 == 0:
+    if family not in RELATIONS:
+        raise DomainError(f"unknown relation family {family!r}")
+    if family == "reduction" and k % 2 == 0:
         raise DomainError("the antisymmetrized relations need odd weight")
-    f1, f2 = build("F1", k, n_max), build("F2", k, n_max)
-    g1, g2, g3 = build("G1", k, n_max), build("G2", k, n_max), build("G3", k, n_max)
-    t1, t2 = build("T1", k, n_max), build("T2", k, n_max)
+    built = {}
 
-    def S(p: HomogPoly, mat: Matrix) -> HomogPoly:
-        return substitute(p, mat)
-
-    m_x_negy: Matrix = ((1, 0), (0, -1))       # (x, -y)
-    m_xmy_y: Matrix = ((1, -1), (0, 1))        # (x-y, y)
-    m_xmy_negy: Matrix = ((1, -1), (0, -1))    # (x-y, -y)
-    m_x_xmy: Matrix = ((1, 0), (1, -1))        # (x, x-y)
-    m_negx_xmy: Matrix = ((-1, 0), (1, -1))    # (-x, x-y)
-    m_y_x: Matrix = _SWAP                      # (y, x)
-    m_negy_x: Matrix = ((0, -1), (1, 0))       # (-y, x)
-    m_y_xmy: Matrix = ((0, 1), (1, -1))        # (y, x-y)
-    m_negy_xmy: Matrix = ((0, -1), (1, -1))    # (-y, x-y)
-    m_xmy_x: Matrix = ((1, -1), (1, 0))        # (x-y, x)
-    m_xmy_negx: Matrix = ((1, -1), (-1, 0))    # (x-y, -x)
-
-    def chain(*signed):
+    def side(terms) -> HomogPoly:
         total = None
-        for sign, poly in signed:
-            term = poly if sign > 0 else HomogPoly(poly.weight, tuple(-c for c in poly.coeffs))
-            total = term if total is None else _poly_add(total, term)
+        for sign, name, mat in terms:
+            if name not in built:
+                built[name] = build(name, k, n_max)
+            term = built[name] if mat == _ID else substitute(built[name], mat)
+            term = term if sign > 0 else -term
+            total = term if total is None else total + term
         return total
 
-    lhs31 = poly_sub(g1, S(g1, _NEG))
-    rhs31 = chain(
-        (+1, f1), (-1, S(f1, m_x_negy)), (-1, S(f2, m_xmy_y)), (+1, S(f2, m_xmy_negy)),
-        (+1, S(f1, m_x_xmy)), (-1, S(f1, m_negx_xmy)),
-        (-1, t2), (-1, S(t2, m_x_xmy)), (-1, S(t1, m_xmy_negy)),
-    )
-    lhs32 = poly_sub(g2, S(g2, _NEG))
-    rhs32 = chain(
-        (+1, S(f1, m_y_x)), (-1, S(f1, m_negy_x)), (-1, S(f1, m_y_xmy)), (+1, S(f1, m_negy_xmy)),
-        (+1, S(f2, m_x_xmy)), (-1, S(f2, m_negx_xmy)),
-        (-1, t2), (-1, S(t1, m_x_xmy)), (-1, S(t2, m_xmy_negy)),
-    )
-    lhs33 = poly_sub(g3, S(g3, _NEG))
-    rhs33 = chain(
-        (+1, f2), (-1, S(f2, m_x_negy)), (-1, S(f1, m_xmy_y)), (+1, S(f1, m_xmy_negy)),
-        (+1, S(f1, m_xmy_x)), (-1, S(f1, m_xmy_negx)),
-        (-1, t1), (-1, S(t2, m_x_xmy)), (-1, S(t2, m_xmy_negy)),
-    )
-    return _max_residual(
-        poly_sub(lhs31, rhs31), poly_sub(lhs32, rhs32), poly_sub(lhs33, rhs33)
-    )
+    finite = tpart = 0.0
+    for lhs, rhs in RELATIONS[family]:
+        for c in (side(lhs) - side(rhs)).coeffs:
+            finite = max(finite, abs(float(c.finite)))
+            tpart = max(tpart, abs(float(c.tcoef)))
+    return RelationResidual(finite, tpart)

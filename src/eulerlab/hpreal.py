@@ -92,7 +92,10 @@ class ExtReal:
     # -- construction -------------------------------------------------------
     @staticmethod
     def from_fraction(f: Fraction) -> "ExtReal":
-        hi = float(f)
+        try:
+            hi = float(f)
+        except OverflowError as exc:
+            raise DomainError("rational value outside the double range") from exc
         lo = float(f - Fraction(hi))
         return _mk(*_quick_two_sum(hi, lo))
 
@@ -450,7 +453,7 @@ def binom(n: int, k: int) -> int:
 def exp_dd(x: Real) -> ExtReal:
     """exp(x) for |x| <= 700, ~31 correct digits."""
     v = ExtReal.from_real(x)
-    if abs(v.hi) > 700.0:
+    if not abs(v.hi) <= 700.0:  # also rejects nan from an overflowed caller
         raise DomainError("exp_dd argument out of range")
     k = int(round(v.hi / _LN2.hi))
     r = v - _LN2 * k

@@ -171,21 +171,15 @@ def _suite_closedforms(n_max: int, fast: bool) -> List[Case]:
 def _suite_genfun(n_max: int, fast: bool) -> List[Case]:
     cases: List[Case] = []
     for k in range(3, 10):
-        for rel, fn in (("stuffle", genfun.verify_stuffle_relations),
-                        ("shuffle", genfun.verify_shuffle_relations)):
-            def finite_part(fn=fn, k=k):
-                return fn(k, n_max).finite
-            def t_part(fn=fn, k=k):
-                return fn(k, n_max).tpart
-            cases.append(_residual_case(f"genfun-{rel}-finite[k={k}]", 1e-6, finite_part))
-            cases.append(_residual_case(f"genfun-{rel}-tpart[k={k}]", 1e-24, t_part))
-        if k % 2 == 1:
-            cases.append(_residual_case(
-                f"genfun-reduction-finite[k={k}]", 1e-6,
-                lambda k=k: genfun.verify_reduction_relations(k, n_max).finite))
-            cases.append(_residual_case(
-                f"genfun-reduction-tpart[k={k}]", 1e-24,
-                lambda k=k: genfun.verify_reduction_relations(k, n_max).tpart))
+        for family in genfun.RELATIONS:
+            if family == "reduction" and k % 2 == 0:
+                continue
+            def finite_part(family=family, k=k):
+                return genfun.verify_relations(family, k, n_max).finite
+            def t_part(family=family, k=k):
+                return genfun.verify_relations(family, k, n_max).tpart
+            cases.append(_residual_case(f"genfun-{family}-finite[k={k}]", 1e-6, finite_part))
+            cases.append(_residual_case(f"genfun-{family}-tpart[k={k}]", 1e-24, t_part))
     return cases
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .euler_sums import (
     closed_bar_s,
     double_direct,
 )
-from .hypergeom import HypSpec, evaluate
+from .hypergeom import _core_series
 
 __all__ = [
     "HIndex",
@@ -141,32 +141,32 @@ def h_direct(idx: HIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def h_closed(a: int, b: int) -> ExtReal:
-    """H(a,b) = 2 sum_{r<=K} (-1)^r [C(2r,2a+2) zeta(2r+1)
-    + C(2r,2b+1) zeta(2r+1-bar)] H(K-r),  K = a+b+1."""
+def _h_closed(a: int, b: int, star: bool) -> ExtReal:
+    """sum_{r<=K} sign_r {c_r zeta(2r+1) + C(2r,2b+1) zeta(2r+1-bar)} H(K-r),
+    K = a+b+1: c_r = C(2r,2a+2), sign_r = (-1)^r for H; c_r = C(2r,2a) -
+    delta_{r,a}, sign_r = 1 and H* in place of H for H*."""
     k = a + b + 1
     if k > 20:
         raise DomainError("closed forms capped at K = 20")
     total = ZERO
     for r in range(1, k + 1):
-        coeff = binom(2 * r, 2 * a + 2) * zeta(2 * r + 1) + binom(2 * r, 2 * b + 1) * zeta_bar(2 * r + 1)
-        term = coeff * h_single(k - r)
-        total = total - term if r % 2 else total + term
-    return 2 * total
+        c_plain = (binom(2 * r, 2 * a) - (r == a)) if star else binom(2 * r, 2 * a + 2)
+        coeff = c_plain * zeta(2 * r + 1) + binom(2 * r, 2 * b + 1) * zeta_bar(2 * r + 1)
+        term = coeff * h_single(k - r, star)
+        total = total - term if r % 2 and not star else total + term
+    return total
+
+
+def h_closed(a: int, b: int) -> ExtReal:
+    """H(a,b) = 2 sum_{r<=K} (-1)^r [C(2r,2a+2) zeta(2r+1)
+    + C(2r,2b+1) zeta(2r+1-bar)] H(K-r),  K = a+b+1."""
+    return 2 * _h_closed(a, b, False)
 
 
 def hstar_closed(a: int, b: int) -> ExtReal:
     """H*(a,b) = -2 sum_{r<=K} {[C(2r,2a) - delta_{r,a}] zeta(2r+1)
     + C(2r,2b+1) zeta(2r+1-bar)} H*(K-r)."""
-    k = a + b + 1
-    if k > 20:
-        raise DomainError("closed forms capped at K = 20")
-    total = ZERO
-    for r in range(1, k + 1):
-        c_plain = binom(2 * r, 2 * a) - (1 if r == a else 0)
-        coeff = c_plain * zeta(2 * r + 1) + binom(2 * r, 2 * b + 1) * zeta_bar(2 * r + 1)
-        total = total + coeff * h_single(k - r, star=True)
-    return -2 * total
+    return -2 * _h_closed(a, b, True)
 
 
 def hstar_pilehrood(a: int, b: int, n_max: int = DEFAULT_N_MAX) -> ExtReal:
@@ -212,16 +212,21 @@ def sum_identities(k: int) -> Tuple[ExtReal, ExtReal]:
     return (lhs_h - rhs_h, lhs_hs - rhs_hs)
 
 
+def _weighted_hstar(k: int, r: Optional[int] = None) -> ExtReal:
+    """sum_{a+b=K-1} (1 + delta_{a,0}/2 - K delta_{a,r}) H*(a,b), zero weights skipped."""
+    total = ZERO
+    for a in range(k):
+        w = Fraction(1) + (Fraction(1, 2) if a == 0 else 0) - (k if a == r else 0)
+        if w:
+            total = total + ExtReal.from_fraction(w) * hstar_closed(a, k - 1 - a)
+    return total
+
+
 def zeta_bar_odd_from_hstar(k: int) -> ExtReal:
     """zeta(2K+1-bar) = -(1/2K) sum_{a+b=K-1} (1 + delta_{a,0}/2) H*(a,b)."""
     if not 1 <= k <= 6:
         raise DomainError("verified for 1 <= K <= 6")
-    total = ZERO
-    for a in range(k):
-        b = k - 1 - a
-        w = Fraction(3, 2) if a == 0 else Fraction(1)
-        total = total + ExtReal.from_fraction(w) * hstar_closed(a, b)
-    return -total / (2 * k)
+    return -_weighted_hstar(k) / (2 * k)
 
 
 def zeta_from_hstar(r: int, s: int) -> ExtReal:
@@ -232,28 +237,12 @@ def zeta_from_hstar(r: int, s: int) -> ExtReal:
     k = r + s
     if k > 6:
         raise DomainError("verified for K <= 6")
-    total = ZERO
-    for a in range(k):
-        b = k - 1 - a
-        w = Fraction(1) + (Fraction(1, 2) if a == 0 else 0) - (k if a == r else 0)
-        if w:
-            total = total + ExtReal.from_fraction(w) * hstar_closed(a, b)
-    return total / (4 * k)
+    return _weighted_hstar(k, r) / (4 * k)
 
 
 # ---------------------------------------------------------------------------
 # Generating functions F(x,y), F*(x,y)
 # ---------------------------------------------------------------------------
-
-def _core_series(x: Fraction, y: Fraction) -> ExtReal:
-    """sum_{m>=1} (x)_m (-x)_m / (m (1+y)_m (1-y)_m), via the shifted 4F3."""
-    if x == 0:
-        return ZERO
-    f = evaluate(HypSpec.of([1 + x, 1 - x, 1, 1], [2 + y, 2 - y, 2], 1)).value
-    xv = ExtReal.from_fraction(x)
-    yv = ExtReal.from_fraction(y)
-    return -(xv * xv) / (ONE - yv * yv) * f
-
 
 def _check_box(x: Fraction, y: Fraction) -> None:
     if abs(x) > Fraction(1, 2) or abs(y) > Fraction(1, 2):

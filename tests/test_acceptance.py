@@ -82,10 +82,10 @@ def test_criterion_4_generating_function_relations():
     only): finite parts <= 1e-6, T-parts <= 1e-24."""
     worst_f = worst_t = 0.0
     for k in range(3, 10):
-        checks = [genfun.verify_stuffle_relations(k, N),
-                  genfun.verify_shuffle_relations(k, N)]
+        checks = [genfun.verify_relations("stuffle", k, N),
+                  genfun.verify_relations("shuffle", k, N)]
         if k % 2 == 1:
-            checks.append(genfun.verify_reduction_relations(k, N))
+            checks.append(genfun.verify_relations("reduction", k, N))
         for res in checks:
             worst_f = max(worst_f, res.finite)
             worst_t = max(worst_t, res.tpart)

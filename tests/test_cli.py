@@ -77,6 +77,14 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # more digits than a double-double holds
     code, _, _ = run_cli(["table", "hsums", "2", "--digits", "0"], capsys)
     assert code == 2
+    code, _, _ = run_cli(["compute", "hyp", "--upper", "1,1", "--lower", "1e999", "--x", "1"], capsys)
+    assert code == 2  # parameter beyond the double range
+    code, _, _ = run_cli(["compute", "hyp", "--upper", "1/3,1/3", "--lower", "1e308", "--x", "1"], capsys)
+    assert code == 2  # the +1 tail asymptotics overflow to nan
+    code, _, _ = run_cli(["compute", "hyp", "--upper=-1e999,1", "--lower", "2", "--x", "1"], capsys)
+    assert code == 2  # terminating length beyond any index
+    code, _, _ = run_cli(["compute", "hyp", "--upper=-1001,1/3", "--lower", "2/7", "--x", "1"], capsys)
+    assert code == 2  # one term above the terminating-series cap
 
 
 def test_unknown_suite_exits_2(capsys):

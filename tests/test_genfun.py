@@ -5,15 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from eulerlab.hpreal import DomainError, ExtReal
 from eulerlab.zeta_core import RegValue, zeta, zeta_bar
-from eulerlab.genfun import (
-    HomogPoly,
-    build,
-    poly_sub,
-    substitute,
-    verify_reduction_relations,
-    verify_shuffle_relations,
-    verify_stuffle_relations,
-)
+from eulerlab.genfun import HomogPoly, build, substitute, verify_relations
 
 N = 100_000
 
@@ -146,6 +138,18 @@ def test_substitute_rejects_large_entries():
         substitute(p, ((2, 0), (0, 1)))
 
 
+def test_poly_ring_ops_check_weight_and_family():
+    p, q = _random_poly(5, 1), _random_poly(5, 2)
+    for u, a, b in zip((p - q).coeffs, p.coeffs, (-q).coeffs):
+        assert u.finite.to_fraction() == (a + b).finite.to_fraction()
+    with pytest.raises(DomainError):
+        p + _random_poly(6, 1)
+    with pytest.raises(DomainError):
+        p - _random_poly(4, 1)
+    with pytest.raises(DomainError):
+        verify_relations("duality", 5, N)
+
+
 def test_substitute_linearity():
     p, q = _random_poly(5, 1), _random_poly(5, 2)
     mat = ((1, -1), (0, 1))
@@ -162,28 +166,28 @@ def test_substitute_linearity():
 
 def test_stuffle_relations_all_weights():
     for k in range(3, 10):
-        res = verify_stuffle_relations(k, N)
+        res = verify_relations("stuffle", k, N)
         assert res.finite <= 1e-6 and res.tpart <= 1e-24, (k, res)
 
 
 def test_shuffle_relations_all_weights():
     for k in range(3, 10):
-        res = verify_shuffle_relations(k, N)
+        res = verify_relations("shuffle", k, N)
         assert res.finite <= 1e-6 and res.tpart <= 1e-24, (k, res)
 
 
 def test_reduction_relations_odd_weights():
     for k in (3, 5, 7, 9):
-        res = verify_reduction_relations(k, N)
+        res = verify_relations("reduction", k, N)
         assert res.finite <= 1e-6 and res.tpart <= 1e-24, (k, res)
     with pytest.raises(DomainError):
-        verify_reduction_relations(4, N)
+        verify_relations("reduction", 4, N)
 
 
 def test_antisymmetrized_g1_doubles_odd_slots():
     # for odd weight, G1(x,y) - G1(-x,-y) = 2 G1(x,y) coefficientwise
     g1 = build("G1", 5, N)
-    anti = poly_sub(g1, substitute(g1, ((-1, 0), (0, -1))))
+    anti = g1 - substitute(g1, ((-1, 0), (0, -1)))
     for a, b in zip(anti.coeffs, g1.coeffs):
         assert abs(float(a.finite - 2 * b.finite)) < 1e-28
         assert abs(float(a.tcoef - 2 * b.tcoef)) < 1e-28

@@ -102,8 +102,17 @@ def test_division_by_zero():
             ExtReal(1.0, bad)
         with pytest.raises(DomainError):
             to_decimal(bad)
+        with pytest.raises(DomainError):
+            exp_dd(bad)
     with pytest.raises(DomainError):
         to_decimal(ExtReal(1e300) * 1e300)  # overflows inside the operators
+
+
+def test_from_fraction_beyond_double_range():
+    with pytest.raises(DomainError):
+        ExtReal.from_fraction(Fraction(10) ** 400)
+    with pytest.raises(DomainError):
+        ExtReal.from_fraction(-Fraction(10) ** 400)
 
 
 def test_comparisons_and_pow():
