@@ -4,10 +4,11 @@ summation formulas.
 
 Direct summation runs a single O(n_max) pass over the outer index while
 maintaining the inner prefix sum, in float64 with an exactly rounded final
-reduction; analytic tail corrections (Euler-Maclaurin for smooth components,
-Boole-style asymptotics or Euler-transform averaging for alternating ones)
-bring n_max = 1e5 runs to ~1e-15 absolute accuracy, far inside every stated
-tolerance.  Closed forms are evaluated in the RegValue ring in double-double.
+reduction.  One tail formula serves all four bar patterns; its expansions
+(Euler-Maclaurin for smooth sums, Boole for alternating ones) are generated
+from the Bernoulli numbers and bring n_max = 1e5 runs to ~1e-16 absolute
+accuracy, far inside every stated tolerance.  Closed forms are evaluated in
+the RegValue ring in double-double.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hpreal import DomainError, ExtReal, ZERO, binom, const_gamma_f64, euler_average
+from .hpreal import DomainError, ExtReal, ZERO, binom, const_gamma_f64, em_coefficient
 from .zeta_core import RegValue, SeriesResult, zeta, zeta_bar, zeta_reg
 
 __all__ = [
@@ -76,47 +77,55 @@ class DoubleIndex:
 
 
 # ---------------------------------------------------------------------------
-# Analytic tail helpers (float64)
+# Tail expansions (float64), generated from the Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-def _power_tail(q: float, n: float) -> float:
-    """sum_{m>n} m^-q for q > 1 (Euler-Maclaurin, three Bernoulli terms)."""
-    t = n ** (1.0 - q) / (q - 1.0) - 0.5 * n ** -q
-    t += q / 12.0 * n ** (-q - 1.0)
-    t -= q * (q + 1) * (q + 2) / 720.0 * n ** (-q - 3.0)
-    t += q * (q + 1) * (q + 2) * (q + 3) * (q + 4) / 30240.0 * n ** (-q - 5.0)
-    return t
+# Bernoulli corrections kept in the outer tails (power and log; Boole's
+# coefficients grow like 4^j, and five keep the tails beyond m = 100 to
+# ~1e-15 relative) and in the inner remainder of a double sum, whose next
+# correction prices its truncation
+_OUTER_ORDER = 5
+_INNER_ORDER = 2
 
 
-def _alt_power_tail(q: float, n: float) -> float:
-    """sum_{m>n} (-1)^m m^-q (Boole asymptotic at w = n+1)."""
-    w = n + 1.0
-    mag = (
-        0.5 * w ** -q
-        + q / 4.0 * w ** (-q - 1.0)
-        - q * (q + 1) * (q + 2) / 48.0 * w ** (-q - 3.0)
-        + q * (q + 1) * (q + 2) * (q + 3) * (q + 4) / 480.0 * w ** (-q - 5.0)
-    )
-    return mag if (int(n) + 1) % 2 == 0 else -mag
+@lru_cache(maxsize=1024)
+def _expansion(q: float, alt: bool, order: int) -> tuple:
+    """(c, p) pairs with sum_{m>=x} sigma(m) m^-q ~ sigma(x) (I + sum_i c_i x^-p_i),
+    sigma(m) = (-1)^m if alt else 1.
+
+    Euler-Maclaurin (I = x^(1-q)/(q-1)) or Boole (I = 0, alt): the half term
+    (1/2, q), then `order` corrections kappa_j (q)_(2j-1) x^-(q+2j-1) with
+    kappa_j = B_2j/(2j)!, times 4^j - 1 for Boole.
+    """
+    pairs = [(0.5, q)]
+    rising = q  # (q)_(2j-1)
+    for j in range(1, order + 1):
+        kappa = em_coefficient(j) * (4 ** j - 1 if alt else 1)
+        pairs.append((rising * kappa.numerator / kappa.denominator, q + 2 * j - 1))
+        rising = rising * (q + 2 * j - 1) * (q + 2 * j)
+    return tuple(pairs)
 
 
-def _log_tail(s: float, n: float) -> float:
-    """sum_{m>n} ln(m) m^-s for s > 1."""
-    ln = math.log(n)
-    t = n ** (1.0 - s) * (ln / (s - 1.0) + 1.0 / (s - 1.0) ** 2) - 0.5 * ln * n ** -s
-    gp = (1.0 - s * ln) * n ** (-s - 1.0)
-    gppp = (s * (s + 1) + (s + 2) * (2 * s + 1) - s * (s + 1) * (s + 2) * ln) * n ** (-s - 3.0)
-    return t - gp / 12.0 + gppp / 720.0
+def _tail(q: float, n: float, alt: bool) -> float:
+    """sum_{m>n} sigma(m) m^-q (q > 1 unless alt): Boole from m = n + 1, or
+    Euler-Maclaurin at n, where excluding m = n changes the half term's sign."""
+    (half, _), *corrections = _expansion(q, alt, _OUTER_ORDER)
+    x, t = (n + 1.0, 0.0) if alt else (n, n ** (1.0 - q) / (q - 1.0))
+    for c, p in ((half if alt else -half, q), *corrections):
+        t += c * x ** -p
+    return -t if alt and int(n) % 2 == 0 else t
 
 
-def _alt_smooth_tail(coeffs, n: float) -> float:
-    """sum_{m>n} (-1)^m phi(m) for phi(m) = sum c_i m^-q_i, smooth decay."""
-    w = n + 1.0
-    phi = sum(c * w ** -q for c, q in coeffs)
-    phip = sum(-c * q * w ** (-q - 1.0) for c, q in coeffs)
-    phippp = sum(-c * q * (q + 1) * (q + 2) * w ** (-q - 3.0) for c, q in coeffs)
-    val = phi / 2.0 - phip / 4.0 + phippp / 48.0
-    return val if (int(n) + 1) % 2 == 0 else -val
+def _log_tail(s: float, n: float, alt: bool) -> float:
+    """sum_{m>n} sigma(m) ln(m) m^-s: -d/ds of _tail's expansion, term by term."""
+    (half, _), *corrections = _expansion(s, alt, _OUTER_ORDER)
+    x = n + 1.0 if alt else n
+    ln = math.log(x)
+    t = 0.0 if alt else n ** (1.0 - s) * (ln / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
+    for c, p in ((half if alt else -half, s), *corrections):
+        dc = c * sum(1.0 / (s + i) for i in range(round(p - s)))  # d/ds of kappa (s)_(p-s)
+        t += (c * ln - dc) * x ** -p
+    return -t if alt and int(n) % 2 == 0 else t
 
 
 def _signs(n: int) -> np.ndarray:
@@ -145,68 +154,30 @@ def _double_direct_cached(r: int, s: int, r_bar: bool, s_bar: bool, n_max: int):
     n = float(n_max)
     a_last = float(prefix[-1])
     noise = 2e-15 * math.sqrt(n) * (1.0 + abs(a_last))
-
-    if not s_bar:
-        if r_bar:
-            zr = float(zeta_bar(r))
-            tail = zr * _power_tail(s, n)
-            coeffs = (
-                (0.5, float(r + s)),
-                (r / 4.0, float(r + s + 1)),
-                (-r * (r + 1) * (r + 2) / 48.0, float(r + s + 3)),
-            )
-            tail -= _alt_smooth_tail(coeffs, n)
-            omitted = abs(_alt_smooth_tail(((r * (r + 1) * (r + 2) * (r + 3) * (r + 4) / 480.0, float(r + s + 5)),), n))
-        elif r == 1:
-            g = const_gamma_f64()
-            tail = (
-                _log_tail(float(s), n)
-                + g * _power_tail(float(s), n)
-                - 0.5 * _power_tail(s + 1.0, n)
-                - _power_tail(s + 2.0, n) / 12.0
-                + _power_tail(s + 4.0, n) / 120.0
-            )
-            omitted = _power_tail(s + 6.0, n) / 252.0 + math.log(n) * n ** (-s - 5.0)
-        else:
-            zr = float(zeta(r))
-            tail = zr * _power_tail(float(s), n)
-            tail -= (
-                _power_tail(r + s - 1.0, n) / (r - 1.0)
-                + 0.5 * _power_tail(float(r + s), n)
-                + r / 12.0 * _power_tail(r + s + 1.0, n)
-                - r * (r + 1) * (r + 2) / 720.0 * _power_tail(r + s + 3.0, n)
-            )
-            omitted = r ** 5 / 30240.0 * _power_tail(r + s + 5.0, n)
-        value = base + tail
-        est = abs(omitted) + noise
+    # tail = sum_{m>n} sigma_b(m) m^-s A(m-1), A(m-1) = Z_a(r) - sum_{j>=m} sigma_a(j) j^-r;
+    # the inner remainder is sigma_a(m) (I + sum c m^-p), so each of its terms
+    # leaves an outer tail with sign sigma_a sigma_b
+    x = r_bar != s_bar
+    *pairs, omitted = _expansion(float(r), r_bar, _INNER_ORDER + 1)
+    if r_bar or r > 1:
+        lead = float(zeta_bar(r) if r_bar else zeta(r)) * _tail(float(s), n, s_bar)
+        if not r_bar:
+            pairs.insert(0, (1.0 / (r - 1.0), r - 1.0))  # the integral I
     else:
-        if r_bar:
-            zr = float(zeta_bar(r))
-            tail = zr * _alt_power_tail(float(s), n)
-            tail -= (
-                0.5 * _power_tail(float(r + s), n)
-                + r / 4.0 * _power_tail(r + s + 1.0, n)
-                - r * (r + 1) * (r + 2) / 48.0 * _power_tail(r + s + 3.0, n)
-            )
-            value = base + tail
-            est = r ** 5 / 480.0 * _power_tail(r + s + 5.0, n) + noise
-        else:
-            # outer alternating with smooth coefficient: Euler transform of
-            # the last 64 partial sums (suffix sums keep them exactly rounded)
-            window = min(64, len(terms))
-            suffix = np.concatenate([np.cumsum(terms[::-1])[::-1][1:], [0.0]])
-            psums = base - suffix
-            value, delta = euler_average(psums[-window:].tolist(), 16)
-            est = delta + noise
-    return ExtReal(value), ExtReal(abs(est))
+        # H_(m-1) = ln m + gamma - (the expansion without its integral)
+        lead = _log_tail(float(s), n, s_bar) + const_gamma_f64() * _tail(float(s), n, s_bar)
+    tail = lead - sum(c * _tail(s + p, n, x) for c, p in pairs)
+    c, p = omitted
+    return ExtReal(base + tail), ExtReal(abs(c * _tail(s + p, n, x)) + noise)
 
 
 def double_direct(idx: DoubleIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
     """Direct single-pass evaluation of a double Euler sum, tail-corrected.
 
-    The outer sum is truncated at n_max; the remainder is reconstructed from
-    the inner sum's limit (or its harmonic asymptotic for r = 1) and smooth /
-    alternating tail asymptotics as appropriate for the bar pattern.
+    The outer sum is truncated at n_max.  The remainder is the inner sum's
+    limit times the outer tail (for r = 1: gamma times it plus the log tail)
+    minus the outer tails of the inner remainder's expansion; tail_estimate is
+    the first omitted term plus a float64 noise term.
     """
     if not idx.convergent:
         raise DomainError(

@@ -22,6 +22,7 @@ __all__ = [
     "bernoulli",
     "bernoulli_first",
     "bernoulli_poly",
+    "em_coefficient",
     "binom",
     "exp_dd",
     "ln_dd",
@@ -421,6 +422,12 @@ def bernoulli(n: int) -> Fraction:
     if n < 0 or n % 2 == 1 or n > _BERNOULLI_CAP:
         raise DomainError(f"bernoulli requires an even index in [0, {_BERNOULLI_CAP}], got {n}")
     return bernoulli_first(n)
+
+
+@lru_cache(maxsize=None)
+def em_coefficient(j: int) -> Fraction:
+    """kappa_j = B_2j / (2j)!, the j-th Euler-Maclaurin coefficient."""
+    return bernoulli(2 * j) / math.factorial(2 * j)
 
 
 def bernoulli_poly(m: int, a: Real) -> ExtReal:

@@ -28,6 +28,7 @@ from .hpreal import (
     bernoulli,
     bernoulli_poly,
     const_pi,
+    em_coefficient,
     euler_average,
     exp_dd,
     ln_dd,
@@ -167,15 +168,22 @@ def _terms(upper, lower, argument: int, one):
 # rational parameters takes ~0.05 s and one with 16-digit decimal parameters
 # ~2 s; at 2000 terms the latter takes ~15 s.
 TERMINATING_CAP = 1000
+# Largest length times total bit length of the parameters' numerators and
+# denominators: the cost per term grows with the parameters' size.  A 2F1
+# with 16-digit decimal (or float) parameters at 1000 terms is ~225 000 and
+# takes ~2.5 s; one with 50-digit parameters at 600 terms is ~405 000 and ~4 s.
+TERMINATING_SIZE_CAP = 250_000
 
 
 def _terminating_sum(spec: HypSpec) -> Fraction:
     n_stop = min(-u.numerator for u in spec.upper if _is_nonpositive_int(u))
     if n_stop > TERMINATING_CAP:
         raise DomainError(f"terminating series longer than {TERMINATING_CAP} terms")
-    for b in spec.lower:
-        if b.denominator == 1 and -n_stop < b.numerator <= 0:
-            raise DomainError("lower parameter degenerates inside the terminating range")
+    bits = sum(p.numerator.bit_length() + p.denominator.bit_length()
+               for p in spec.upper + spec.lower)
+    if n_stop * bits > TERMINATING_SIZE_CAP:
+        raise DomainError(f"terminating series too large: {n_stop} terms x {bits} "
+                          f"parameter bits exceeds {TERMINATING_SIZE_CAP}")
     terms = _terms(spec.upper, spec.lower, spec.argument, Fraction(1))
     return sum(itertools.islice(terms, n_stop), Fraction(1))
 
@@ -204,8 +212,7 @@ def _power_tail_dd(q: ExtReal, n: int) -> ExtReal:
     rising = q
     npow = npq / n
     for j in (1, 2, 3, 4):
-        coeff = bernoulli(2 * j) / Fraction(math.factorial(2 * j))
-        total = total + ExtReal.from_fraction(coeff) * rising * npow
+        total = total + ExtReal.from_fraction(em_coefficient(j)) * rising * npow
         rising = rising * (q + (2 * j - 1)) * (q + 2 * j)
         npow = npow / (n * n)
     return total
@@ -282,7 +289,8 @@ def _minus_one_value(spec: HypSpec, cap: int) -> SeriesResult:
 def evaluate(spec: HypSpec, cap: int = 20000) -> SeriesResult:
     """Evaluate a hypergeometric sum at its unit argument.
 
-    Terminating series (at most TERMINATING_CAP terms) are summed exactly in
+    Terminating series (at most TERMINATING_CAP terms, and at most
+    TERMINATING_SIZE_CAP terms x parameter bits) are summed exactly in
     rationals and converted; convergent series at +1 are partially summed
     then completed with the Bernoulli-polynomial tail asymptotics; series at
     -1 (absolutely or conditionally convergent) are Euler-transform
@@ -499,8 +507,7 @@ def _nested_product_sum(a: Fraction, bs, cs, level: int, offset: int,
     return total
 
 
-def check_andrews_limit(s: int, a: Param, bs: Sequence[Param], cs: Sequence[Param],
-                   cap: int = 20000) -> ExtReal:
+def check_andrews_limit(s: int, a: Param, bs: Sequence[Param], cs: Sequence[Param]) -> ExtReal:
     """Residual of the 2s+4 F 2s+3 (-1) summation with s-fold nested-sum RHS.
 
     bs and cs hold the s+1 numerator-parameter pairs; the verification grid
@@ -519,7 +526,7 @@ def check_andrews_limit(s: int, a: Param, bs: Sequence[Param], cs: Sequence[Para
     spec = HypSpec.of(upper, lower, -1)
     if classify(spec) is ConvClass.DIVERGENT:
         raise DomainError("left-hand side not convergent on this parameter set")
-    lhs = evaluate(spec, cap=cap).value
+    lhs = evaluate(spec).value
     pre = gamma_ratio([1 + a - bs[s], 1 + a - cs[s]], [1 + a, 1 + a - bs[s] - cs[s]])
     if s == 0:
         rhs = pre

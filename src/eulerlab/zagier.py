@@ -22,7 +22,7 @@ from .euler_sums import (
     DEFAULT_N_MAX,
     N_MAX_CAP,
     DoubleIndex,
-    _power_tail,
+    _tail,
     closed_bar_s,
     double_direct,
 )
@@ -111,11 +111,11 @@ def mzv_direct(exponents: Sequence[int], star: bool = False,
             terms = np.concatenate([[seed], level[:-1]]) * weights
         if j < d:
             level = np.cumsum(terms)
-            limit = float(level[-1]) + limits[-1] * _power_tail(float(e), float(n_max))
+            limit = float(level[-1]) + limits[-1] * _tail(float(e), float(n_max), False)
             limits.append(limit)
         else:
             base = math.fsum(terms)
-            limit = base + limits[-1] * _power_tail(float(e), float(n_max))
+            limit = base + limits[-1] * _tail(float(e), float(n_max), False)
     if d >= 2:
         e_out, e_in = float(exps[-1]), float(exps[-2])
         deeper = limits[-2] if len(limits) >= 2 else 1.0

@@ -8,9 +8,7 @@ convergent quantity embeds with tcoef exactly zero.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .hpreal import (
@@ -18,8 +16,8 @@ from .hpreal import (
     ExtReal,
     ONE,
     ZERO,
-    bernoulli,
     const_ln2,
+    em_coefficient,
     euler_average,
     to_decimal,
 )
@@ -117,8 +115,7 @@ def zeta_em(k: int, n_terms: int = 40, m_terms: int = 20) -> ExtReal:
     rising = k  # (k)_1
     npow = nk / n  # N^(-k-1)
     for j in range(1, m_terms + 1):
-        coeff = bernoulli(2 * j) / Fraction(math.factorial(2 * j))
-        total = total + ExtReal.from_fraction(coeff) * rising * npow
+        total = total + ExtReal.from_fraction(em_coefficient(j)) * rising * npow
         rising *= (k + 2 * j - 1) * (k + 2 * j)
         npow = npow / (n * n)
     return total

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 from eulerlab.cli import main
@@ -85,6 +86,11 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # terminating length beyond any index
     code, _, _ = run_cli(["compute", "hyp", "--upper=-1001,1/3", "--lower", "2/7", "--x", "1"], capsys)
     assert code == 2  # one term above the terminating-series cap
+    start = time.perf_counter()
+    code, _, err = run_cli(["compute", "hyp", "--upper=-1000,0." + "3" * 60,
+                            "--lower", "2/7", "--x", "1"], capsys)
+    assert code == 2 and "too large" in err  # 1000 terms, but a 60-digit parameter
+    assert time.perf_counter() - start < 0.5  # rejected before any term
 
 
 def test_unknown_suite_exits_2(capsys):

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eulerlab.hpreal import DomainError
@@ -9,6 +11,8 @@ from eulerlab.euler_sums import (
     N_MAX_CAP,
     SUM_FORMULAS,
     DoubleIndex,
+    _log_tail,
+    _tail,
     closed_bar_both,
     closed_bar_r,
     closed_bar_s,
@@ -68,6 +72,20 @@ def test_tail_estimate_brackets_refinement():
         a = double_direct(idx, N)
         b = double_direct(idx, 2 * N)
         assert abs(float(a.value - b.value)) <= 3 * float(a.tail_estimate)
+
+
+def test_tails_match_partial_sums():
+    # each tail at n = 100 minus the tail at n = 1e5 is the sum of the terms
+    # in between; a wrong Euler-Maclaurin or Boole coefficient or sign shows
+    # far above 1e-14 relative
+    m = np.arange(101, 10 ** 5 + 1, dtype=np.float64)
+    for alt in (False, True):
+        sigma = np.where(m % 2 == 0, 1.0, -1.0) if alt else np.ones_like(m)
+        for q in (2, 3, 5.5):
+            for tail, weight in ((_tail, 1.0), (_log_tail, np.log(m))):
+                ref = math.fsum(sigma * weight * m ** -q)
+                got = tail(q, 100.0, alt) - tail(q, 1e5, alt)
+                assert abs(got - ref) <= 1e-14 * abs(ref), (tail.__name__, q, alt, got, ref)
 
 
 # ---------------------------------------------------------------------------
