@@ -5,6 +5,10 @@ An ExtReal is the unevaluated sum of two machine doubles (hi, lo) kept in
 canonical form (|lo| <= ulp(hi)/2), giving roughly 31-32 significant decimal
 digits.  All operations here are pure; values are immutable after
 construction, so everything in this module is safe to share across threads.
+
+Hot loops (exp, ln, log-gamma, Bernoulli polynomials, hypergeometric sums)
+run in fixed point: an int N stands for N * 2^-FIXED_BITS.  ExtReal stays the
+public value type; `to_fixed` and `from_fixed` convert at the boundary.
 """
 from __future__ import annotations
 
@@ -93,10 +97,7 @@ class ExtReal:
     # -- construction -------------------------------------------------------
     @staticmethod
     def from_fraction(f: Fraction) -> "ExtReal":
-        try:
-            hi = float(f)
-        except OverflowError as exc:
-            raise DomainError("rational value outside the double range") from exc
+        hi = _double(f)
         lo = float(f - Fraction(hi))
         return _mk(*_quick_two_sum(hi, lo))
 
@@ -216,6 +217,13 @@ class ExtReal:
 
     def __hash__(self):
         return hash((self.hi, self.lo))
+
+
+def _double(f: Fraction) -> float:
+    try:
+        return float(f)
+    except OverflowError as exc:
+        raise DomainError("rational value outside the double range") from exc
 
 
 def _mk(hi: float, lo: float) -> ExtReal:
@@ -356,6 +364,10 @@ def atanh_ln2_fraction(digits: int = 45) -> Fraction:
     return total
 
 
+# 62 digits: within 1e-67, below the fixed-point unit 2^-200
+_PI_ORACLE, _LN2_ORACLE = machin_pi_fraction(62), atanh_ln2_fraction(62)
+
+
 def validate_constants() -> None:
     """Check embedded pi/ln2 literals against the rational oracles.
 
@@ -365,8 +377,8 @@ def validate_constants() -> None:
     """
     lit_tol = Fraction(1, 10 ** 45)
     for name, value, literal, oracle in (
-        ("pi", _PI, _PI_LITERAL, machin_pi_fraction()),
-        ("ln2", _LN2, _LN2_LITERAL, atanh_ln2_fraction()),
+        ("pi", _PI, _PI_LITERAL, _PI_ORACLE),
+        ("ln2", _LN2, _LN2_LITERAL, _LN2_ORACLE),
     ):
         exact = parse_decimal(literal)
         if abs(exact - oracle) > lit_tol:
@@ -431,14 +443,8 @@ def em_coefficient(j: int) -> Fraction:
 
 
 def bernoulli_poly(m: int, a: Real) -> ExtReal:
-    """Bernoulli polynomial B_m(a) = sum C(m,i) B_i a^(m-i), evaluated in ExtReal."""
-    x = ExtReal.from_real(a)
-    total = ZERO
-    for i in range(m + 1):
-        coeff = Fraction(math.comb(m, i)) * bernoulli_first(i)
-        if coeff != 0:
-            total = total + ExtReal.from_fraction(coeff) * x ** (m - i)
-    return total
+    """Bernoulli polynomial B_m(a), evaluated in fixed point."""
+    return from_fixed(bernoulli_fixed(m, to_fixed(ExtReal.from_real(a))))
 
 
 _BINOM_CAP = 64
@@ -454,7 +460,150 @@ def binom(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Elementary functions (argument reduction + Taylor series)
+# Fixed point: the int N stands for N * 2^-FIXED_BITS.  These functions are
+# the package's hot-loop kernel; they stay out of __all__ (and so out of
+# perfbench's per-call tracing).
+# ---------------------------------------------------------------------------
+
+FIXED_BITS = 200
+FIXED_ONE = 1 << FIXED_BITS
+
+
+def _exact(x: ExtReal):
+    """(n, k) with x == n * 2^(k - FIXED_BITS) exactly."""
+    try:
+        (hn, hd), (ln, ld) = x.hi.as_integer_ratio(), x.lo.as_integer_ratio()
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"cannot convert the non-finite value {x!r} to fixed point") from exc
+    d = max(hd, ld)  # both powers of two
+    return hn * (d // hd) + ln * (d // ld), FIXED_BITS + 1 - d.bit_length()
+
+
+def fixed_rational(x: Fraction) -> Fraction:
+    """x itself if its numerator and denominator fit in FIXED_BITS bits, else
+    x rounded to FIXED_BITS significant bits, so that exact sums over it cost
+    a bounded amount per term: 0 below the normal doubles, DomainError above
+    the double range."""
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) <= FIXED_BITS:
+        return x
+    f = _double(x)
+    if abs(f) < 2.0 ** -1022:
+        return Fraction(0)
+    s = max(FIXED_BITS - math.frexp(f)[1], 0)
+    return Fraction((x.numerator << s) // x.denominator, 1 << s)
+
+
+def to_fixed(x: Union[ExtReal, Fraction, int]) -> int:
+    """floor(x * 2^FIXED_BITS) of an ExtReal or an exact rational."""
+    if not isinstance(x, ExtReal):
+        x = Fraction(x)
+        _double(x)  # DomainError beyond the double range
+        return (x.numerator << FIXED_BITS) // x.denominator
+    n, k = _exact(x)
+    return n << k if k >= 0 else n >> -k
+
+
+def from_fixed(n: int, k: int = 0) -> ExtReal:
+    """The ExtReal nearest n * 2^(k - FIXED_BITS) (the low bits beyond 110 are cut)."""
+    shift = max(n.bit_length() - 110, 0)
+    m = n >> shift
+    hi = float(m)
+    try:
+        return _mk(math.ldexp(hi, shift + k - FIXED_BITS),
+                   math.ldexp(float(m - int(hi)), shift + k - FIXED_BITS))
+    except OverflowError as exc:
+        raise DomainError("fixed-point value outside the double range") from exc
+
+
+def fixed_mul(a: int, b: int) -> int:
+    return a * b >> FIXED_BITS
+
+
+def fixed_div(a: int, b: int) -> int:
+    return (a << FIXED_BITS) // b
+
+
+_PI_FIXED, _LN2_FIXED = to_fixed(_PI_ORACLE), to_fixed(_LN2_ORACLE)
+
+
+def exp_fixed(x: int):
+    """(s, k) with exp(x 2^-P) = s 2^(k-P), P = FIXED_BITS, s in [1, 2) 2^P:
+    x = k ln 2 + r, 0 <= r < ln 2, the Taylor series of exp(r / 2^12) until
+    the term is 0, squared back 12 times."""
+    k = x // _LN2_FIXED
+    r = x - k * _LN2_FIXED
+    term = s = FIXED_ONE
+    i = 1
+    while term:
+        term = (term * r >> (FIXED_BITS + 12)) // i
+        s += term
+        i += 1
+    for _ in range(12):
+        s = s * s >> FIXED_BITS
+    return s, k
+
+
+def ln_fixed(n: int, k: int = 0) -> int:
+    """ln(n 2^(k-P)) 2^P for n > 0, P = FIXED_BITS: n = m 2^e with m in
+    [1, 2) 2^P, and two Newton steps y += m exp(-y) - 1 take the double log
+    of m to the full P bits."""
+    e = n.bit_length() - 1 - FIXED_BITS
+    m = n >> e if e >= 0 else n << -e
+    y = int(math.log(m / FIXED_ONE) * 2.0 ** 53) << (FIXED_BITS - 53)
+    for _ in range(2):
+        s, j = exp_fixed(-y)
+        y += (m * s >> (FIXED_BITS - j)) - FIXED_ONE
+    return y + (e + k) * _LN2_FIXED
+
+
+_HALF_LN_2PI = ln_fixed(2 * _PI_FIXED) >> 1
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_row(m: int) -> tuple:
+    return tuple(to_fixed(math.comb(m, i) * bernoulli_first(i)) for i in range(m + 1))
+
+
+def bernoulli_fixed(m: int, x: int) -> int:
+    """B_m(x) = sum C(m,i) B_i x^(m-i) for fixed-point x, by Horner's rule with
+    the exact coefficients rounded once."""
+    acc = 0
+    for c in _bernoulli_row(m):
+        acc = (acc * x >> FIXED_BITS) + c
+    return acc
+
+
+_STIRLING_SHIFT = 20
+
+
+def ln_gamma_fixed(x: Real) -> int:
+    """ln Gamma(x) for 0 < x <= 1e4, x taken exactly: shift to x + s >= 20,
+    then Stirling to B_34.  The shift product x (x+1) ... (x+s-1) = prod / q^s
+    (x = p/q) is exact, so one ln of it replaces s logarithms."""
+    if not x > 0:  # also rejects nan
+        raise DomainError("ln_gamma requires a positive argument")
+    if x > 10 ** 4:
+        raise DomainError("ln_gamma argument capped at 1e4")
+    x = fixed_rational(x.to_fraction() if isinstance(x, ExtReal) else Fraction(x))
+    p, q = x.numerator, x.denominator
+    prod, s = 1, 0
+    while p + s * q < _STIRLING_SHIFT * q:
+        prod *= p + s * q
+        s += 1
+    k = prod.bit_length() - (q ** s).bit_length()  # prod / q^s = n 2^(k-P), n ~ 2^P
+    shift = ln_fixed((prod << (FIXED_BITS - k)) // q ** s, k)
+    w = to_fixed(x + s)
+    total = fixed_mul(w - (FIXED_ONE >> 1), ln_fixed(w)) - w + _HALF_LN_2PI
+    wpow = fixed_div(FIXED_ONE, w)
+    w2 = fixed_mul(wpow, wpow)
+    for j in range(1, 18):
+        total += fixed_mul(to_fixed(bernoulli(2 * j) / Fraction(2 * j * (2 * j - 1))), wpow)
+        wpow = fixed_mul(wpow, w2)
+    return total - shift
+
+
+# ---------------------------------------------------------------------------
+# Elementary functions
 # ---------------------------------------------------------------------------
 
 def exp_dd(x: Real) -> ExtReal:
@@ -462,26 +611,18 @@ def exp_dd(x: Real) -> ExtReal:
     v = ExtReal.from_real(x)
     if not abs(v.hi) <= 700.0:  # also rejects nan from an overflowed caller
         raise DomainError("exp_dd argument out of range")
-    k = int(round(v.hi / _LN2.hi))
-    r = v - _LN2 * k
-    # |r| <= 0.347; 26 Taylor terms push truncation below 1e-36
-    term = ONE
-    total = ONE
-    for n in range(1, 27):
-        term = term * r / n
-        total = total + term
-    return _mk(math.ldexp(total.hi, k), math.ldexp(total.lo, k))
+    return from_fixed(*exp_fixed(to_fixed(v)))
 
 
 def ln_dd(x: Real) -> ExtReal:
-    """ln(x) for x > 0 via Newton refinement of the double-precision log."""
+    """ln(x) for x > 0, ~31 correct digits."""
     v = ExtReal.from_real(x)
     if v.hi <= 0.0:
         raise DomainError("ln_dd requires a positive argument")
-    y = ExtReal(math.log(v.hi))
-    for _ in range(2):
-        y = y + v * exp_dd(-y) - ONE
-    return y
+    d = v - ONE
+    if abs(d.hi) < 2.0 ** -40:  # ln(1 + d) = d - d^2/2 + d^3/3, relative, not 2^-200 absolute
+        return d - d * d * (0.5 - d / 3)
+    return from_fixed(ln_fixed(*_exact(v)))
 
 
 def _sin_taylor(r: ExtReal) -> ExtReal:

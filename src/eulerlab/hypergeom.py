@@ -1,14 +1,14 @@
 """Pochhammer algebra and evaluation/verification of hypergeometric sums at
 the unit arguments +1 and -1.
 
-Two evaluation backends: exact rational arithmetic for terminating series
-(the Pfaff-Saalschutz sum and the Pochhammer-ratio expansion that follows
-from it are checked to *exactly* zero), and
-double-double numerics otherwise.  Series at +1 decay algebraically, so after
-a direct partial sum the remainder is completed analytically from the term
-asymptotics t(n) ~ S n^-p exp(sum d_k n^-k), whose exponents and coefficients
-come from Bernoulli polynomials; series at -1 are accelerated with the
-iterated-averaging Euler transform.
+One integer term ratio t_{n+1} = t_n A(n) / B(n) serves every series: in
+exact rationals for terminating series (the Pfaff-Saalschutz sum and the
+Pochhammer-ratio expansion that follows from it are checked to *exactly*
+zero), in fixed point (hpreal.FIXED_BITS) otherwise, rounded once to ExtReal.
+Series at +1 decay algebraically, so after a direct partial sum the remainder
+is completed analytically from the term asymptotics t(n) ~ S n^-p exp(sum
+d_k n^-k), whose exponents and coefficients come from Bernoulli polynomials;
+series at -1 are accelerated with the iterated-averaging Euler transform.
 """
 from __future__ import annotations
 
@@ -17,21 +17,23 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence, Tuple, Union
 
 from .hpreal import (
+    FIXED_ONE,
     DomainError,
     ExtReal,
     ONE,
     ZERO,
-    bernoulli,
-    bernoulli_poly,
-    const_pi,
+    bernoulli_fixed,
     em_coefficient,
-    euler_average,
-    exp_dd,
-    ln_dd,
+    exp_fixed,
+    fixed_div,
+    fixed_mul,
+    fixed_rational,
+    from_fixed,
+    ln_gamma_fixed,
+    to_fixed,
 )
 from .zeta_core import SeriesResult, zeta
 
@@ -143,24 +145,21 @@ def classify(spec: HypSpec) -> ConvClass:
 # Series terms and exact terminating evaluation
 # ---------------------------------------------------------------------------
 
-def _terms(upper, lower, argument: int, one):
-    """t_1, t_2, ... of sum_n t_n with t_0 = one and
-    t_{n+1} = argument * t_n * prod(u+n) / ((n+1) prod(l+n)).
-
-    The parameters and `one` are all Fractions (exact) or all ExtReals.
-    """
-    term = one
+def _ratios(upper, lower, argument: int):
+    """Integers (A(n), B(n)), n = 0, 1, ..., with t_{n+1} = t_n A(n) / B(n) for
+    t_n = argument^n prod (u)_n / (n! prod (l)_n): u + n = (p + n q) / q for
+    the Fraction u = p/q."""
+    ups = [(u.numerator, u.denominator) for u in upper]
+    lows = [(l.numerator, l.denominator) for l in lower]
+    a0 = argument * math.prod(q for _, q in lows)
+    b0 = math.prod(q for _, q in ups)
     for n in itertools.count():
-        num = one
-        for u in upper:
-            num = num * (u + n)
-        den = n + 1
-        for l in lower:
-            den = den * (l + n)
-        term = term * num / den
-        if argument < 0:
-            term = -term
-        yield term
+        a, b = a0, b0 * (n + 1)
+        for p, q in ups:
+            a *= p + n * q
+        for p, q in lows:
+            b *= p + n * q
+        yield a, b
 
 
 # Longest terminating series summed exactly.  The cost of the rational sum
@@ -184,106 +183,104 @@ def _terminating_sum(spec: HypSpec) -> Fraction:
     if n_stop * bits > TERMINATING_SIZE_CAP:
         raise DomainError(f"terminating series too large: {n_stop} terms x {bits} "
                           f"parameter bits exceeds {TERMINATING_SIZE_CAP}")
-    terms = _terms(spec.upper, spec.lower, spec.argument, Fraction(1))
-    return sum(itertools.islice(terms, n_stop), Fraction(1))
-
-
-# ---------------------------------------------------------------------------
-# Term asymptotics at +1: t(n) ~ S * n^-p * exp(sum_k d_k n^-k)
-# ---------------------------------------------------------------------------
-
-def _exp_series(d: Sequence[ExtReal]) -> list:
-    """Power-series exponential: coefficients of exp(sum d_k z^k), e_0 = 1."""
-    jmax = len(d)
-    e = [ONE] + [ZERO] * jmax
-    for m in range(1, jmax + 1):
-        acc = ZERO
-        for k in range(1, m + 1):
-            acc = acc + d[k - 1] * k * e[m - k]
-        e[m] = acc / m
-    return e
-
-
-def _power_tail_dd(q: ExtReal, n: int) -> ExtReal:
-    """sum_{m>n} m^-q in double-double, real q > 1."""
-    ln_n = ln_dd(n)
-    npq = exp_dd(-q * ln_n)  # n^-q
-    total = npq * n / (q - ONE) - npq / 2
-    rising = q
-    npow = npq / n
-    for j in (1, 2, 3, 4):
-        total = total + ExtReal.from_fraction(em_coefficient(j)) * rising * npow
-        rising = rising * (q + (2 * j - 1)) * (q + 2 * j)
-        npow = npow / (n * n)
+    term = total = Fraction(1)
+    for a, b in itertools.islice(_ratios(spec.upper, spec.lower, spec.argument), n_stop):
+        term = term * a / b
+        total += term
     return total
 
 
+# ---------------------------------------------------------------------------
+# Term asymptotics at +1: t(m) ~ S m^-p E(m), E(m) = sum_j e_j m^-j
+# = exp(sum_k d_k m^-k), everything in fixed point
+# ---------------------------------------------------------------------------
+
+def _power_tail_ratio(q: int, n: int) -> int:
+    """R(q, n) = n^q sum_{m>n} m^-q, real q > 1, by Euler-Maclaurin:
+    n / (q - 1) - 1/2 + sum_j kappa_j (q)_(2j-1) n^(1-2j)."""
+    r = fixed_div(n * FIXED_ONE, q - FIXED_ONE) - (FIXED_ONE >> 1)
+    rising, npow = q, n
+    for j in (1, 2, 3, 4):
+        r += fixed_mul(to_fixed(em_coefficient(j)), rising) // npow
+        rising = fixed_mul(fixed_mul(rising, q + (2 * j - 1) * FIXED_ONE), q + 2 * j * FIXED_ONE)
+        npow *= n * n
+    return r
+
+
+def _fixed_params(spec: HypSpec):
+    """The parameters of a non-terminating sum, rounded by hpreal.fixed_rational
+    so that each term costs a bounded amount."""
+    upper = [fixed_rational(u) for u in spec.upper]
+    lower = [fixed_rational(l) for l in spec.lower]
+    if any(_is_nonpositive_int(l) for l in lower):
+        raise DomainError("a lower parameter rounds to a nonpositive integer")
+    return upper, lower
+
+
 _ASYMP_ORDER = 10
-# relative size of three successive terms at +1 that ends the direct sum early
-_PLUS_ONE_TOL = 1e-34
 
 
 def _plus_one_value(spec: HypSpec, cap: int) -> SeriesResult:
-    upper = [ExtReal.from_fraction(u) for u in spec.upper]
-    lower = [ExtReal.from_fraction(l) for l in spec.lower]
-    total = ONE
+    upper, lower = _fixed_params(spec)
+    term = total = FIXED_ONE
     small = 0
     n_target = max(128, min(cap, 3000))
-    for n, term in zip(range(1, n_target + 1), _terms(upper, lower, 1, ONE)):
-        total = total + term
-        if abs(float(term)) < _PLUS_ONE_TOL * max(1.0, abs(float(total))):
+    for n, (a, b) in zip(range(1, n_target + 1), _ratios(upper, lower, 1)):
+        term = term * a // b
+        total += term
+        if abs(term) < max(FIXED_ONE, abs(total)) >> 113:  # three terms below ~1e-34 end it
             small += 1
             if small >= 3 and n >= 128:
                 break
         else:
             small = 0
-    # analytic completion of the remainder from the term asymptotics; one
-    # extra expansion coefficient prices the first omitted order
+    # analytic completion of the remainder: with sum_{m>n} m^-q = n^-q R(q, n)
+    # the unknown S n^p cancels against t(n) / E(n), so
+    # tail = t(n) / E(n) * sum_j e_j n^-j R(p + j, n); one extra expansion
+    # coefficient prices the first omitted order
     order = _ASYMP_ORDER if n_target > 512 else 6
-    p = ONE - sum(spec.upper) + sum(spec.lower)
-    d = []
-    for k in range(1, order + 2):
-        acc = ZERO
-        for u in spec.upper:
-            acc = acc + bernoulli_poly(k + 1, ExtReal.from_fraction(u))
-        acc = acc - bernoulli_poly(k + 1, ONE)
-        for l in spec.lower:
-            acc = acc - bernoulli_poly(k + 1, ExtReal.from_fraction(l))
-        sign = 1 if k % 2 else -1
-        d.append(acc * sign / (k * (k + 1)))
-    e = _exp_series(d)
-    ln_n = ln_dd(n)
-    en = ZERO
-    npow = ONE
+    p = to_fixed(1 - sum(upper) + sum(lower))
+    params = [(1, to_fixed(u)) for u in upper] + [(-1, to_fixed(l)) for l in (1, *lower)]
+    d = [(-1) ** (k + 1) * sum(sign * bernoulli_fixed(k + 1, x) for sign, x in params)
+         // (k * (k + 1)) for k in range(1, order + 2)]
+    e = [FIXED_ONE]  # power-series exponential: e_m = sum_k k d_k e_(m-k) / m
+    for m in range(1, order + 2):
+        e.append(sum(k * fixed_mul(d[k - 1], e[m - k]) for k in range(1, m + 1)) // m)
+    e_omitted = abs(float(from_fixed(e[-1])))  # rejects coefficients beyond the double range
+    en = acc = 0
     for j in range(order + 1):
-        en = en + e[j] * npow
-        npow = npow / n
-    scale = term * exp_dd(p * ln_n) / en  # S = t(n) n^p / E(n)
-    tail = ZERO
-    for j in range(order + 1):
-        tail = tail + e[j] * _power_tail_dd(p + j, n)
-    tail = tail * scale
-    omitted = (
-        abs(float(scale)) * (abs(float(e[order + 1])) + 1.0)
-        * float(n) ** (-float(p) - order) / (float(p) + order)
-    )
-    est = 3.0 * omitted + abs(float(total)) * 1e-30
-    return SeriesResult(value=total + tail, terms_used=n, tail_estimate=ExtReal(est))
+        en += e[j] // n ** j
+        acc += fixed_mul(e[j], _power_tail_ratio(p + j * FIXED_ONE, n)) // n ** j
+    if en <= 0:
+        raise DomainError("the +1 tail asymptotics break down for these parameters")
+    value = from_fixed(total + fixed_mul(term, fixed_div(acc, en)))
+    omitted = abs(term / en) * (e_omitted + 1.0) * float(n) ** -order / (p / FIXED_ONE + order)
+    # fixed-point rounding: each floored step errs by one unit, term n by n
+    # units, the sum by n^2 units of the sum's size
+    est = (3.0 * omitted + abs(float(value)) * 1e-30
+           + n * n / FIXED_ONE * max(1.0, abs(float(value))))
+    return SeriesResult(value=value, terms_used=n, tail_estimate=ExtReal(est))
 
 
 def _minus_one_value(spec: HypSpec, cap: int) -> SeriesResult:
-    upper = [ExtReal.from_fraction(u) for u in spec.upper]
-    lower = [ExtReal.from_fraction(l) for l in spec.lower]
+    """Fixed-point partial sums, then 16 rounds of adjacent means over the
+    last 64 (the Euler transform of hpreal.euler_average, in integers)."""
+    upper, lower = _fixed_params(spec)
     n_target = max(300, min(cap, 1200))
-    total = ONE
+    term = total = FIXED_ONE
     partials = [total]
-    for term in itertools.islice(_terms(upper, lower, -1, ONE), n_target):
-        total = total + term
+    for a, b in itertools.islice(_ratios(upper, lower, -1), n_target):
+        term = term * a // b
+        total += term
         partials.append(total)
-    window = min(64, len(partials))
-    value, est = euler_average(partials[-window:], 16)
-    floor = ExtReal(abs(float(value)) * 1e-30 + 1e-33)
-    return SeriesResult(value=value, terms_used=n_target, tail_estimate=est + floor)
+    v = partials[-64:]
+    for _ in range(16):
+        last = v[-1]
+        v = [(x + y) >> 1 for x, y in zip(v, v[1:])]
+    value = from_fixed(v[-1])
+    est = (float(from_fixed(abs(v[-1] - last))) + abs(float(value)) * 1e-30 + 1e-33
+           + n_target ** 2 / FIXED_ONE * max(1.0, abs(float(value))))
+    return SeriesResult(value=value, terms_used=n_target, tail_estimate=ExtReal(est))
 
 
 def evaluate(spec: HypSpec, cap: int = 20000) -> SeriesResult:
@@ -320,44 +317,19 @@ def evaluate_terminating_exact(spec: HypSpec) -> Fraction:
 # log-gamma and gamma ratios
 # ---------------------------------------------------------------------------
 
-_STIRLING_SHIFT = 20.0
-
-
-@lru_cache(maxsize=None)
-def _ln_sqrt_2pi() -> ExtReal:
-    return ln_dd(const_pi() * 2) / 2
-
-
 def ln_gamma(x: Union[Param, ExtReal]) -> ExtReal:
-    """log Gamma(x) for 0 < x <= 1e4: shift to x >= 20, then Stirling to B_30."""
-    z = ExtReal.from_real(x)
-    if float(z) <= 0.0:
-        raise DomainError("ln_gamma requires a positive argument")
-    if float(z) > 1e4:
-        raise DomainError("ln_gamma argument capped at 1e4")
-    shift = ZERO
-    while float(z) < _STIRLING_SHIFT:
-        shift = shift + ln_dd(z)
-        z = z + 1
-    ln_z = ln_dd(z)
-    total = (z - ExtReal(0.5)) * ln_z - z + _ln_sqrt_2pi()
-    zpow = ONE / z
-    z2 = z * z
-    for j in range(1, 16):
-        coeff = bernoulli(2 * j) / Fraction((2 * j) * (2 * j - 1))
-        total = total + ExtReal.from_fraction(coeff) * zpow
-        zpow = zpow / z2
-    return total - shift
+    """log Gamma(x) for 0 < x <= 1e4, x taken exactly, rounded once from fixed
+    point (hpreal.ln_gamma_fixed)."""
+    return from_fixed(ln_gamma_fixed(x))
 
 
 def gamma_ratio(numerators: Sequence[Param], denominators: Sequence[Param]) -> ExtReal:
     """prod Gamma(numerators) / prod Gamma(denominators), all arguments > 0."""
-    acc = ZERO
-    for v in numerators:
-        acc = acc + ln_gamma(v)
-    for v in denominators:
-        acc = acc - ln_gamma(v)
-    return exp_dd(acc)
+    acc = (sum(ln_gamma_fixed(v) for v in numerators)
+           - sum(ln_gamma_fixed(v) for v in denominators))
+    if abs(acc) > 700 * FIXED_ONE:
+        raise DomainError("gamma ratio outside the double range")
+    return from_fixed(*exp_fixed(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -403,21 +375,10 @@ def check_poch_ratio(a: Param, b: Param, c: Param, n: int) -> Fraction:
     if den == 0:
         raise DomainError("left-hand side degenerates")
     lhs = pochhammer(b, n) * pochhammer(c, n) / den
-    rhs = Fraction(0)
-    for r in range(n + 1):
-        dpart = (
-            Fraction(math.factorial(r))
-            * pochhammer(1 + a - b, r)
-            * pochhammer(1 + a - c, r)
-        )
-        if dpart == 0:
-            raise DomainError("right-hand side degenerates")
-        rhs += (
-            pochhammer(a + n, r)
-            * pochhammer(1 + a - b - c, r)
-            * pochhammer(-n, r)
-            / dpart
-        )
+    # a zero lower Pochhammer symbol on the right needs 1+a-b or 1+a-c in
+    # {0, -1, ..., 1-n}, which already zeroes den
+    rhs = evaluate_terminating_exact(
+        HypSpec.of([a + n, 1 + a - b - c, -n], [1 + a - b, 1 + a - c], 1))
     return lhs - rhs
 
 
@@ -451,15 +412,16 @@ def check_dougall_limit(a: Param, b: Param, c: Param) -> ExtReal:
     return abs(lhs - rhs)
 
 
-def _poch_ratio_dd(nums, dens, n: int) -> ExtReal:
-    """prod (nums_i)_n / prod (dens_j)_n in double-double."""
-    acc = ONE
-    for i in range(n):
-        for u in nums:
-            acc = acc * (ExtReal.from_fraction(u) + i)
-        for l in dens:
-            acc = acc / (ExtReal.from_fraction(l) + i)
-    return acc
+def _poch_ratio(nums, dens, n: int) -> ExtReal:
+    """prod (nums_i)_n / prod (dens_j)_n as an exact integer ratio, rounded once.
+
+    An upper parameter 1 adds (1)_n = n!, which cancels the n! in the ratios.
+    """
+    num = den = 1
+    for a, b in itertools.islice(_ratios((*nums, Fraction(1)), dens, 1), n):
+        num *= a
+        den *= b
+    return ExtReal.from_fraction(Fraction(num, den))
 
 
 def _nested_product_sum(a: Fraction, bs, cs, level: int, offset: int,
@@ -472,7 +434,7 @@ def _nested_product_sum(a: Fraction, bs, cs, level: int, offset: int,
     b_lo, c_lo = 1 + a - bs[level - 1], 1 + a - cs[level - 1]
     b_hi, c_hi = bs[level], cs[level]
     if level == s:
-        pre = _poch_ratio_dd((b_hi, c_hi), (b_lo, c_lo), offset)
+        pre = _poch_ratio((b_hi, c_hi), (b_lo, c_lo), offset)
         inner = evaluate(
             HypSpec.of(
                 [1 + a - bs[s - 1] - cs[s - 1], b_hi + offset, c_hi + offset],
@@ -485,7 +447,7 @@ def _nested_product_sum(a: Fraction, bs, cs, level: int, offset: int,
     total = ZERO
     small = 0
     rising = _frac(1 + a - bs[level - 1] - cs[level - 1])
-    factor = _poch_ratio_dd((b_hi, c_hi), (b_lo, c_lo), offset)
+    factor = _poch_ratio((b_hi, c_hi), (b_lo, c_lo), offset)
     k = 0
     while k < 400:
         kk = offset + k
@@ -497,12 +459,8 @@ def _nested_product_sum(a: Fraction, bs, cs, level: int, offset: int,
                 break
         else:
             small = 0
-        factor = (
-            factor
-            * ExtReal.from_fraction(rising + k) / (k + 1)
-            * (ExtReal.from_fraction(b_hi) + kk) * (ExtReal.from_fraction(c_hi) + kk)
-            / ((ExtReal.from_fraction(b_lo) + kk) * (ExtReal.from_fraction(c_lo) + kk))
-        )
+        factor = factor * ExtReal.from_fraction(
+            (rising + k) * (b_hi + kk) * (c_hi + kk) / ((k + 1) * (b_lo + kk) * (c_lo + kk)))
         k += 1
     return total
 

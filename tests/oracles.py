@@ -3,12 +3,17 @@
 Everything here is deliberately separate from the library's own code paths:
 exact rational series with truncation bounds for the constants, literal
 nested loops (plus elementary alternating-series averaging) for the double
-sums, and Pascal's triangle for binomials.
+sums, Pascal's triangle for binomials, the stdlib `decimal` module at 60
+digits for exp and ln, and closed forms in exact rationals for
+hypergeometric sums.
 """
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal
 from fractions import Fraction
+
+_DEC60 = Context(prec=60)
 
 
 def machin_pi(digits: int = 45) -> Fraction:
@@ -114,3 +119,29 @@ def harmonic_alternating(terms: int) -> list:
         total += (-1) ** m / m
         out.append(total)
     return out
+
+
+def decimal_exp(x: Fraction) -> Fraction:
+    """exp(x) correctly rounded to 60 significant digits by `decimal`."""
+    return Fraction(_DEC60.exp(_DEC60.divide(Decimal(x.numerator), Decimal(x.denominator))))
+
+
+def decimal_ln(x: Fraction, prec: int = 60) -> Fraction:
+    """ln(x), x > 0, correctly rounded to `prec` significant digits by
+    `decimal` (near x = 1 the argument needs more than 60)."""
+    ctx = Context(prec=prec)
+    return Fraction(ctx.ln(ctx.divide(Decimal(x.numerator), Decimal(x.denominator))))
+
+
+def ln_factorial(n: int) -> Fraction:
+    """ln n! = ln Gamma(n + 1) to 60 significant digits by `decimal`."""
+    return Fraction(_DEC60.ln(Decimal(math.factorial(n))))
+
+
+def hyp_one_b_c(b: Fraction, c: Fraction) -> Fraction:
+    """2F1(1, b; c; 1) = (c - 1) / (c - 1 - b) exactly, for c - 1 - b > 0.
+
+    The terms telescope: with u_n = (b)_n / (c - 1)_n,
+    (b)_n / (c)_n = (c - 1) / (c - 1 - b) * (u_n - u_(n+1)), and u_n -> 0.
+    """
+    return (c - 1) / (c - 1 - b)

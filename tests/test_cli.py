@@ -93,6 +93,21 @@ def test_usage_errors_exit_2(capsys):
     assert time.perf_counter() - start < 0.5  # rejected before any term
 
 
+def test_huge_parameter_sizes_stay_fast(capsys):
+    # the +1 and -1 sums round each parameter to a bounded size before
+    # summing, so a 330 000-bit denominator costs no more than 1/3
+    for x in ("1", "-1"):
+        start = time.perf_counter()
+        code, out, _ = run_cli(["compute", "hyp", "--upper", "1e-100000,3e-100000",
+                                "--lower", "1", "--x", x], capsys)
+        assert code == 0 and out.strip() == "1.00000000000000000000000000000"
+        assert time.perf_counter() - start < 1.0
+    code, out, _ = run_cli(["compute", "hyp", "--upper", "0." + "3" * 70 + ",1/4",
+                            "--lower", "5/3", "--x", "1"], capsys)
+    _, third, _ = run_cli(["compute", "hyp", "--upper", "1/3,1/4", "--lower", "5/3", "--x", "1"], capsys)
+    assert code == 0 and out == third
+
+
 def test_unknown_suite_exits_2(capsys):
     code = main(["verify", "nonsense"])
     capsys.readouterr()

@@ -10,6 +10,7 @@ from eulerlab.hpreal import (
     ExtReal,
     bernoulli,
     bernoulli_first,
+    bernoulli_poly,
     binom,
     const_ln2,
     const_pi,
@@ -163,6 +164,41 @@ def test_elementary_functions():
     assert float(sinc_pi(ExtReal(0.0))) == 1.0
 
 
+def test_exp_ln_against_decimal_oracle():
+    # the kernel contract against 60-digit `decimal`, relative, or absolute
+    # (scaled by 2^-8) where the value is near 0; exp stops at -650 because
+    # below ~1e-291 the low double of the result is subnormal
+    rng = random.Random(20261018)
+    xs = [ExtReal(rng.uniform(-650.0, 700.0)) for _ in range(100)]
+    xs += [ExtReal(rng.uniform(-2.0, 2.0), rng.uniform(-1e-17, 1e-17)) for _ in range(100)]
+    for x in xs:
+        exact = oracles.decimal_exp(x.to_fraction())
+        assert abs(exp_dd(x).to_fraction() - exact) <= BOUND * exact, x
+    ys = [ExtReal(10.0 ** rng.uniform(-300.0, 300.0)) for _ in range(100)]
+    ys += [ExtReal(rng.uniform(0.5, 2.0), rng.uniform(-1e-17, 1e-17)) for _ in range(100)]
+    for y in ys + [ExtReal(1.0), ExtReal(2.0)]:
+        exact = oracles.decimal_ln(y.to_fraction())
+        assert abs(ln_dd(y).to_fraction() - exact) <= BOUND * max(abs(exact), Fraction(1, 2 ** 8)), y
+
+
+def test_small_arguments_keep_relative_precision():
+    # near 0, sin x and ln(1 + d) hold the contract relative to the value,
+    # not only to an absolute unit
+    for v in (1e-20, 1e-40, 1e-300, 2.0 ** -1000):
+        for x in (ExtReal(v), ExtReal(-v)):
+            f = x.to_fraction()
+            exact = f - f ** 3 / 6 + f ** 5 / 120
+            assert abs(sin_dd(x).to_fraction() - exact) <= BOUND * abs(exact), x
+    for y in (1e-70, -1e-70, 1e-300):
+        assert float(sinc_pi(ExtReal(y))) == 1.0
+        assert abs(sinc_pi(ExtReal(y)).to_fraction() - 1) <= BOUND
+    for y in (ExtReal(1.0, 1e-40), ExtReal(1.0, -1e-40), ExtReal(1.0, 2.0 ** -80),
+              ExtReal(1.0 + 2.0 ** -45), ExtReal(1.0 - 2.0 ** -41),
+              ExtReal(1.0 + 2.0 ** -39, 1e-30), ExtReal(1.0 - 2.0 ** -39)):
+        exact = oracles.decimal_ln(y.to_fraction(), prec=200)
+        assert abs(ln_dd(y).to_fraction() - exact) <= BOUND * abs(exact), y
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and binomials
 # ---------------------------------------------------------------------------
@@ -186,6 +222,18 @@ def test_bernoulli_domain_errors():
     for bad in (-2, 3, 61):
         with pytest.raises(DomainError):
             bernoulli(bad)
+
+
+def test_bernoulli_poly_and_fixed_point_boundary():
+    # B_3(x) = x^3 - 3x^2/2 + x/2
+    for x in (Fraction(1, 3), Fraction(-7, 4), Fraction(5)):
+        exact = x ** 3 - Fraction(3, 2) * x ** 2 + x / 2
+        assert approx_abs(bernoulli_poly(3, x), exact, BOUND * max(abs(exact), 1))
+    # the fixed-point boundary rejects values a double cannot hold
+    with pytest.raises(DomainError):
+        bernoulli_poly(12, 1e308)  # ~1e3696
+    with pytest.raises(DomainError):
+        ln_dd(ExtReal(1e300) * 1e300)  # an overflowed, infinite ExtReal
 
 
 def test_binom_values_and_conventions():

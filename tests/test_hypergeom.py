@@ -24,8 +24,13 @@ from eulerlab.hypergeom import (
     pochhammer,
 )
 from conftest import approx_abs
+import oracles
 
 F = Fraction
+# the kernel contract: 2^-104 relative, or absolute (scaled by 2^-8) where
+# the value is near 0
+BOUND = F(1, 2 ** 104)
+NEAR_ZERO = F(1, 2 ** 8)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +110,33 @@ def test_eval_terminating_exact():
 def test_eval_divergent_raises():
     with pytest.raises(DomainError):
         evaluate(HypSpec.of([1, 1], [2], 1))
+
+
+def test_eval_against_exact_oracles():
+    for b, c in ((F(1, 3), F(7, 3)), (F(1, 2), F(3)), (F(1, 4), F(7, 4)),
+                 (F(2, 3), F(5, 2)), (F(1, 5), F(9, 5)), (F(3, 2), F(17, 4))):
+        exact = oracles.hyp_one_b_c(b, c)
+        got = evaluate(HypSpec.of([1, b], [c], 1)).value.to_fraction()
+        assert abs(got - exact) <= BOUND * exact, (b, c)
+    ln2, pi = oracles.atanh_ln2(60), oracles.machin_pi(60)
+    # ln 2, pi/4 and 2 (2 ln 2 - 1) = sum (-1)^n 2 / ((n+1)(n+2))
+    for upper, lower, exact in (([1, 1], [2], ln2), ([F(1, 2), 1], [F(3, 2)], pi / 4),
+                                ([1, 1], [3], 2 * (2 * ln2 - 1))):
+        got = evaluate(HypSpec.of(upper, lower, -1)).value.to_fraction()
+        assert abs(got - exact) <= BOUND * exact, (upper, lower)
+
+
+def test_ln_gamma_against_decimal_oracle():
+    for n in [*range(1, 41), 100, 1000, 9999]:
+        exact = oracles.ln_factorial(n - 1)
+        assert abs(ln_gamma(n).to_fraction() - exact) <= BOUND * max(exact, NEAR_ZERO), n
+
+
+def test_eval_rejects_a_broken_tail_expansion():
+    # parameters far above n = 3000 leave E(n) = exp(sum d_k n^-k) <= 0 in
+    # its truncated expansion; the true value is -1.5e-25
+    with pytest.raises(DomainError):
+        evaluate(HypSpec.of([11507, F(-45, 7)], [F(241645, 21)], 1))
 
 
 def test_eval_self_consistency_with_cap():

@@ -1,0 +1,63 @@
+"""Tolerance lock: no verify case may pass at a looser gate than it has now.
+
+The case lists are built (for --fast and --slow) but not run.  Every case
+family (the id up to its first '[') must appear below, and every case's
+tolerance must be at most the family's locked value.  Tightening a
+tolerance needs no edit here; loosening one, or adding a family, needs an
+edit of this table, which shows in the diff.
+"""
+import pytest
+
+from eulerlab import verify
+
+LOCKED = {
+    "stuffle": {"stuffle-mixed": 1e-8, "stuffle-alt": 1e-8},
+    "shuffle": {"shuffle-mixed": 1e-6, "shuffle-alt": 1e-6},
+    "sumformulas": {
+        "sumformula-plain": 1e-6, "sumformula-inner-bar": 1e-6,
+        "sumformula-outer-bar": 1e-6, "sumformula-both-bars": 1e-6,
+    },
+    "closedforms": {
+        "closed-plain-vs-direct": 1e-6, "closed-inner-bar-vs-direct": 1e-6,
+        "closed-outer-bar-vs-direct": 1e-6, "closed-both-bars-vs-direct": 1e-6,
+        "closed-plain-tcoef": 1e-24, "closed-inner-bar-tcoef": 1e-24,
+        "closed-outer-bar-tcoef": 1e-24, "closed-both-bars-tcoef": 1e-24,
+        "stuffle-closed-mixed": 1e-24, "stuffle-closed-alt": 1e-24,
+    },
+    "genfun": {
+        "genfun-stuffle-finite": 1e-6, "genfun-shuffle-finite": 1e-6,
+        "genfun-reduction-finite": 1e-6, "genfun-stuffle-tpart": 1e-24,
+        "genfun-shuffle-tpart": 1e-24, "genfun-reduction-tpart": 1e-24,
+    },
+    "hyp": {
+        "saalschutz": 0.0, "poch-ratio": 0.0,
+        "gauss": 1e-18, "kummer": 1e-18, "dougall-limit": 1e-18,
+        "andrews-limit-s1": 1e-10, "andrews-limit-s2": 1e-8,
+        "odd-zeta-series": 1e-18,
+    },
+    "zagier": {
+        "h-closed": 1e-24, "hstar-closed": 1e-24,
+        "h-closed-vs-direct": 1e-6, "hstar-closed-vs-direct": 1e-6,
+        "hstar-closed-vs-pilehrood": 1e-6, "hstar-closed-vs-closeddouble": 1e-24,
+        "sumident-H": 1e-24, "sumident-Hstar": 1e-24,
+        "zetabar-from-hstar": 1e-24, "zeta-from-hstar": 1e-24,
+        "zeta-from-hstar-vs-direct": 1e-6,
+        "reflection": 1e-18, "diagonal-route": 1e-18,
+    },
+}
+
+
+def test_every_suite_is_locked():
+    assert set(LOCKED) == set(verify.SUITES) - {"all"}
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "slow"])
+@pytest.mark.parametrize("suite", sorted(LOCKED))
+def test_tolerances_never_loosen(suite, fast):
+    n_max = verify.FAST_N_MAX if fast else verify.SLOW_N_MAX
+    cases = verify._SUITE_BUILDERS[suite](n_max, fast)
+    assert cases
+    for cid, tol, _ in cases:
+        family = cid.split("[")[0]
+        assert family in LOCKED[suite], f"{suite}:{cid}: new case family, lock its tolerance here"
+        assert tol <= LOCKED[suite][family], f"{suite}:{cid}: tolerance {tol} looser than the lock"

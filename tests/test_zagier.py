@@ -154,6 +154,11 @@ def test_diagonal_route(frozen):
 def test_eval_f_domain_and_zeroes():
     assert float(eval_F(0, F(1, 3))) == 0.0
     assert float(eval_Fstar(F(1, 3), 0)) == 0.0
+    # a tiny y: F is continuous in y, and F* = c y^2 + O(y^4) is not 0
+    tiny = F(1, 10 ** 70)
+    assert approx_abs(eval_F(F(1, 4), tiny), eval_F(F(1, 4), 0), 1e-30)
+    ratio = eval_Fstar(F(1, 4), 2 * tiny) / eval_Fstar(F(1, 4), tiny)
+    assert approx_abs(ratio, 4, 1e-25)
     with pytest.raises(DomainError):
         eval_F(F(3, 4), F(1, 4))
     with pytest.raises(DomainError):
