@@ -2,13 +2,14 @@
 odd-weight closed forms, stuffle/shuffle consistency checks, and the
 summation formulas.
 
-Direct summation runs a single O(n_max) pass over the outer index while
-maintaining the inner prefix sum, in float64 with an exactly rounded final
-reduction.  One tail formula serves all four bar patterns; its expansions
-(Euler-Maclaurin for smooth sums, Boole for alternating ones) are generated
-from the Bernoulli numbers and bring n_max = 1e5 runs to ~1e-16 absolute
-accuracy, far inside every stated tolerance.  Closed forms are evaluated in
-the RegValue ring in double-double.
+Direct summation runs a single O(n_max) pass over the outer index in
+cache-sized blocks, carrying the inner prefix sum from block to block, in
+float64 with an exact accumulator rounded once at the end.  One tail formula
+serves all four bar patterns; its expansions (Euler-Maclaurin for smooth
+sums, Boole for alternating ones) are generated from the Bernoulli numbers
+and bring n_max = 1e5 runs to ~1e-16 absolute accuracy, far inside every
+stated tolerance.  Closed forms are evaluated in the RegValue ring in
+double-double.
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 100_000
-# largest truncation a direct sum accepts: each run allocates several float64
-# arrays of length n_max (~80 MB apiece at the cap)
+# largest truncation a direct sum accepts: it bounds the time of a run (memory
+# is O(block)) and keeps the exact accumulator below its 2^26-term bound
 N_MAX_CAP = 10_000_000
 _WEIGHT_CAP = 40
 
@@ -128,11 +129,36 @@ def _log_tail(s: float, n: float, alt: bool) -> float:
     return -t if alt and int(n) % 2 == 0 else t
 
 
-def _signs(n: int) -> np.ndarray:
-    """(-1)^m for m = 1..n."""
-    s = np.ones(n)
-    s[0::2] = -1.0
-    return s
+# Direct sums walk m = 1..n_max in blocks of _BLOCK terms, so memory stays
+# O(block) and each block stays in cache.  The block length is even: every
+# block starts at an odd m, where (-1)^m is -1 on the block's even positions.
+_BLOCK = 1 << 13
+
+# Exact accumulator (R. M. Neal's superaccumulator, arXiv:1505.05571): frexp
+# writes a double as a 53-bit integer times 2^(e-53) with -1073 <= e <= 1024;
+# its 26-bit halves add up exactly in float64 buckets per e while fewer than
+# 2^26 terms go in.
+_E_OFFSET = 1074
+_E_BINS = _E_OFFSET + 1025
+
+
+def _exact_add(acc: np.ndarray, x: np.ndarray) -> None:
+    """Add the terms x exactly into acc, shape (2, _E_BINS): the high and low
+    26-bit halves of their integer mantissas, bucketed by exponent."""
+    mant, e = np.frexp(x)
+    ints = np.ldexp(mant, 53)
+    hi = np.trunc(ints * 2.0 ** -26)
+    e += _E_OFFSET
+    acc[0] += np.bincount(e, hi, _E_BINS)
+    acc[1] += np.bincount(e, ints - hi * 2.0 ** 26, _E_BINS)
+
+
+def _exact_sum(acc: np.ndarray) -> float:
+    """The correctly rounded sum held in acc, as math.fsum would return it."""
+    total = 0
+    for i in np.flatnonzero(acc.any(axis=0)):
+        total += ((int(acc[0, i]) << 26) + int(acc[1, i])) << int(i)
+    return total / (1 << (_E_OFFSET + 53))
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +167,21 @@ def _signs(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _double_direct_cached(r: int, s: int, r_bar: bool, s_bar: bool, n_max: int):
-    m = np.arange(1, n_max + 1, dtype=np.float64)
-    inner = m ** float(-r)
-    if r_bar:
-        inner = inner * _signs(n_max)
-    prefix = np.cumsum(inner)  # prefix[i] = A(i+1)
-    outer = m ** float(-s)
-    if s_bar:
-        outer = outer * _signs(n_max)
-    terms = outer[1:] * prefix[:-1]  # outer index m = 2..n_max uses A(m-1)
-    base = math.fsum(terms)
+    acc = np.zeros((2, _E_BINS))
+    a_last = 0.0  # A(0)
+    for start in range(1, n_max + 1, _BLOCK):
+        m = np.arange(start, min(start + _BLOCK, n_max + 1), dtype=np.float64)
+        inner = m ** float(-r)
+        if r_bar:
+            inner[0::2] *= -1.0
+        prefix = np.cumsum(np.concatenate(([a_last], inner)))  # prefix[i] = A(start - 1 + i)
+        outer = m ** float(-s)
+        if s_bar:
+            outer[0::2] *= -1.0
+        _exact_add(acc, outer * prefix[:-1])  # outer index m uses A(m-1)
+        a_last = float(prefix[-1])
+    base = _exact_sum(acc)
     n = float(n_max)
-    a_last = float(prefix[-1])
     noise = 2e-15 * math.sqrt(n) * (1.0 + abs(a_last))
     # tail = sum_{m>n} sigma_b(m) m^-s A(m-1), A(m-1) = Z_a(r) - sum_{j>=m} sigma_a(j) j^-r;
     # the inner remainder is sigma_a(m) (I + sum c m^-p), so each of its terms

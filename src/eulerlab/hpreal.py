@@ -390,19 +390,10 @@ def validate_constants() -> None:
 validate_constants()
 
 
-@lru_cache(maxsize=1)
 def const_gamma_f64() -> float:
-    """Euler-Mascheroni constant at double precision (tail-correction plumbing).
-
-    H_N - ln N - 1/(2N) + 1/(12 N^2) at N = 10**6; the omitted term is
-    ~ 1/(120 N^4), far below double rounding.
-    """
-    import numpy as np
-
-    n = 10 ** 6
-    recip = 1.0 / np.arange(1, n + 1, dtype=np.float64)
-    h = float(np.sum(recip[::-1]))
-    return h - math.log(n) - 0.5 / n + 1.0 / (12.0 * n * n)
+    """Euler-Mascheroni constant, correctly rounded to double (tail-correction
+    plumbing); tests/oracles.py checks it against a decimal Euler-Maclaurin sum."""
+    return 0.5772156649015329
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +598,9 @@ def ln_gamma_fixed(x: Real) -> int:
 # ---------------------------------------------------------------------------
 
 def exp_dd(x: Real) -> ExtReal:
-    """exp(x) for |x| <= 700, ~31 correct digits."""
+    """exp(x) for |x| <= 700: ~31 correct digits for results above ~1e-291;
+    below that the low double is subnormal and the relative error grows, to
+    ~3e-22 at x = -700."""
     v = ExtReal.from_real(x)
     if not abs(v.hi) <= 700.0:  # also rejects nan from an overflowed caller
         raise DomainError("exp_dd argument out of range")

@@ -251,10 +251,18 @@ def _plus_one_value(spec: HypSpec, cap: int) -> SeriesResult:
     for j in range(order + 1):
         en += e[j] // n ** j
         acc += fixed_mul(e[j], _power_tail_ratio(p + j * FIXED_ONE, n)) // n ** j
-    if en <= 0:
+    # an asymptotic expansion is usable only once its terms e_j n^-j have
+    # turned to decrease: the omitted one must be below the largest kept one
+    largest_kept = max(abs(e[j]) // n ** j for j in range(order + 1))
+    if en <= 0 or abs(e[-1]) // n ** (order + 1) >= largest_kept:
         raise DomainError("the +1 tail asymptotics break down for these parameters")
     value = from_fixed(total + fixed_mul(term, fixed_div(acc, en)))
-    omitted = abs(term / en) * (e_omitted + 1.0) * float(n) ** -order / (p / FIXED_ONE + order)
+    # the first omitted order e_(order+1) n^-(order+1) enters twice, with
+    # opposite signs: through E(n) in S = t(n) / E(n), which scales the whole
+    # tail (a factor 1/(p - 1)), and through its own tail (1/(p + order))
+    pf = p / FIXED_ONE
+    omitted = (abs(term / en) * (e_omitted + 1.0) * float(n) ** -order
+               * (1 / (pf - 1) - 1 / (pf + order)))
     # fixed-point rounding: each floored step errs by one unit, term n by n
     # units, the sum by n^2 units of the sum's size
     est = (3.0 * omitted + abs(float(value)) * 1e-30

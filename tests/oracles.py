@@ -4,8 +4,8 @@ Everything here is deliberately separate from the library's own code paths:
 exact rational series with truncation bounds for the constants, literal
 nested loops (plus elementary alternating-series averaging) for the double
 sums, Pascal's triangle for binomials, the stdlib `decimal` module at 60
-digits for exp and ln, and closed forms in exact rationals for
-hypergeometric sums.
+digits for exp and ln, Euler-Maclaurin in exact rationals for Euler's
+constant, and closed forms in exact rationals for hypergeometric sums.
 """
 from __future__ import annotations
 
@@ -145,3 +145,25 @@ def hyp_one_b_c(b: Fraction, c: Fraction) -> Fraction:
     (b)_n / (c)_n = (c - 1) / (c - 1 - b) * (u_n - u_(n+1)), and u_n -> 0.
     """
     return (c - 1) / (c - 1 - b)
+
+
+def euler_gamma(n: int = 1000, digits: int = 40) -> Fraction:
+    """Euler's constant to `digits` digits by Euler-Maclaurin at N = n:
+    gamma = H_N - ln N - 1/(2N) + sum_k B_2k / (2k N^2k), with H_N exact, ln N
+    from `decimal` and the Bernoulli numbers by the Akiyama-Tanigawa table."""
+    ctx = Context(prec=digits + 10)
+    bound = Fraction(1, 10 ** (digits + 5))
+    harmonic = sum(Fraction(1, m) for m in range(1, n + 1))
+    total = harmonic - Fraction(ctx.ln(Decimal(n))) - Fraction(1, 2 * n)
+    row, bern = [], []  # bern[j] = B_j (B_1 = +1/2 here, only even j are used)
+    for m in range(2 * digits + 2):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        bern.append(row[0])
+    for k in range(1, digits + 1):
+        term = bern[2 * k] / (2 * k * Fraction(n) ** (2 * k))
+        total += term
+        if abs(term) < bound:
+            return total
+    raise ArithmeticError("Euler-Maclaurin terms did not fall below the bound")

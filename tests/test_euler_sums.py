@@ -1,16 +1,24 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from eulerlab.hpreal import DomainError
+from eulerlab.hpreal import DomainError, ExtReal, const_gamma_f64
 from eulerlab.zeta_core import zeta, zeta_bar
 from eulerlab.euler_sums import (
     CLOSED_FORMS,
     N_MAX_CAP,
     SUM_FORMULAS,
     DoubleIndex,
+    _BLOCK,
+    _E_BINS,
+    _INNER_ORDER,
+    _double_direct_cached,
+    _exact_add,
+    _exact_sum,
+    _expansion,
     _log_tail,
     _tail,
     closed_bar_both,
@@ -86,6 +94,96 @@ def test_tails_match_partial_sums():
                 ref = math.fsum(sigma * weight * m ** -q)
                 got = tail(q, 100.0, alt) - tail(q, 1e5, alt)
                 assert abs(got - ref) <= 1e-14 * abs(ref), (tail.__name__, q, alt, got, ref)
+
+
+# ---------------------------------------------------------------------------
+# blocked direct sums: the exact accumulator and the block seams
+# ---------------------------------------------------------------------------
+
+# lengths around the block: one short block, a full one, one term past it,
+# several blocks with a short tail
+SEAM_N = (100, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, N)
+
+
+def _blocked_sum(x: np.ndarray) -> float:
+    acc = np.zeros((2, _E_BINS))
+    for start in range(0, len(x), _BLOCK):
+        _exact_add(acc, x[start:start + _BLOCK].copy())
+    return _exact_sum(acc)
+
+
+def test_exact_sum_matches_fsum_bit_for_bit():
+    rng = np.random.default_rng(7)
+    wide = rng.standard_normal(3 * _BLOCK + 5) * np.exp(rng.uniform(-700, 700, 3 * _BLOCK + 5))
+    x = rng.standard_normal(_BLOCK + 1)
+    cases = [
+        np.array([1e308, 7e307, -1e308, -7e307, 3.0]),  # near the top of the range
+        np.array([8.9e307, 8.9e307, -1e-300]),
+        np.array([5e-324] * 7 + [-5e-324] * 2 + [2.2250738585072014e-308]),  # subnormals
+        np.array([1.0, 1e100, 1.0, -1e100]),  # heavy cancellation
+        np.array([1e16, 1.0, -1e16, 1e-16, -1.0]),
+        np.array([1.0, -1.0, 0.5, -0.5]),  # a zero sum
+        np.concatenate([x, -x[::-1], [1e-310]]),  # cancels to a subnormal, odd length
+        np.full(2 * _BLOCK + 3, 0.1),
+        wide,  # mixed signs over the whole exponent range
+        np.arange(1.0, 3 * _BLOCK + 6) ** -2.5 * (-1.0) ** np.arange(3 * _BLOCK + 5),
+    ]
+    for x in cases:
+        got, ref = _blocked_sum(x), math.fsum(x)
+        assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref), (got, ref)
+
+
+def test_accumulator_bound_covers_n_max_cap():
+    # the 26-bit halves of up to N_MAX_CAP mantissas sum exactly in float64
+    # buckets only while fewer than 2^26 terms go in
+    assert N_MAX_CAP < 2 ** 26
+
+
+def _whole_array_direct(r, s, r_bar, s_bar, n_max):
+    """The direct sum over n_max-long arrays with math.fsum, tail as in
+    double_direct: the blocked pass must reproduce it bit for bit."""
+    m = np.arange(1, n_max + 1, dtype=np.float64)
+    sign = np.where(m % 2 == 0, 1.0, -1.0)
+    prefix = np.cumsum(m ** float(-r) * (sign if r_bar else 1.0))
+    outer = m ** float(-s) * (sign if s_bar else 1.0)
+    base = math.fsum(outer[1:] * prefix[:-1])
+    n = float(n_max)
+    noise = 2e-15 * math.sqrt(n) * (1.0 + abs(float(prefix[-1])))
+    x = r_bar != s_bar
+    *pairs, (c, p) = _expansion(float(r), r_bar, _INNER_ORDER + 1)
+    if r_bar or r > 1:
+        lead = float(zeta_bar(r) if r_bar else zeta(r)) * _tail(float(s), n, s_bar)
+        if not r_bar:
+            pairs.insert(0, (1.0 / (r - 1.0), r - 1.0))
+    else:
+        lead = _log_tail(float(s), n, s_bar) + const_gamma_f64() * _tail(float(s), n, s_bar)
+    tail = lead - sum(cc * _tail(s + pp, n, x) for cc, pp in pairs)
+    return ExtReal(base + tail), ExtReal(abs(c * _tail(s + p, n, x)) + noise)
+
+
+def test_blocked_direct_sum_matches_whole_array_reference():
+    for r, s in ((1, 2), (1, 5), (2, 3), (3, 4), (7, 12)):
+        for r_bar in (False, True):
+            for s_bar in (False, True):
+                for n_max in SEAM_N:
+                    res = double_direct(DoubleIndex(r, s, r_bar, s_bar), n_max)
+                    value, est = _whole_array_direct(r, s, r_bar, s_bar, n_max)
+                    got = (res.value.hi, res.value.lo, res.tail_estimate.hi, res.tail_estimate.lo)
+                    assert got == (value.hi, value.lo, est.hi, est.lo), (r, s, r_bar, s_bar, n_max)
+
+
+def test_direct_sum_memory_is_bounded():
+    # numpy reports its buffers to tracemalloc; an n_max-long float64 array
+    # at 1e6 alone is 8 MB
+    for idx in (DoubleIndex(3, 4, True, False), DoubleIndex(1, 4)):
+        _double_direct_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            double_direct(idx, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, (idx, peak)
 
 
 # ---------------------------------------------------------------------------

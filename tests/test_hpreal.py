@@ -12,6 +12,7 @@ from eulerlab.hpreal import (
     bernoulli_first,
     bernoulli_poly,
     binom,
+    const_gamma_f64,
     const_ln2,
     const_pi,
     cos_dd,
@@ -139,6 +140,13 @@ def test_ln2_against_series_oracle(frozen):
     oracle = oracles.atanh_ln2()
     assert abs(frozen["ln2"] - oracle) < Fraction(1, 10 ** 45)
     assert approx_abs(const_ln2(), oracle, Fraction(1, 10 ** 31))
+
+
+def test_gamma_literal_is_correctly_rounded(frozen):
+    oracle = oracles.euler_gamma()
+    assert abs(frozen["gamma"] - oracle) < Fraction(1, 10 ** 40)
+    g = const_gamma_f64()
+    assert abs(Fraction(g) - oracle) <= Fraction(math.ulp(g)) / 2
 
 
 def test_validate_constants_runs():

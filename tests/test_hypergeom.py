@@ -139,6 +139,29 @@ def test_eval_rejects_a_broken_tail_expansion():
         evaluate(HypSpec.of([11507, F(-45, 7)], [F(241645, 21)], 1))
 
 
+def test_eval_large_parameters_raise_or_meet_their_estimate():
+    # Gauss: 2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)),
+    # by math.lgamma, allowing four ulps of each log-gamma
+    landed = 0
+    for a, b, c in ((30, 40, F(141, 2)), (300, F(5, 2), 303), (300, F(1, 3), 301),
+                    (2999, F(1, 3), F(5999, 2)), (3500, F(1, 3), F(7001, 2)),
+                    (10 ** 4, F(5, 2), 10 ** 4 + 3), (10 ** 5, F(1, 3), 10 ** 5 + 1)):
+        logs = [math.lgamma(c), math.lgamma(c - a - b), -math.lgamma(c - a), -math.lgamma(c - b)]
+        gauss = math.exp(math.fsum(logs))
+        slack = 4 * 2.0 ** -53 * sum(map(abs, logs)) * gauss
+        try:
+            res = evaluate(HypSpec.of([a, b], [c], 1))
+        except DomainError:
+            continue
+        landed += 1
+        assert abs(float(res.value) - gauss) <= float(res.tail_estimate) + slack, (a, b, c)
+    assert landed >= 3
+    # the +1 expansion's terms grow at every order here (1, 33, 1.1e3, ...):
+    # it must be refused, not return 16.5 for 62.9
+    with pytest.raises(DomainError):
+        evaluate(HypSpec.of([10 ** 5, F(1, 3)], [10 ** 5 + 1], 1))
+
+
 def test_eval_self_consistency_with_cap():
     spec = HypSpec.of([F(1, 3), F(1, 4)], [F(7, 4)], 1)
     a = evaluate(spec, cap=400)

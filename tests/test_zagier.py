@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eulerlab.hpreal import DomainError, ExtReal, const_pi, sinc_pi
 from eulerlab.zeta_core import zeta, zeta_bar
-from eulerlab.euler_sums import N_MAX_CAP, DoubleIndex, double_direct
+from eulerlab.euler_sums import _BLOCK, N_MAX_CAP, DoubleIndex, _tail, double_direct
 from eulerlab.zagier import (
     HIndex,
     eval_F,
@@ -71,6 +73,49 @@ def test_mzv_direct_validation():
     # depth-2 all-2 cross-check: zeta(2,2) = pi^4/120
     res = mzv_direct((2, 2), n_max=N)
     assert abs(float(res.value - const_pi() ** 4 / 120)) < 1e-8
+
+
+def _whole_array_mzv(exps, star, n_max):
+    """mzv_direct over n_max-long prefix arrays with math.fsum: the reference
+    the blocked pass must reproduce bit for bit."""
+    m = np.arange(1, n_max + 1, dtype=np.float64)
+    level = np.ones(n_max)
+    limits = [1.0]
+    for j, e in enumerate(exps, start=1):
+        shifted = level if star else np.concatenate([[1.0 if j == 1 else 0.0], level[:-1]])
+        terms = shifted * m ** float(-e)
+        level = np.cumsum(terms)
+        last = math.fsum(terms) if j == len(exps) else float(level[-1])
+        limits.append(last + limits[-1] * _tail(float(e), float(n_max), False))
+    d = len(exps)
+    if d >= 2:
+        e_out, e_in = float(exps[-1]), float(exps[-2])
+        second = limits[d - 2] * n_max ** (2.0 - e_out - e_in) / ((e_in - 1.0) * (e_out + e_in - 2.0))
+    else:
+        second = n_max ** (-float(exps[0]) - 4.0)
+    return ExtReal(limits[-1]), ExtReal(abs(second) + 2e-15 * math.sqrt(n_max) * d)
+
+
+def test_blocked_mzv_matches_whole_array_reference():
+    for exps in ((3,), (2, 3, 2), (2, 2, 2, 3, 2, 4, 2, 2, 5)):
+        for star in (False, True):
+            for n_max in (100, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, N):
+                res = mzv_direct(exps, star, n_max)
+                value, est = _whole_array_mzv(exps, star, n_max)
+                got = (res.value.hi, res.value.lo, res.tail_estimate.hi, res.tail_estimate.lo)
+                assert got == (value.hi, value.lo, est.hi, est.lo), (exps, star, n_max)
+
+
+def test_mzv_memory_is_bounded():
+    # a pass over n_max-long level arrays holds ~40 MB at 1e6; a blocked one
+    # holds a few blocks and the accumulator
+    tracemalloc.start()
+    try:
+        mzv_direct((2,) * 9, n_max=10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def test_quadruple_agreement():
