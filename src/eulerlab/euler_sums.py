@@ -2,14 +2,14 @@
 odd-weight closed forms, stuffle/shuffle consistency checks, and the
 summation formulas.
 
-Direct summation runs a single O(n_max) pass over the outer index in
-cache-sized blocks, carrying the inner prefix sum from block to block, in
-float64 with an exact accumulator rounded once at the end.  One tail formula
-serves all four bar patterns; its expansions (Euler-Maclaurin for smooth
-sums, Boole for alternating ones) are generated from the Bernoulli numbers
-and bring n_max = 1e5 runs to ~1e-16 absolute accuracy, far inside every
-stated tolerance.  Closed forms are evaluated in the RegValue ring in
-double-double.
+Direct summation, for double sums and the nested sums of zagier alike, runs
+one engine: a single O(n_max) pass in cache-sized blocks, carrying one prefix
+sum per inner level from block to block, in float64 with an exact accumulator
+rounded once at the end.  Its tail is built level by level from remainder
+expansions (Euler-Maclaurin for smooth sums, Boole for alternating ones)
+generated from the Bernoulli numbers, for every bar pattern and depth; runs
+at n_max = 1e5 land within ~2e-16 absolute.  Closed forms are evaluated in
+the RegValue ring in double-double.
 """
 from __future__ import annotations
 
@@ -83,7 +83,7 @@ class DoubleIndex:
 
 # Bernoulli corrections kept in the outer tails (power and log; Boole's
 # coefficients grow like 4^j, and five keep the tails beyond m = 100 to
-# ~1e-15 relative) and in the inner remainder of a double sum, whose next
+# ~1e-15 relative) and in each level's remainder of a nested sum, whose next
 # correction prices its truncation
 _OUTER_ORDER = 5
 _INNER_ORDER = 2
@@ -162,52 +162,85 @@ def _exact_sum(acc: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Direct evaluation
+# Direct evaluation: one nested engine for every depth
 # ---------------------------------------------------------------------------
 
+def _nested_tail(exps: tuple, bars: tuple, star: bool, n_max: int, carry: list) -> tuple:
+    """(tail, tail_estimate) of the nested sum beyond n_max, built level by level.
+
+    Level j's argument P_(j-1) (at m - 1, or m if star) is L_(j-1) minus the
+    remainder rem = sum c sigma(m)^alt m^-p, so the level's tail is
+    L_(j-1) S(e_j) - sum c S(e_j + p), S = _tail with sign sigma_j sigma^alt.
+    Expanding each of those sums from m on (past m if star) gives level j's
+    remainder, equal (p, alt) merged; p = e_j + 2 _INNER_ORDER + 1 is its first
+    omitted order, which prices the estimate, and higher ones drop.  L_1 is
+    zeta(e_1) or zeta(e_1-bar); unbarred e_1 = 1 (inner slot at depth 2) has
+    H_(m-1) = ln m + gamma - (expansion).
+    """
+    n, d = float(n_max), len(exps)
+    limit, log, rem, omitted = 1.0, False, {}, {}  # level 0: P_0 = 1 exactly
+    for j, (e, bar) in enumerate(zip(map(float, exps), bars)):
+        if j or d == 1:  # L_1 needs no tail
+            tail = limit * _tail(e, n, bar)
+            if log:
+                tail += _log_tail(e, n, bar)
+            tail -= sum(c * _tail(e + p, n, bar != alt) for (p, alt), c in rem.items())
+        if j == d - 1:
+            break
+        cut = e + 2 * _INNER_ORDER + 1
+        new, omitted = {}, {}
+        for c0, q, alt in [(limit, e, False), *((-c, e + p, alt) for (p, alt), c in rem.items())]:
+            a = bar != alt
+            (half, _), *corrections = _expansion(q, a, _INNER_ORDER + 1)
+            integral = [] if a or q == 1.0 else [(1.0 / (q - 1.0), q - 1.0)]
+            for c, p in (*integral, (-half if star else half, q), *corrections):
+                if p <= cut:
+                    part = new if p < cut else omitted
+                    part[p, a] = part.get((p, a), 0.0) + c0 * c
+        rem = new
+        log = j == 0 and e == 1.0 and not bar
+        if j == 0:
+            limit = const_gamma_f64() if log else float(zeta_bar(exps[0]) if bar else zeta(exps[0]))
+        else:
+            limit = carry[j] + tail
+    first_omitted = sum(c * _tail(e + p, n, bar != alt) for (p, alt), c in omitted.items())
+    noise = 2e-15 * math.sqrt(n) * (1.0 + sum(abs(c) for c in carry))
+    return tail, abs(first_omitted) + noise
+
+
 @lru_cache(maxsize=4096)
-def _double_direct_cached(r: int, s: int, r_bar: bool, s_bar: bool, n_max: int):
+def _nested_direct(exps: tuple, bars: tuple, star: bool, n_max: int):
+    """(value, tail_estimate) of sum_(m_1 < ... < m_d) prod_j sigma_j(m_j) m_j^-e_j
+    (<= if star), inner to outer: one blocked pass with one carried prefix sum
+    per inner level, the outermost level into the exact accumulator."""
+    d = len(exps)
+    carry = [0.0] * (d - 1)  # P_j at the block's start - 1
     acc = np.zeros((2, _E_BINS))
-    a_last = 0.0  # A(0)
     for start in range(1, n_max + 1, _BLOCK):
         m = np.arange(start, min(start + _BLOCK, n_max + 1), dtype=np.float64)
-        inner = m ** float(-r)
-        if r_bar:
-            inner[0::2] *= -1.0
-        prefix = np.cumsum(np.concatenate(([a_last], inner)))  # prefix[i] = A(start - 1 + i)
-        outer = m ** float(-s)
-        if s_bar:
-            outer[0::2] *= -1.0
-        _exact_add(acc, outer * prefix[:-1])  # outer index m uses A(m-1)
-        a_last = float(prefix[-1])
-    base = _exact_sum(acc)
-    n = float(n_max)
-    noise = 2e-15 * math.sqrt(n) * (1.0 + abs(a_last))
-    # tail = sum_{m>n} sigma_b(m) m^-s A(m-1), A(m-1) = Z_a(r) - sum_{j>=m} sigma_a(j) j^-r;
-    # the inner remainder is sigma_a(m) (I + sum c m^-p), so each of its terms
-    # leaves an outer tail with sign sigma_a sigma_b
-    x = r_bar != s_bar
-    *pairs, omitted = _expansion(float(r), r_bar, _INNER_ORDER + 1)
-    if r_bar or r > 1:
-        lead = float(zeta_bar(r) if r_bar else zeta(r)) * _tail(float(s), n, s_bar)
-        if not r_bar:
-            pairs.insert(0, (1.0 / (r - 1.0), r - 1.0))  # the integral I
-    else:
-        # H_(m-1) = ln m + gamma - (the expansion without its integral)
-        lead = _log_tail(float(s), n, s_bar) + const_gamma_f64() * _tail(float(s), n, s_bar)
-    tail = lead - sum(c * _tail(s + p, n, x) for c, p in pairs)
-    c, p = omitted
-    return ExtReal(base + tail), ExtReal(abs(c * _tail(s + p, n, x)) + noise)
+        prev = None  # P_0 = 1, so the first level's terms are its weights
+        for j, (e, bar) in enumerate(zip(exps, bars)):
+            terms = m ** float(-e)
+            if bar:
+                terms[0::2] *= -1.0
+            if prev is not None:
+                # starred sums take the previous level at m, strict ones at m - 1
+                terms *= prev[1:] if star else prev[:-1]
+            if j == d - 1:
+                _exact_add(acc, terms)
+            else:
+                prev = np.cumsum(np.concatenate(([carry[j]], terms)))  # P_j from start - 1 on
+                carry[j] = float(prev[-1])
+    tail, est = _nested_tail(exps, bars, star, n_max, carry)
+    return ExtReal(_exact_sum(acc) + tail), ExtReal(est)
 
 
 def double_direct(idx: DoubleIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
-    """Direct single-pass evaluation of a double Euler sum, tail-corrected.
-
-    The outer sum is truncated at n_max.  The remainder is the inner sum's
-    limit times the outer tail (for r = 1: gamma times it plus the log tail)
-    minus the outer tails of the inner remainder's expansion; tail_estimate is
-    the first omitted term plus a float64 noise term.
-    """
+    """Direct single-pass evaluation of a double Euler sum truncated at n_max:
+    the depth-2 case of _nested_direct.  The tail is the inner limit times the
+    outer tail (for r = 1: gamma times it plus the log tail) minus the outer
+    tails of the inner remainder's expansion; tail_estimate is the first
+    omitted term plus float64 noise."""
     if not idx.convergent:
         raise DomainError(
             f"{idx} diverges (unbarred outer exponent 1); "
@@ -215,7 +248,7 @@ def double_direct(idx: DoubleIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
         )
     if not 100 <= n_max <= N_MAX_CAP:
         raise DomainError(f"double_direct requires 100 <= n_max <= {N_MAX_CAP}")
-    value, est = _double_direct_cached(idx.r, idx.s, idx.r_bar, idx.s_bar, n_max)
+    value, est = _nested_direct((idx.r, idx.s), (idx.r_bar, idx.s_bar), False, n_max)
     return SeriesResult(value=value, terms_used=n_max, tail_estimate=est)
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "exp_dd",
     "ln_dd",
     "sin_dd",
-    "cos_dd",
     "sinc_pi",
     "euler_average",
     "to_decimal",
@@ -654,10 +653,6 @@ def sin_dd(x: Real) -> ExtReal:
     if mode == 2:
         return -_sin_taylor(r)
     return -_cos_taylor(r)
-
-
-def cos_dd(x: Real) -> ExtReal:
-    return sin_dd(ExtReal.from_real(x) + _PI / 2)
 
 
 def sinc_pi(y: Real) -> ExtReal:

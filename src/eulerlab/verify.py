@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .hpreal import ExtReal, parse_decimal, to_decimal
+from .hpreal import ExtReal, parse_decimal, sinc_pi, to_decimal
 from .zeta_core import zeta, zeta_bar
 from . import euler_sums as es
 from . import genfun
@@ -334,10 +334,10 @@ def _suite_zagier(n_max: int, fast: bool) -> List[Case]:
     for total in range((4 if fast else 5) + 1):
         for a in range(total + 1):
             b = total - a
-            cases.append((f"h-closed-vs-direct[{a},{b}]", 1e-6,
+            cases.append((f"h-closed-vs-direct[{a},{b}]", 1e-15,
                           lambda a=a, b=b: (zg.h_closed(a, b),
                                             zg.h_direct(zg.HIndex(a, b, False), n_max).value)))
-            cases.append((f"hstar-closed-vs-direct[{a},{b}]", 1e-6,
+            cases.append((f"hstar-closed-vs-direct[{a},{b}]", 1e-15,
                           lambda a=a, b=b: (zg.hstar_closed(a, b),
                                             zg.h_direct(zg.HIndex(a, b, True), n_max).value)))
             cases.append((f"hstar-closed-vs-pilehrood[{a},{b}]", 1e-6,
@@ -367,11 +367,11 @@ def _suite_zagier(n_max: int, fast: bool) -> List[Case]:
         (Fraction(1, 5), Fraction(2, 5)),
         (Fraction(3, 8), Fraction(3, 8)),
     ]
-    from .hpreal import sinc_pi, ExtReal as _E
     for (x, y) in reflection_points:
         def reflection(x=x, y=y):
             lhs = zg.eval_F(x, y)
-            rhs = -sinc_pi(_E.from_fraction(y)) * sinc_pi(_E.from_fraction(x)) * zg.eval_Fstar(y, x)
+            rhs = (-sinc_pi(ExtReal.from_fraction(y)) * sinc_pi(ExtReal.from_fraction(x))
+                   * zg.eval_Fstar(y, x))
             return lhs, rhs
         cases.append((f"reflection[x={x},y={y}]", 1e-18, reflection))
     def diagonal_route(x=Fraction(1, 4)):

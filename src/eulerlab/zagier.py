@@ -4,8 +4,8 @@ binomial closed forms, the double-sum route, and the fixed-weight sum rules.
 H(a,b) is the multiple zeta value with exponent tuple (2,...,2,3,2,...,2) --
 a twos inside (before the 3, reading inner to outer), b twos outside; the
 starred variant relaxes the strict inequalities.  Direct evaluation walks
-the summation range in blocks with one prefix sum per depth level, carried
-from block to block, and a first-order Euler-Maclaurin tail at every level.
+the summation range with the nested engine of euler_sums, whose tail is
+built level by level from each level's remainder expansion.
 """
 from __future__ import annotations
 
@@ -14,19 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .hpreal import DomainError, ExtReal, ONE, ZERO, binom, const_pi, sinc_pi
 from .zeta_core import SeriesResult, zeta, zeta_bar
 from .euler_sums import (
     DEFAULT_N_MAX,
     N_MAX_CAP,
     DoubleIndex,
-    _BLOCK,
-    _E_BINS,
-    _exact_add,
-    _exact_sum,
-    _tail,
+    _nested_direct,
     closed_bar_s,
     double_direct,
 )
@@ -85,15 +79,10 @@ def h_single(a: int, star: bool = False) -> ExtReal:
 
 def mzv_direct(exponents: Sequence[int], star: bool = False,
                n_max: int = DEFAULT_N_MAX) -> SeriesResult:
-    """Direct multiple zeta (star) value for an exponent tuple, inner to outer.
-
-    Dynamic-programming prefix sums, one per level, computed block by block
-    (euler_sums._BLOCK terms) with each level's last prefix value carried to
-    the next block; the outermost level goes into the exact accumulator of
-    euler_sums.  The truncation at every level is repaired with a first-order
-    Euler-Maclaurin tail using the previous level's limit.  All exponents
-    must be >= 2 so those limits exist.
-    """
+    """Direct multiple zeta (star) value for an exponent tuple, inner to outer,
+    by euler_sums' nested engine (double_direct is its depth-2 case): the
+    tail is built level by level, cross terms included, and tail_estimate is
+    the first omitted order plus float64 noise.  All exponents must be >= 2."""
     exps = tuple(int(e) for e in exponents)
     d = len(exps)
     if d == 0 or d > _DIRECT_DEPTH_CAP:
@@ -102,35 +91,8 @@ def mzv_direct(exponents: Sequence[int], star: bool = False,
         raise DomainError("direct nested summation requires all exponents >= 2")
     if not 100 <= n_max <= N_MAX_CAP:
         raise DomainError(f"mzv_direct requires 100 <= n_max <= {N_MAX_CAP}")
-    carry = [0.0] * (d - 1)  # each inner level's prefix at the block's start - 1
-    acc = np.zeros((2, _E_BINS))
-    for start in range(1, n_max + 1, _BLOCK):
-        m = np.arange(start, min(start + _BLOCK, n_max + 1), dtype=np.float64)
-        prev = None  # P_0 = 1, so the first level's terms are its weights
-        for j, e in enumerate(exps):
-            terms = m ** float(-e)
-            if prev is not None:
-                # starred sums take the previous level at m, strict ones at m - 1
-                terms *= prev[1:] if star else prev[:-1]
-            if j == d - 1:
-                _exact_add(acc, terms)
-            else:
-                prev = np.cumsum(np.concatenate(([carry[j]], terms)))  # from start - 1 on
-                carry[j] = float(prev[-1])
-    limits = [1.0]  # limits[j] = P_j(infinity)
-    for e, last in zip(exps, carry + [_exact_sum(acc)]):
-        limits.append(last + limits[-1] * _tail(float(e), float(n_max), False))
-    if d >= 2:
-        e_out, e_in = float(exps[-1]), float(exps[-2])
-        second_order = limits[d - 2] * n_max ** (2.0 - e_out - e_in) / ((e_in - 1.0) * (e_out + e_in - 2.0))
-    else:
-        second_order = n_max ** (-float(exps[0]) - 4.0)
-    noise = 2e-15 * math.sqrt(n_max) * d
-    return SeriesResult(
-        value=ExtReal(limits[-1]),
-        terms_used=n_max,
-        tail_estimate=ExtReal(abs(second_order) + noise),
-    )
+    value, est = _nested_direct(exps, (False,) * d, star, n_max)
+    return SeriesResult(value=value, terms_used=n_max, tail_estimate=est)
 
 
 def h_direct(idx: HIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:

@@ -15,7 +15,7 @@ from eulerlab.euler_sums import (
     _BLOCK,
     _E_BINS,
     _INNER_ORDER,
-    _double_direct_cached,
+    _nested_direct,
     _exact_add,
     _exact_sum,
     _expansion,
@@ -176,7 +176,7 @@ def test_direct_sum_memory_is_bounded():
     # numpy reports its buffers to tracemalloc; an n_max-long float64 array
     # at 1e6 alone is 8 MB
     for idx in (DoubleIndex(3, 4, True, False), DoubleIndex(1, 4)):
-        _double_direct_cached.cache_clear()
+        _nested_direct.cache_clear()
         tracemalloc.start()
         try:
             double_direct(idx, 10 ** 6)

@@ -15,7 +15,6 @@ from eulerlab.hpreal import (
     const_gamma_f64,
     const_ln2,
     const_pi,
-    cos_dd,
     euler_average,
     exp_dd,
     ln_dd,
@@ -167,7 +166,7 @@ def test_elementary_functions():
     assert abs(float(exp_dd(ln_dd(x)) - x)) < 1e-30
     # sin^2 + cos^2 = 1 across the reduction range
     for v in (-9.7, -3.3, -0.5, 0.1, 1.0, 2.5, 7.9):
-        s, c = sin_dd(ExtReal(v)), cos_dd(ExtReal(v))
+        s, c = sin_dd(ExtReal(v)), sin_dd(ExtReal(v) + const_pi() / 2)
         assert abs(float(s * s + c * c - 1)) < 1e-30
     assert float(sinc_pi(ExtReal(0.0))) == 1.0
 

@@ -37,7 +37,7 @@ LOCKED = {
     },
     "zagier": {
         "h-closed": 1e-24, "hstar-closed": 1e-24,
-        "h-closed-vs-direct": 1e-6, "hstar-closed-vs-direct": 1e-6,
+        "h-closed-vs-direct": 1e-15, "hstar-closed-vs-direct": 1e-15,
         "hstar-closed-vs-pilehrood": 1e-6, "hstar-closed-vs-closeddouble": 1e-24,
         "sumident-H": 1e-24, "sumident-Hstar": 1e-24,
         "zetabar-from-hstar": 1e-24, "zeta-from-hstar": 1e-24,
