@@ -12,7 +12,6 @@ from .hpreal import (
     const_ln2,
     const_pi,
     to_decimal,
-    validate_constants,
 )
 from .zeta_core import (
     RegValue,

@@ -6,9 +6,11 @@ canonical form (|lo| <= ulp(hi)/2), giving roughly 31-32 significant decimal
 digits.  All operations here are pure; values are immutable after
 construction, so everything in this module is safe to share across threads.
 
-Hot loops (exp, ln, log-gamma, Bernoulli polynomials, hypergeometric sums)
-run in fixed point: an int N stands for N * 2^-FIXED_BITS.  ExtReal stays the
-public value type; `to_fixed` and `from_fixed` convert at the boundary.
+Hot loops (exp, ln, log-gamma, Bernoulli polynomials, sinc, the Euler
+averaging of alternating series, hypergeometric sums) run in fixed point: an
+int N stands for N * 2^-FIXED_BITS.  ExtReal stays the public value type;
+`to_fixed` and `from_fixed` convert at the boundary.  pi and ln 2 are exact
+rational series, rounded once to ExtReal and once to fixed point.
 """
 from __future__ import annotations
 
@@ -30,12 +32,9 @@ __all__ = [
     "binom",
     "exp_dd",
     "ln_dd",
-    "sin_dd",
     "sinc_pi",
-    "euler_average",
     "to_decimal",
     "parse_decimal",
-    "validate_constants",
 ]
 
 
@@ -307,25 +306,6 @@ def to_decimal(x: Union[ExtReal, float, Fraction], digits: int = 30) -> str:
 # Constants
 # ---------------------------------------------------------------------------
 
-# 40+ digit decimal literals; split into hi/lo and validated against the
-# exact-rational oracles below at import.
-_PI_LITERAL = "3.14159265358979323846264338327950288419716939937511"
-_LN2_LITERAL = "0.69314718055994530941723212145817656807550013436026"
-
-_PI = ExtReal.from_fraction(parse_decimal(_PI_LITERAL))
-_LN2 = ExtReal.from_fraction(parse_decimal(_LN2_LITERAL))
-
-
-def const_pi() -> ExtReal:
-    """pi, correct to >= 32 significant digits."""
-    return _PI
-
-
-def const_ln2() -> ExtReal:
-    """ln 2, correct to >= 32 significant digits."""
-    return _LN2
-
-
 def machin_pi_fraction(digits: int = 45) -> Fraction:
     """pi via Machin's formula in exact rational arithmetic.
 
@@ -365,28 +345,17 @@ def atanh_ln2_fraction(digits: int = 45) -> Fraction:
 
 # 62 digits: within 1e-67, below the fixed-point unit 2^-200
 _PI_ORACLE, _LN2_ORACLE = machin_pi_fraction(62), atanh_ln2_fraction(62)
+_PI, _LN2 = ExtReal.from_fraction(_PI_ORACLE), ExtReal.from_fraction(_LN2_ORACLE)
 
 
-def validate_constants() -> None:
-    """Check embedded pi/ln2 literals against the rational oracles.
-
-    Two layers: the 50-digit decimal literal must match the truncated-series
-    oracle to 1e-45, and the hi/lo split must reproduce the literal to the
-    double-double representation budget (2^-104 relative).
-    """
-    lit_tol = Fraction(1, 10 ** 45)
-    for name, value, literal, oracle in (
-        ("pi", _PI, _PI_LITERAL, _PI_ORACLE),
-        ("ln2", _LN2, _LN2_LITERAL, _LN2_ORACLE),
-    ):
-        exact = parse_decimal(literal)
-        if abs(exact - oracle) > lit_tol:
-            raise DomainError(f"embedded constant {name} fails oracle validation")
-        if abs(value.to_fraction() - exact) > abs(exact) * Fraction(1, 2 ** 104):
-            raise DomainError(f"embedded constant {name} split loses precision")
+def const_pi() -> ExtReal:
+    """pi, correct to >= 32 significant digits."""
+    return _PI
 
 
-validate_constants()
+def const_ln2() -> ExtReal:
+    """ln 2, correct to >= 32 significant digits."""
+    return _LN2
 
 
 def const_gamma_f64() -> float:
@@ -592,6 +561,17 @@ def ln_gamma_fixed(x: Real) -> int:
     return total - shift
 
 
+def euler_average_fixed(partials: Sequence[int], rounds: int):
+    """Euler transform of fixed-point alternating-series partial sums: `rounds`
+    rounds of floored adjacent means; returns (value, |change in the last
+    round|), the change a heuristic error estimate."""
+    v = list(partials)
+    for _ in range(rounds):
+        last = v[-1]
+        v = [(x + y) >> 1 for x, y in zip(v, v[1:])]
+    return v[-1], abs(v[-1] - last)
+
+
 # ---------------------------------------------------------------------------
 # Elementary functions
 # ---------------------------------------------------------------------------
@@ -617,68 +597,18 @@ def ln_dd(x: Real) -> ExtReal:
     return from_fixed(ln_fixed(*_exact(v)))
 
 
-def _sin_taylor(r: ExtReal) -> ExtReal:
-    term = r
-    total = r
-    r2 = r * r
-    for n in range(1, 17):
-        term = term * r2 / (-((2 * n) * (2 * n + 1)))
-        total = total + term
-    return total
-
-
-def _cos_taylor(r: ExtReal) -> ExtReal:
-    term = ONE
-    total = ONE
-    r2 = r * r
-    for n in range(1, 17):
-        term = term * r2 / (-((2 * n - 1) * (2 * n)))
-        total = total + term
-    return total
-
-
-def sin_dd(x: Real) -> ExtReal:
-    """sin(x), |x| <= 100; absolute error budget ~1e-30 on [-10, 10]."""
-    v = ExtReal.from_real(x)
-    if abs(v.hi) > 100.0:
-        raise DomainError("sin_dd argument out of range")
-    half_pi = _PI / 2
-    k = int(round(float(v / half_pi)))
-    r = v - half_pi * k
-    mode = k % 4
-    if mode == 0:
-        return _sin_taylor(r)
-    if mode == 1:
-        return _cos_taylor(r)
-    if mode == 2:
-        return -_sin_taylor(r)
-    return -_cos_taylor(r)
-
-
 def sinc_pi(y: Real) -> ExtReal:
-    """sin(pi*y)/(pi*y), continuous at 0."""
-    v = ExtReal.from_real(y)
-    if v.hi == 0.0 and v.lo == 0.0:
-        return ONE
-    py = _PI * v
-    return sin_dd(py) / py
-
-
-# ---------------------------------------------------------------------------
-# Alternating-series acceleration (iterated forward-difference averaging)
-# ---------------------------------------------------------------------------
-
-def euler_average(partial_sums: Sequence, order: int):
-    """Euler transform of alternating-series partial sums, float or ExtReal.
-
-    Repeatedly replaces the sequence by adjacent means; returns (value,
-    change-in-last-round) where the change is a heuristic error estimate.
-    """
-    v = list(partial_sums)
-    if not v:
-        raise DomainError("euler_average needs at least one partial sum")
-    prev_last = v[-1]
-    for _ in range(min(order, len(v) - 1)):
-        prev_last = v[-1]
-        v = [(v[i] + v[i + 1]) * 0.5 for i in range(len(v) - 1)]
-    return v[-1], abs(v[-1] - prev_last)
+    """sin(pi y) / (pi y) for |y| <= 1/2, continuous at 0: the Taylor series of
+    sin z / z, z = pi |y|, in fixed point from the exact argument."""
+    f = abs(y.to_fraction() if isinstance(y, ExtReal) else Fraction(y))
+    if f > Fraction(1, 2):
+        raise DomainError("sinc_pi requires |y| <= 1/2")
+    z = _PI_FIXED * f.numerator // f.denominator
+    z2 = z * z >> FIXED_BITS
+    s = term = FIXED_ONE
+    n = 1
+    while term:  # each term is floored while still nonnegative, so it reaches 0
+        term = (term * z2 >> FIXED_BITS) // (2 * n * (2 * n + 1))
+        s += -term if n % 2 else term
+        n += 1
+    return from_fixed(s)

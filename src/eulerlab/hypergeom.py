@@ -8,7 +8,8 @@ zero), in fixed point (hpreal.FIXED_BITS) otherwise, rounded once to ExtReal.
 Series at +1 decay algebraically, so after a direct partial sum the remainder
 is completed analytically from the term asymptotics t(n) ~ S n^-p exp(sum
 d_k n^-k), whose exponents and coefficients come from Bernoulli polynomials;
-series at -1 are accelerated with the iterated-averaging Euler transform.
+series at -1 are accelerated with the iterated-averaging Euler transform of
+hpreal.euler_average_fixed.  Pochhammer symbols are exact rationals.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .hpreal import (
     ZERO,
     bernoulli_fixed,
     em_coefficient,
+    euler_average_fixed,
     exp_fixed,
     fixed_div,
     fixed_mul,
@@ -108,16 +110,10 @@ class ConvClass(enum.Enum):
     DIVERGENT = "divergent"
 
 
-def pochhammer(x: Union[Param, ExtReal], n: int):
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1); exact for rational x."""
+def pochhammer(x: Param, n: int) -> Fraction:
+    """Rising factorial (x)_n = x (x+1) ... (x+n-1), exact."""
     if n < 0:
         raise DomainError("pochhammer requires n >= 0")
-    if isinstance(x, (ExtReal, float)):
-        acc = ONE
-        v = ExtReal.from_real(x)
-        for i in range(n):
-            acc = acc * (v + i)
-        return acc
     xf = _frac(x)
     acc = Fraction(1)
     for i in range(n):
@@ -271,8 +267,8 @@ def _plus_one_value(spec: HypSpec, cap: int) -> SeriesResult:
 
 
 def _minus_one_value(spec: HypSpec, cap: int) -> SeriesResult:
-    """Fixed-point partial sums, then 16 rounds of adjacent means over the
-    last 64 (the Euler transform of hpreal.euler_average, in integers)."""
+    """Fixed-point partial sums, then the Euler transform
+    (hpreal.euler_average_fixed): 16 rounds of adjacent means over the last 64."""
     upper, lower = _fixed_params(spec)
     n_target = max(300, min(cap, 1200))
     term = total = FIXED_ONE
@@ -281,12 +277,9 @@ def _minus_one_value(spec: HypSpec, cap: int) -> SeriesResult:
         term = term * a // b
         total += term
         partials.append(total)
-    v = partials[-64:]
-    for _ in range(16):
-        last = v[-1]
-        v = [(x + y) >> 1 for x, y in zip(v, v[1:])]
-    value = from_fixed(v[-1])
-    est = (float(from_fixed(abs(v[-1] - last))) + abs(float(value)) * 1e-30 + 1e-33
+    fixed, change = euler_average_fixed(partials[-64:], 16)
+    value = from_fixed(fixed)
+    est = (float(from_fixed(change)) + abs(float(value)) * 1e-30 + 1e-33
            + n_target ** 2 / FIXED_ONE * max(1.0, abs(float(value))))
     return SeriesResult(value=value, terms_used=n_target, tail_estimate=ExtReal(est))
 

@@ -2,6 +2,10 @@
 regularized conventions zeta(0) = zeta(0-bar) = -1/2, zeta(1) = T,
 zeta(1-bar) = -ln 2.
 
+zeta(k) is an Euler-Maclaurin sum in double-double; the direct alternating
+series zeta_bar_direct, a cross-check independent of the reflection formula,
+runs in fixed point with hpreal's Euler averaging.
+
 The divergent weight-1 value is carried symbolically: a RegValue is an element
 of the ring R + R*T, where T stands for the regularized zeta(1).  Every
 convergent quantity embeds with tcoef exactly zero.
@@ -12,13 +16,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .hpreal import (
+    FIXED_ONE,
     DomainError,
     ExtReal,
     ONE,
     ZERO,
     const_ln2,
     em_coefficient,
-    euler_average,
+    euler_average_fixed,
+    from_fixed,
     to_decimal,
 )
 
@@ -27,7 +33,6 @@ __all__ = [
     "RegValue",
     "SeriesResult",
     "zeta",
-    "zeta_em",
     "zeta_bar",
     "zeta_reg",
     "zeta_bar_direct",
@@ -95,17 +100,22 @@ class RegValue:
 # Euler-Maclaurin evaluation of zeta(k)
 # ---------------------------------------------------------------------------
 
-def zeta_em(k: int, n_terms: int = 40, m_terms: int = 20) -> ExtReal:
-    """zeta(k) = sum_{n<N} n^-k + N^(1-k)/(k-1) + N^-k/2 + Bernoulli corrections.
+_EM_N, _EM_M = 40, 20
+
+
+@lru_cache(maxsize=None)
+def zeta(k: int) -> ExtReal:
+    """zeta(k) for integer k in [2, 60], >= 30 correct digits:
+    sum_{n<N} n^-k + N^(1-k)/(k-1) + N^-k/2 + Bernoulli corrections.
 
     With (N, M) = (40, 20) the first omitted correction is far below 1e-32
     for every k in [2, 60].
     """
     if k < 2:
-        raise DomainError("zeta_em requires k >= 2; use zeta_reg for k in {0, 1}")
+        raise DomainError("zeta requires k >= 2; use zeta_reg for k in {0, 1}")
     if k > WEIGHT_CAP:
         raise DomainError(f"zeta weight must be <= {WEIGHT_CAP}")
-    n = n_terms
+    n = _EM_N
     total = ZERO
     for j in range(1, n):
         total = total + ONE / ExtReal.from_real(j ** k)
@@ -114,17 +124,11 @@ def zeta_em(k: int, n_terms: int = 40, m_terms: int = 20) -> ExtReal:
     # + sum_j B_2j/(2j)! (k)_{2j-1} N^{1-k-2j}
     rising = k  # (k)_1
     npow = nk / n  # N^(-k-1)
-    for j in range(1, m_terms + 1):
+    for j in range(1, _EM_M + 1):
         total = total + ExtReal.from_fraction(em_coefficient(j)) * rising * npow
         rising *= (k + 2 * j - 1) * (k + 2 * j)
         npow = npow / (n * n)
     return total
-
-
-@lru_cache(maxsize=None)
-def zeta(k: int) -> ExtReal:
-    """zeta(k) for integer k in [2, 60], >= 30 correct digits."""
-    return zeta_em(k)
 
 
 @lru_cache(maxsize=None)
@@ -162,24 +166,21 @@ def zeta_reg(k: int, bar: bool = False) -> RegValue:
 # Direct alternating series, used as a cross-check oracle for zeta_bar
 # ---------------------------------------------------------------------------
 
-def zeta_bar_direct(k: int, terms: int = 64) -> SeriesResult:
+def zeta_bar_direct(k: int) -> SeriesResult:
     """Euler-transform-accelerated partial sum of sum_{m>=1} (-1)^m m^-k.
 
-    Independent of the reflection formula: raw partial sums only, then
-    iterated forward-difference averaging of order 32 (or terms//2 if fewer
-    terms are supplied).
+    Independent of the reflection formula: the first 64 partial sums in fixed
+    point, then 32 rounds of iterated forward-difference averaging.
     """
-    if k < 1:
-        raise DomainError("zeta_bar_direct requires k >= 1")
-    if terms < 8:
-        raise DomainError("zeta_bar_direct requires terms >= 8")
-    partial = []
-    total = ZERO
-    for m in range(1, terms + 1):
-        term = ONE / ExtReal.from_real(m ** k)
-        total = total + (-term if m % 2 else term)
-        partial.append(total)
-    order = min(32, terms // 2)
-    value, est = euler_average(partial, order)
+    if k < 1 or k > WEIGHT_CAP:
+        raise DomainError(f"zeta_bar_direct requires 1 <= k <= {WEIGHT_CAP}")
+    partials = []
+    total = 0
+    for m in range(1, 65):
+        term = FIXED_ONE // m ** k
+        total += -term if m % 2 else term
+        partials.append(total)
+    fixed, change = euler_average_fixed(partials, 32)
+    value = from_fixed(fixed)
     floor = ExtReal(abs(float(value)) * 2.0 ** -100 + 1e-32)
-    return SeriesResult(value=value, terms_used=terms, tail_estimate=est + floor)
+    return SeriesResult(value=value, terms_used=64, tail_estimate=from_fixed(change) + floor)

@@ -1,21 +1,25 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is deliberately separate from the library's own code paths:
-exact rational series with truncation bounds for the constants, literal
-nested loops (plus elementary alternating-series averaging) for the double
-sums, Pascal's triangle for binomials, the stdlib `decimal` module at 60
-digits for exp and ln, Euler-Maclaurin in exact rationals for Euler's
-constant, and closed forms in exact rationals for hypergeometric sums.
+exact rational series with truncation bounds for the constants and for
+sin(pi y)/(pi y), literal nested loops (plus elementary alternating-series
+averaging) for the double sums, Pascal's triangle for binomials, the stdlib
+`decimal` module at 60 digits for exp and ln, Euler-Maclaurin in exact
+rationals (Bernoulli numbers by the Akiyama-Tanigawa table) for Euler's
+constant and zeta(k), and closed forms in exact rationals for hypergeometric
+sums.
 """
 from __future__ import annotations
 
 import math
 from decimal import Context, Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 _DEC60 = Context(prec=60)
 
 
+@lru_cache(maxsize=None)
 def machin_pi(digits: int = 45) -> Fraction:
     """pi = 16 atan(1/5) - 4 atan(1/239), exact rationals, alternating bound."""
     bound = Fraction(1, 10 ** (digits + 5))
@@ -147,23 +151,66 @@ def hyp_one_b_c(b: Fraction, c: Fraction) -> Fraction:
     return (c - 1) / (c - 1 - b)
 
 
-def euler_gamma(n: int = 1000, digits: int = 40) -> Fraction:
-    """Euler's constant to `digits` digits by Euler-Maclaurin at N = n:
-    gamma = H_N - ln N - 1/(2N) + sum_k B_2k / (2k N^2k), with H_N exact, ln N
-    from `decimal` and the Bernoulli numbers by the Akiyama-Tanigawa table."""
-    ctx = Context(prec=digits + 10)
-    bound = Fraction(1, 10 ** (digits + 5))
-    harmonic = sum(Fraction(1, m) for m in range(1, n + 1))
-    total = harmonic - Fraction(ctx.ln(Decimal(n))) - Fraction(1, 2 * n)
-    row, bern = [], []  # bern[j] = B_j (B_1 = +1/2 here, only even j are used)
-    for m in range(2 * digits + 2):
+@lru_cache(maxsize=None)
+def bernoulli_table(count: int) -> tuple:
+    """B_0 .. B_(count-1) by the Akiyama-Tanigawa table (B_1 = +1/2 here;
+    every caller uses only even indices)."""
+    row, bern = [], []
+    for m in range(count):
         row.append(Fraction(1, m + 1))
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
         bern.append(row[0])
+    return tuple(bern)
+
+
+def euler_gamma(n: int = 1000, digits: int = 40) -> Fraction:
+    """Euler's constant to `digits` digits by Euler-Maclaurin at N = n:
+    gamma = H_N - ln N - 1/(2N) + sum_k B_2k / (2k N^2k), with H_N exact and
+    ln N from `decimal`."""
+    ctx = Context(prec=digits + 10)
+    bound = Fraction(1, 10 ** (digits + 5))
+    harmonic = sum(Fraction(1, m) for m in range(1, n + 1))
+    total = harmonic - Fraction(ctx.ln(Decimal(n))) - Fraction(1, 2 * n)
+    bern = bernoulli_table(2 * digits + 2)
     for k in range(1, digits + 1):
         term = bern[2 * k] / (2 * k * Fraction(n) ** (2 * k))
         total += term
         if abs(term) < bound:
             return total
     raise ArithmeticError("Euler-Maclaurin terms did not fall below the bound")
+
+
+def zeta(k: int, n: int = 25, digits: int = 40) -> Fraction:
+    """zeta(k), k >= 2, to `digits` digits by Euler-Maclaurin at N = n in exact
+    rationals: sum_{m<N} m^-k + N^(1-k)/(k-1) + N^-k/2
+    + sum_j B_2j/(2j)! k (k+1) ... (k+2j-2) N^(1-k-2j), cut at the first
+    correction below the bound (the remainder is below that correction)."""
+    bound = Fraction(1, 10 ** (digits + 5))
+    total = sum(Fraction(1, m ** k) for m in range(1, n))
+    total += Fraction(1, (k - 1) * n ** (k - 1)) + Fraction(1, 2 * n ** k)
+    bern = bernoulli_table(2 * digits + 2)
+    rising = k  # k (k+1) ... (k+2j-2)
+    for j in range(1, digits + 1):
+        term = bern[2 * j] / math.factorial(2 * j) * rising / Fraction(n) ** (k + 2 * j - 1)
+        total += term
+        if abs(term) < bound:
+            return total
+        rising *= (k + 2 * j - 1) * (k + 2 * j)
+    raise ArithmeticError("Euler-Maclaurin terms did not fall below the bound")
+
+
+def sinc_pi(y: Fraction, digits: int = 45) -> Fraction:
+    """sin(pi y) / (pi y) for |y| <= 1/2 in exact rationals: the Taylor series
+    sum (-1)^n z^2n / (2n+1)!, z = pi y with pi from `machin_pi`, cut once a
+    term drops below 10^-(digits+5); its terms fall monotonically (z^2 < 6),
+    so the alternating-series bound holds."""
+    z2 = (machin_pi(digits) * y) ** 2
+    bound = Fraction(1, 10 ** (digits + 5))
+    total = term = Fraction(1)
+    n = 1
+    while term >= bound:
+        term = term * z2 / ((2 * n) * (2 * n + 1))
+        total += -term if n % 2 else term
+        n += 1
+    return total

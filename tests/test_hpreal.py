@@ -15,16 +15,16 @@ from eulerlab.hpreal import (
     const_gamma_f64,
     const_ln2,
     const_pi,
-    euler_average,
+    euler_average_fixed,
     exp_dd,
+    from_fixed,
     ln_dd,
     machin_pi_fraction,
     atanh_ln2_fraction,
     parse_decimal,
-    sin_dd,
     sinc_pi,
     to_decimal,
-    validate_constants,
+    to_fixed,
 )
 from conftest import PI_50, LN2_50, approx_abs
 import oracles
@@ -133,12 +133,18 @@ def test_pi_against_independent_oracles(frozen):
     assert abs(machin - second) < Fraction(1, 10 ** 44)
     assert abs(frozen["pi"] - machin) < Fraction(1, 10 ** 45)
     assert approx_abs(const_pi(), machin, Fraction(1, 10 ** 31))
+    # the in-package series agrees with the independent re-implementation,
+    # and const_pi is its double-double split
+    assert abs(machin_pi_fraction() - machin) < Fraction(1, 10 ** 44)
+    assert const_pi() == ExtReal.from_fraction(oracles.machin_pi(62))
 
 
 def test_ln2_against_series_oracle(frozen):
     oracle = oracles.atanh_ln2()
     assert abs(frozen["ln2"] - oracle) < Fraction(1, 10 ** 45)
     assert approx_abs(const_ln2(), oracle, Fraction(1, 10 ** 31))
+    assert abs(atanh_ln2_fraction() - oracle) < Fraction(1, 10 ** 44)
+    assert const_ln2() == ExtReal.from_fraction(oracles.atanh_ln2(62))
 
 
 def test_gamma_literal_is_correctly_rounded(frozen):
@@ -148,27 +154,30 @@ def test_gamma_literal_is_correctly_rounded(frozen):
     assert abs(Fraction(g) - oracle) <= Fraction(math.ulp(g)) / 2
 
 
-def test_validate_constants_runs():
-    validate_constants()
-    # and the in-package oracles agree with the independent re-implementation
-    assert abs(machin_pi_fraction() - oracles.machin_pi()) < Fraction(1, 10 ** 44)
-    assert abs(atanh_ln2_fraction() - oracles.atanh_ln2()) < Fraction(1, 10 ** 44)
-
-
-def test_sin_of_pi_is_zero():
-    assert abs(float(sin_dd(const_pi()))) < 1e-30
-
-
 def test_elementary_functions():
     assert abs(float(exp_dd(ExtReal(0.0)) - 1)) == 0.0
     x = ExtReal.from_fraction(Fraction(7, 2))
     assert abs(float(ln_dd(exp_dd(x)) - x)) < 1e-30
     assert abs(float(exp_dd(ln_dd(x)) - x)) < 1e-30
-    # sin^2 + cos^2 = 1 across the reduction range
-    for v in (-9.7, -3.3, -0.5, 0.1, 1.0, 2.5, 7.9):
-        s, c = sin_dd(ExtReal(v)), sin_dd(ExtReal(v) + const_pi() / 2)
-        assert abs(float(s * s + c * c - 1)) < 1e-30
     assert float(sinc_pi(ExtReal(0.0))) == 1.0
+
+
+def test_sinc_pi_against_rational_oracle():
+    # the kernel contract on the whole domain |y| <= 1/2, for exact rational
+    # and for double-double arguments
+    rng = random.Random(20261018)
+    ys = [Fraction(1, 2), Fraction(-1, 2)]
+    for _ in range(100):
+        q = rng.randint(1, 10 ** 6)
+        ys.append(Fraction(rng.randint(-q, q), 2 * q))
+    for y in ys:
+        x = ExtReal.from_fraction(y)
+        for arg, exact_arg in ((y, y), (x, x.to_fraction())):
+            exact = oracles.sinc_pi(exact_arg)
+            assert abs(sinc_pi(arg).to_fraction() - exact) <= BOUND * exact, arg
+    for bad in (Fraction(1, 2) + Fraction(1, 10 ** 30), ExtReal(-0.5000001), Fraction(3, 4), 3):
+        with pytest.raises(DomainError):
+            sinc_pi(bad)
 
 
 def test_exp_ln_against_decimal_oracle():
@@ -189,13 +198,8 @@ def test_exp_ln_against_decimal_oracle():
 
 
 def test_small_arguments_keep_relative_precision():
-    # near 0, sin x and ln(1 + d) hold the contract relative to the value,
+    # near 0, sinc and ln(1 + d) hold the contract relative to the value,
     # not only to an absolute unit
-    for v in (1e-20, 1e-40, 1e-300, 2.0 ** -1000):
-        for x in (ExtReal(v), ExtReal(-v)):
-            f = x.to_fraction()
-            exact = f - f ** 3 / 6 + f ** 5 / 120
-            assert abs(sin_dd(x).to_fraction() - exact) <= BOUND * abs(exact), x
     for y in (1e-70, -1e-70, 1e-300):
         assert float(sinc_pi(ExtReal(y))) == 1.0
         assert abs(sinc_pi(ExtReal(y)).to_fraction() - 1) <= BOUND
@@ -295,11 +299,9 @@ def test_parse_to_decimal_consistency(f):
 # ---------------------------------------------------------------------------
 
 def test_euler_average_on_alternating_harmonic():
-    partials = oracles.harmonic_alternating(64)
-    value, _ = euler_average(partials, 16)
-    assert abs(value + math.log(2)) < 1e-14
-    value, _ = euler_average([ExtReal(p) for p in partials], 16)
-    assert abs(float(value) + math.log(2)) < 1e-14
+    partials = [to_fixed(ExtReal(p)) for p in oracles.harmonic_alternating(64)]
+    value, _ = euler_average_fixed(partials, 16)
+    assert abs(float(from_fixed(value)) + math.log(2)) < 1e-14
 
 
 def test_to_decimal_boundaries():

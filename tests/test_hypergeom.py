@@ -52,12 +52,6 @@ def test_pochhammer_recurrence(x, n):
     assert pochhammer(x, n + 1) == pochhammer(x, n) * (x + n)
 
 
-def test_pochhammer_extreal_mode():
-    v = pochhammer(ExtReal(0.5), 3)
-    assert isinstance(v, ExtReal)
-    assert approx_abs(v, F(15, 8), F(1, 10 ** 29))
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from eulerlab.zeta_core import (
     zeta,
     zeta_bar,
     zeta_bar_direct,
-    zeta_em,
     zeta_reg,
 )
 from conftest import approx_abs
@@ -39,12 +38,11 @@ def test_zeta_monotone_decreasing():
         assert a > b > one
 
 
-def test_zeta_em_internal_consistency():
-    # same value from two very different truncation splits
-    for k in (2, 3, 7, 20):
-        a = zeta_em(k, n_terms=40, m_terms=20)
-        b = zeta_em(k, n_terms=80, m_terms=20)
-        assert abs(float(a - b)) <= 1e-30 * float(a)
+def test_zeta_against_exact_oracle():
+    # every weight against Euler-Maclaurin in exact rationals at another N
+    for k in range(2, 61):
+        exact = oracles.zeta(k)
+        assert abs(zeta(k).to_fraction() - exact) <= Fraction(1, 10 ** 31) * exact, k
 
 
 def test_zeta_domain():
@@ -91,13 +89,15 @@ def test_regvalue_ring_rejects_tt():
 
 
 def test_zeta_bar_direct_matches_reflection():
-    for k in range(2, 21):
-        res = zeta_bar_direct(k, 64)
-        assert abs(float(res.value - zeta_bar(k))) <= 1e-15
+    for k in range(1, 21):
+        res = zeta_bar_direct(k)
+        err = abs(res.value.to_fraction() - zeta_bar(k).to_fraction())
+        assert err <= Fraction(1, 10 ** 29), k
+        assert err <= res.tail_estimate.to_fraction(), k
 
 
 def test_zeta_bar_direct_weight_one(frozen):
-    res = zeta_bar_direct(1, 64)
+    res = zeta_bar_direct(1)
     assert approx_abs(res.value, -frozen["ln2"], Fraction(1, 10 ** 15))
 
 
@@ -111,7 +111,7 @@ def test_zeta_bar_direct_bracketing():
             term = ExtReal(1.0) / ExtReal(float(m ** k))
             total = total + (-term if m % 2 else term)
             partials.append(float(total))
-        value = float(zeta_bar_direct(k, 64).value)
+        value = float(zeta_bar_direct(k).value)
         j = 64 - 32  # window start: averaging order is 32
         lo, hi = sorted((partials[j - 1], partials[j]))
         assert lo <= value <= hi
@@ -122,8 +122,10 @@ def test_zeta_index_validation():
         zeta_reg(61)
     with pytest.raises(DomainError):
         zeta_reg(-1, True)
-    with pytest.raises(DomainError):
-        zeta_bar_direct(2, 4)
+    # checked before any term: m^k at k = 10^9 would be a ~750 MB int
+    for bad in (0, 61, 10 ** 9):
+        with pytest.raises(DomainError):
+            zeta_bar_direct(bad)
 
 
 def test_regvalue_ring_axioms():
