@@ -6,18 +6,20 @@ canonical form (|lo| <= ulp(hi)/2), giving roughly 31-32 significant decimal
 digits.  All operations here are pure; values are immutable after
 construction, so everything in this module is safe to share across threads.
 
-Hot loops (exp, ln, log-gamma, Bernoulli polynomials, sinc, the Euler
-averaging of alternating series, hypergeometric sums) run in fixed point: an
-int N stands for N * 2^-FIXED_BITS.  ExtReal stays the public value type;
-`to_fixed` and `from_fixed` convert at the boundary.  pi and ln 2 are exact
-rational series, rounded once to ExtReal and once to fixed point.
+Hot loops (exp, ln, log-gamma, Bernoulli polynomials, sinc) run in fixed
+point: an int N stands for N * 2^-FIXED_BITS.  ExtReal stays the public value
+type; `to_fixed` and `from_fixed` convert at the boundary.  pi and ln 2 are
+exact rational series, rounded once to ExtReal and once to fixed point.
+Slowly convergent and alternating series (hypergeometric sums at +1 and -1,
+the direct alternating zeta series) go through one accelerator,
+`levin_sum`, the Levin u-transform in exact integers.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterable, Tuple, Union
 
 __all__ = [
     "DomainError",
@@ -561,15 +563,82 @@ def ln_gamma_fixed(x: Real) -> int:
     return total - shift
 
 
-def euler_average_fixed(partials: Sequence[int], rounds: int):
-    """Euler transform of fixed-point alternating-series partial sums: `rounds`
-    rounds of floored adjacent means; returns (value, |change in the last
-    round|), the change a heuristic error estimate."""
-    v = list(partials)
-    for _ in range(rounds):
-        last = v[-1]
-        v = [(x + y) >> 1 for x, y in zip(v, v[1:])]
-    return v[-1], abs(v[-1] - last)
+# Most terms an accelerated series may take, and the largest size in bits of
+# its exact partial sum N_k / Q_k: a refusal at either costs well under 1 s.
+LEVIN_CAP = 400
+LEVIN_BITS = 1 << 17
+
+
+def _quotient(num: int, den: int) -> float:
+    try:
+        return num / den
+    except OverflowError as exc:
+        raise DomainError("series value outside the double range") from exc
+
+
+def levin_sum(ratios: Iterable[Tuple[int, int, float]], start: int = 0):
+    """sum_n a_n with a_0 = 1 by the Levin u-transform (beta = 1), in exact
+    integers.  The n-th triple (A, B, e) of `ratios` gives a_(n+1) = a_n A / B,
+    e bounding the relative error of the terms so far (0 for exact terms); a
+    zero A ends the series at its exact partial sum.
+
+    With a_n = P_n / Q_n and S_n = N_n / Q_n, the transform of order k,
+    L_k = sum w_j N_(h+j) R_j / sum w_j Q_(h+j) R_j over j = 0..k, with
+    h = start, R_j = P_(h+k) / P_(h+j) and w_j = (-1)^j C(k, j) (j+1)^(k-2),
+    is formed exactly (by Horner's rule in the A's) at k = 8, 12, ...,
+    every max(4, k/8) terms.  Terms before `start` enter only through the
+    exact partial sums, so a head that has not reached the tail's pattern
+    (a sign change, say) does not mislead the transform.  The estimate is the
+    change from the previous transform, plus the input error
+    e cond (sum |a_n| + max |S_(h+j) - L_k|) with
+    cond = sum |w_j Q_(h+j) R_j| / |sum w_j Q_(h+j) R_j|, plus a 2^-106 |L_k|
+    rounding.  L_k is accepted once the change is within the rounding part
+    (compared exactly) or below the input error; past LEVIN_CAP terms or
+    LEVIN_BITS bits, DomainError.  Returns (L_k as a Fraction, its
+    estimate, the number of terms).
+    """
+    p = q = s = 1
+    a_s, q_s, s_s = [1], [1], [1]
+    abs_sum, prev, check = 1.0, None, 8
+    for n, (a, b, eps) in enumerate(ratios, 1):
+        if a == 0:
+            return Fraction(s, q), 0.0, n
+        p, q = p * a, q * b
+        s = s * b + p
+        if n == start:
+            a_s, q_s, s_s = [a], [q], [s]
+        elif n > start:
+            a_s.append(a)
+            q_s.append(q)
+            s_s.append(s)
+        if eps:
+            abs_sum += abs(_quotient(p, q))
+        k = n - start
+        if k == check:
+            check += max(4, k // 8)
+            num = den = cond = 0
+            for j in range(k + 1):
+                w = math.comb(k, j) * (j + 1) ** (k - 2) * (-1) ** j
+                num = num * a_s[j] + w * s_s[j]
+                den = den * a_s[j] + w * q_s[j]
+                if eps:
+                    cond = cond * abs(a_s[j]) + abs(w * q_s[j])
+            if den:
+                value = _quotient(num, den)
+                inexact = 0.0
+                if eps:
+                    cond = _quotient(cond, abs(den))
+                    dev = max(abs(_quotient(sj, qj) - value) for sj, qj in zip(s_s, q_s))
+                    inexact = eps * cond * (abs_sum + dev)
+                if prev is not None:
+                    diff = num * prev[1] - prev[0] * den
+                    change = abs(_quotient(diff, den * prev[1]))
+                    if abs(diff) << 106 <= abs(num * prev[1]) or change < inexact:
+                        return Fraction(num, den), change + inexact + abs(value) * 2.0 ** -106, n
+                prev = num, den
+        if n >= LEVIN_CAP or s.bit_length() + q.bit_length() > LEVIN_BITS:
+            raise DomainError(f"the series has not settled within {LEVIN_CAP} terms "
+                              f"and {LEVIN_BITS} bits")
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
 """Pochhammer algebra and evaluation/verification of hypergeometric sums at
 the unit arguments +1 and -1.
 
-One integer term ratio t_{n+1} = t_n A(n) / B(n) serves every series: in
-exact rationals for terminating series (the Pfaff-Saalschutz sum and the
-Pochhammer-ratio expansion that follows from it are checked to *exactly*
-zero), in fixed point (hpreal.FIXED_BITS) otherwise, rounded once to ExtReal.
-Series at +1 decay algebraically, so after a direct partial sum the remainder
-is completed analytically from the term asymptotics t(n) ~ S n^-p exp(sum
-d_k n^-k), whose exponents and coefficients come from Bernoulli polynomials;
-series at -1 are accelerated with the iterated-averaging Euler transform of
-hpreal.euler_average_fixed.  Pochhammer symbols are exact rationals.
+One integer term ratio t_{n+1} = t_n A(n) / B(n) serves every series.
+Terminating series are summed in exact rationals (the Pfaff-Saalschutz sum
+and the Pochhammer-ratio expansion that follows from it are checked to
+*exactly* zero).  Convergent series at +1 (algebraic decay) and at -1
+(alternating) alike go through hpreal.levin_sum, the Levin u-transform on
+the exact terms, rounded once to ExtReal; so do the outer levels of the
+Andrews-limit nested sums.  Pochhammer symbols are exact rationals.
 """
 from __future__ import annotations
 
@@ -26,16 +24,11 @@ from .hpreal import (
     ExtReal,
     ONE,
     ZERO,
-    bernoulli_fixed,
-    em_coefficient,
-    euler_average_fixed,
     exp_fixed,
-    fixed_div,
-    fixed_mul,
     fixed_rational,
     from_fixed,
+    levin_sum,
     ln_gamma_fixed,
-    to_fixed,
 )
 from .zeta_core import SeriesResult, zeta
 
@@ -187,21 +180,8 @@ def _terminating_sum(spec: HypSpec) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Term asymptotics at +1: t(m) ~ S m^-p E(m), E(m) = sum_j e_j m^-j
-# = exp(sum_k d_k m^-k), everything in fixed point
+# Non-terminating sums: the Levin transform
 # ---------------------------------------------------------------------------
-
-def _power_tail_ratio(q: int, n: int) -> int:
-    """R(q, n) = n^q sum_{m>n} m^-q, real q > 1, by Euler-Maclaurin:
-    n / (q - 1) - 1/2 + sum_j kappa_j (q)_(2j-1) n^(1-2j)."""
-    r = fixed_div(n * FIXED_ONE, q - FIXED_ONE) - (FIXED_ONE >> 1)
-    rising, npow = q, n
-    for j in (1, 2, 3, 4):
-        r += fixed_mul(to_fixed(em_coefficient(j)), rising) // npow
-        rising = fixed_mul(fixed_mul(rising, q + (2 * j - 1) * FIXED_ONE), q + 2 * j * FIXED_ONE)
-        npow *= n * n
-    return r
-
 
 def _fixed_params(spec: HypSpec):
     """The parameters of a non-terminating sum, rounded by hpreal.fixed_rational
@@ -213,86 +193,15 @@ def _fixed_params(spec: HypSpec):
     return upper, lower
 
 
-_ASYMP_ORDER = 10
-
-
-def _plus_one_value(spec: HypSpec, cap: int) -> SeriesResult:
-    upper, lower = _fixed_params(spec)
-    term = total = FIXED_ONE
-    small = 0
-    n_target = max(128, min(cap, 3000))
-    for n, (a, b) in zip(range(1, n_target + 1), _ratios(upper, lower, 1)):
-        term = term * a // b
-        total += term
-        if abs(term) < max(FIXED_ONE, abs(total)) >> 113:  # three terms below ~1e-34 end it
-            small += 1
-            if small >= 3 and n >= 128:
-                break
-        else:
-            small = 0
-    # analytic completion of the remainder: with sum_{m>n} m^-q = n^-q R(q, n)
-    # the unknown S n^p cancels against t(n) / E(n), so
-    # tail = t(n) / E(n) * sum_j e_j n^-j R(p + j, n); one extra expansion
-    # coefficient prices the first omitted order
-    order = _ASYMP_ORDER if n_target > 512 else 6
-    p = to_fixed(1 - sum(upper) + sum(lower))
-    params = [(1, to_fixed(u)) for u in upper] + [(-1, to_fixed(l)) for l in (1, *lower)]
-    d = [(-1) ** (k + 1) * sum(sign * bernoulli_fixed(k + 1, x) for sign, x in params)
-         // (k * (k + 1)) for k in range(1, order + 2)]
-    e = [FIXED_ONE]  # power-series exponential: e_m = sum_k k d_k e_(m-k) / m
-    for m in range(1, order + 2):
-        e.append(sum(k * fixed_mul(d[k - 1], e[m - k]) for k in range(1, m + 1)) // m)
-    e_omitted = abs(float(from_fixed(e[-1])))  # rejects coefficients beyond the double range
-    en = acc = 0
-    for j in range(order + 1):
-        en += e[j] // n ** j
-        acc += fixed_mul(e[j], _power_tail_ratio(p + j * FIXED_ONE, n)) // n ** j
-    # an asymptotic expansion is usable only once its terms e_j n^-j have
-    # turned to decrease: the omitted one must be below the largest kept one
-    largest_kept = max(abs(e[j]) // n ** j for j in range(order + 1))
-    if en <= 0 or abs(e[-1]) // n ** (order + 1) >= largest_kept:
-        raise DomainError("the +1 tail asymptotics break down for these parameters")
-    value = from_fixed(total + fixed_mul(term, fixed_div(acc, en)))
-    # the first omitted order e_(order+1) n^-(order+1) enters twice, with
-    # opposite signs: through E(n) in S = t(n) / E(n), which scales the whole
-    # tail (a factor 1/(p - 1)), and through its own tail (1/(p + order))
-    pf = p / FIXED_ONE
-    omitted = (abs(term / en) * (e_omitted + 1.0) * float(n) ** -order
-               * (1 / (pf - 1) - 1 / (pf + order)))
-    # fixed-point rounding: each floored step errs by one unit, term n by n
-    # units, the sum by n^2 units of the sum's size
-    est = (3.0 * omitted + abs(float(value)) * 1e-30
-           + n * n / FIXED_ONE * max(1.0, abs(float(value))))
-    return SeriesResult(value=value, terms_used=n, tail_estimate=ExtReal(est))
-
-
-def _minus_one_value(spec: HypSpec, cap: int) -> SeriesResult:
-    """Fixed-point partial sums, then the Euler transform
-    (hpreal.euler_average_fixed): 16 rounds of adjacent means over the last 64."""
-    upper, lower = _fixed_params(spec)
-    n_target = max(300, min(cap, 1200))
-    term = total = FIXED_ONE
-    partials = [total]
-    for a, b in itertools.islice(_ratios(upper, lower, -1), n_target):
-        term = term * a // b
-        total += term
-        partials.append(total)
-    fixed, change = euler_average_fixed(partials[-64:], 16)
-    value = from_fixed(fixed)
-    est = (float(from_fixed(change)) + abs(float(value)) * 1e-30 + 1e-33
-           + n_target ** 2 / FIXED_ONE * max(1.0, abs(float(value))))
-    return SeriesResult(value=value, terms_used=n_target, tail_estimate=ExtReal(est))
-
-
-def evaluate(spec: HypSpec, cap: int = 20000) -> SeriesResult:
+def evaluate(spec: HypSpec) -> SeriesResult:
     """Evaluate a hypergeometric sum at its unit argument.
 
     Terminating series (at most TERMINATING_CAP terms, and at most
     TERMINATING_SIZE_CAP terms x parameter bits) are summed exactly in
-    rationals and converted; convergent series at +1 are partially summed
-    then completed with the Bernoulli-polynomial tail asymptotics; series at
-    -1 (absolutely or conditionally convergent) are Euler-transform
-    accelerated.
+    rationals and converted.  Convergent series at +1 and -1 go through the
+    Levin transform (hpreal.levin_sum) on their exact terms.  Its model needs
+    terms past their last sign change, so for a negative parameter p it
+    starts at index floor(-p) + 1.
     """
     cls = classify(spec)
     if cls is ConvClass.DIVERGENT:
@@ -302,9 +211,11 @@ def evaluate(spec: HypSpec, cap: int = 20000) -> SeriesResult:
         return SeriesResult(
             value=ExtReal.from_fraction(exact), terms_used=0, tail_estimate=ZERO
         )
-    if spec.argument == 1:
-        return _plus_one_value(spec, cap)
-    return _minus_one_value(spec, cap)
+    upper, lower = _fixed_params(spec)
+    start = max([0] + [math.floor(-p) + 1 for p in (*upper, *lower) if p < 0])
+    ratios = ((a, b, 0.0) for a, b in _ratios(upper, lower, spec.argument))
+    total, est, n = levin_sum(ratios, start)
+    return SeriesResult(value=ExtReal.from_fraction(total), terms_used=n, tail_estimate=ExtReal(est))
 
 
 def evaluate_terminating_exact(spec: HypSpec) -> Fraction:
@@ -425,45 +336,36 @@ def _poch_ratio(nums, dens, n: int) -> ExtReal:
     return ExtReal.from_fraction(Fraction(num, den))
 
 
-def _nested_product_sum(a: Fraction, bs, cs, level: int, offset: int,
-                        tol: float, base_cap: int) -> ExtReal:
+def _nested_product_sum(a: Fraction, bs, cs, level: int, offset: int):
     """sum over k_level..k_s of the telescoped Pochhammer product (RHS of the
-    multi-sum identity), with k_1+...+k_{level-1} = offset already fixed."""
+    multi-sum identity), with k_1+...+k_{level-1} = offset already fixed, and
+    a bound on its relative error.  The innermost level is a 3F2 at +1; an
+    outer level is a Levin sum whose terms are exact rationals: the Pochhammer
+    factor times the ExtReal value of the next level at offset + k."""
     s = len(bs) - 1
-    if level > s:
-        return ONE
     b_lo, c_lo = 1 + a - bs[level - 1], 1 + a - cs[level - 1]
     b_hi, c_hi = bs[level], cs[level]
+    rising = 1 + a - bs[level - 1] - cs[level - 1]
+    pre = _poch_ratio((b_hi, c_hi), (b_lo, c_lo), offset)
     if level == s:
-        pre = _poch_ratio((b_hi, c_hi), (b_lo, c_lo), offset)
-        inner = evaluate(
-            HypSpec.of(
-                [1 + a - bs[s - 1] - cs[s - 1], b_hi + offset, c_hi + offset],
-                [b_lo + offset, c_lo + offset],
-                1,
-            ),
-            cap=base_cap,
-        ).value
-        return pre * inner
-    total = ZERO
-    small = 0
-    rising = _frac(1 + a - bs[level - 1] - cs[level - 1])
-    factor = _poch_ratio((b_hi, c_hi), (b_lo, c_lo), offset)
-    k = 0
-    while k < 400:
-        kk = offset + k
-        term = factor * _nested_product_sum(a, bs, cs, level + 1, kk, tol, base_cap)
-        total = total + term
-        if abs(float(term)) < tol:
-            small += 1
-            if small >= 3 and k >= 8:
-                break
-        else:
-            small = 0
-        factor = factor * ExtReal.from_fraction(
-            (rising + k) * (b_hi + kk) * (c_hi + kk) / ((k + 1) * (b_lo + kk) * (c_lo + kk)))
-        k += 1
-    return total
+        inner = evaluate(HypSpec.of([rising, b_hi + offset, c_hi + offset],
+                                    [b_lo + offset, c_lo + offset], 1))
+        return pre * inner.value, float(inner.tail_estimate) / abs(float(inner.value)) + 2.0 ** -104
+    first, first_err = _nested_product_sum(a, bs, cs, level + 1, offset)
+
+    def ratios():
+        v, worst = first, 0.0
+        for k in itertools.count():
+            kk = offset + k
+            w, err = _nested_product_sum(a, bs, cs, level + 1, kk + 1)
+            r = ((rising + k) * (b_hi + kk) * (c_hi + kk) * w.to_fraction()
+                 / ((k + 1) * (b_lo + kk) * (c_lo + kk) * v.to_fraction()))
+            v, worst = w, max(worst, err)
+            yield r.numerator, r.denominator, worst + first_err
+
+    total, est, _ = levin_sum(ratios())
+    value = pre * first * ExtReal.from_fraction(total)
+    return value, est / abs(float(total)) + first_err + 2.0 ** -104
 
 
 def check_andrews_limit(s: int, a: Param, bs: Sequence[Param], cs: Sequence[Param]) -> ExtReal:
@@ -487,14 +389,7 @@ def check_andrews_limit(s: int, a: Param, bs: Sequence[Param], cs: Sequence[Para
         raise DomainError("left-hand side not convergent on this parameter set")
     lhs = evaluate(spec).value
     pre = gamma_ratio([1 + a - bs[s], 1 + a - cs[s]], [1 + a, 1 + a - bs[s] - cs[s]])
-    if s == 0:
-        rhs = pre
-    elif s == 1:
-        rhs = pre * _nested_product_sum(a, bs, cs, 1, 0, 1e-16, base_cap=1600)
-    else:
-        # per-axis precision budget: the nested levels only need to beat the
-        # stated 1e-8 tolerance, so the shifted inner sums run short
-        rhs = pre * _nested_product_sum(a, bs, cs, 1, 0, 3e-12, base_cap=160)
+    rhs = pre * _nested_product_sum(a, bs, cs, 1, 0)[0] if s else pre
     return abs(lhs - rhs)
 
 

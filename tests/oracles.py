@@ -115,16 +115,6 @@ def brute_double_sum(r: int, s: int, r_bar: bool, s_bar: bool, n: int = 4000) ->
     return total + limit * (n ** (1 - s) / (s - 1) - 0.5 * n ** -s)
 
 
-def harmonic_alternating(terms: int) -> list:
-    """Partial sums of sum (-1)^m / m, for bracketing checks."""
-    out = []
-    total = 0.0
-    for m in range(1, terms + 1):
-        total += (-1) ** m / m
-        out.append(total)
-    return out
-
-
 def decimal_exp(x: Fraction) -> Fraction:
     """exp(x) correctly rounded to 60 significant digits by `decimal`."""
     return Fraction(_DEC60.exp(_DEC60.divide(Decimal(x.numerator), Decimal(x.denominator))))

@@ -80,8 +80,8 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(["compute", "hyp", "--upper", "1,1", "--lower", "1e999", "--x", "1"], capsys)
     assert code == 2  # parameter beyond the double range
-    code, _, _ = run_cli(["compute", "hyp", "--upper", "1/3,1/3", "--lower", "1e308", "--x", "1"], capsys)
-    assert code == 2  # the +1 tail asymptotics overflow to nan
+    code, out, _ = run_cli(["compute", "hyp", "--upper", "1/3,1/3", "--lower", "1e308", "--x", "1"], capsys)
+    assert code == 0 and out.strip() == "1.00000000000000000000000000000"  # Gauss: 1 + O(1e-309)
     code, _, _ = run_cli(["compute", "hyp", "--upper=-1e999,1", "--lower", "2", "--x", "1"], capsys)
     assert code == 2  # terminating length beyond any index
     code, _, _ = run_cli(["compute", "hyp", "--upper=-1001,1/3", "--lower", "2/7", "--x", "1"], capsys)

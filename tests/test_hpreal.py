@@ -15,16 +15,13 @@ from eulerlab.hpreal import (
     const_gamma_f64,
     const_ln2,
     const_pi,
-    euler_average_fixed,
     exp_dd,
-    from_fixed,
     ln_dd,
     machin_pi_fraction,
     atanh_ln2_fraction,
     parse_decimal,
     sinc_pi,
     to_decimal,
-    to_fixed,
 )
 from conftest import PI_50, LN2_50, approx_abs
 import oracles
@@ -292,16 +289,6 @@ def test_to_decimal_scientific_and_roundtrip():
 def test_parse_to_decimal_consistency(f):
     s = to_decimal(f, 36)
     assert abs(parse_decimal(s) - f) <= abs(f) * Fraction(1, 10 ** 34) + Fraction(1, 10 ** 40)
-
-
-# ---------------------------------------------------------------------------
-# alternating-series averaging
-# ---------------------------------------------------------------------------
-
-def test_euler_average_on_alternating_harmonic():
-    partials = [to_fixed(ExtReal(p)) for p in oracles.harmonic_alternating(64)]
-    value, _ = euler_average_fixed(partials, 16)
-    assert abs(float(from_fixed(value)) + math.log(2)) < 1e-14
 
 
 def test_to_decimal_boundaries():
