@@ -14,8 +14,8 @@ from .hpreal import (
     to_decimal,
 )
 from .zeta_core import (
-    RegValue,
     SeriesResult,
+    ZetaPoly,
     zeta,
     zeta_bar,
     zeta_bar_direct,

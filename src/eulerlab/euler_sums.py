@@ -8,19 +8,20 @@ sum per inner level from block to block, in float64 with an exact accumulator
 rounded once at the end.  Its tail is built level by level from remainder
 expansions (Euler-Maclaurin for smooth sums, Boole for alternating ones)
 generated from the Bernoulli numbers, for every bar pattern and depth; runs
-at n_max = 1e5 land within ~2e-16 absolute.  Closed forms are evaluated in
-the RegValue ring in double-double.
+at n_max = 1e5 land within ~2e-16 absolute.  Closed forms are exact
+elements of the ZetaPoly ring, so the identities among them cancel exactly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .hpreal import DomainError, ExtReal, ZERO, binom, const_gamma_f64, em_coefficient
-from .zeta_core import RegValue, SeriesResult, zeta, zeta_bar, zeta_reg
+from .zeta_core import SeriesResult, ZetaPoly, zeta, zeta_bar, zeta_reg
 
 __all__ = [
     "DoubleIndex",
@@ -257,21 +258,10 @@ def _dd(r, s, r_bar=False, s_bar=False, n_max=DEFAULT_N_MAX) -> ExtReal:
 
 
 # ---------------------------------------------------------------------------
-# Odd-weight closed forms, evaluated in the RegValue ring
+# Odd-weight closed forms, exact in the ZetaPoly ring
 # ---------------------------------------------------------------------------
 
-def _check_odd(r: int, s: int) -> int:
-    k = r + s
-    if r < 1 or s < 1:
-        raise DomainError("closed forms require r, s >= 1")
-    if k % 2 == 0:
-        raise DomainError(f"closed forms hold for odd weight only, got k = {k}")
-    if k > 39:
-        raise DomainError("closed forms capped at weight 39")
-    return k
-
-
-def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> RegValue:
+def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> ZetaPoly:
     """zeta(r, s) with optional bars, for odd k = r+s, as a finite zeta combination.
 
     With x = r_bar xor s_bar:
@@ -282,47 +272,46 @@ def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> RegValue:
     symbol T and zeta(0) = zeta(0-bar) = -1/2.  On convergent indices the
     T-part cancels and the finite part is the double sum.
     """
-    k = _check_odd(r, s)
-    x = r_bar != s_bar
-    acc = zeta_reg(k, x) * -0.5
+    k, x = r + s, r_bar != s_bar
+    if r < 1 or s < 1:
+        raise DomainError("closed forms require r, s >= 1")
+    if k % 2 == 0:
+        raise DomainError(f"closed forms hold for odd weight only, got k = {k}")
+    if k > 39:
+        raise DomainError("closed forms capped at weight 39")
+    parts = [zeta_reg(k, x) * Fraction(-1, 2)]
     if s % 2 == 0:
-        acc = acc + zeta_reg(r, r_bar) * zeta_reg(s, s_bar)
+        parts.append(_product(r, r_bar, s, s_bar))
     sgn = -1 if r % 2 else 1
-    half = range((k - 1) // 2 + 1)
-    c_r = [(l, binom(k - 2 * l - 1, r - 1), r_bar) for l in half]
-    c_s = [(l, binom(k - 2 * l - 1, s - 1), s_bar) for l in half]
-    # the order of the terms fixes the last printed digits at high weight
-    if r_bar == s_bar:
-        # both terms multiply the same zeta product: add the coefficients first
-        terms = [(l, a + b, r_bar) for (l, a, _), (_, b, _) in zip(c_r, c_s)]
-    elif r == 1 and s_bar:
-        # zeta(1, s-bar) sums every C(k-2l-1, 0) term first; interleaving
-        # moves its values by up to 3e-20 relative
-        terms = c_r + c_s
-    else:
-        terms = [t for pair in zip(c_r, c_s) for t in pair]
-    for l, c, bar in terms:
-        if c:
-            acc = acc + zeta_reg(k - 2 * l, bar) * zeta_reg(2 * l, x) * (sgn * c)
-    return acc
+    for l in range((k - 1) // 2 + 1):
+        for c, bar in ((binom(k - 2 * l - 1, r - 1), r_bar), (binom(k - 2 * l - 1, s - 1), s_bar)):
+            if c:
+                parts.append(_product(k - 2 * l, bar, 2 * l, x) * (sgn * c))
+    return ZetaPoly.sum(parts)
 
 
-def closed_plain(r: int, s: int) -> RegValue:
+@lru_cache(maxsize=None)
+def _product(w: int, w_bar: bool, e: int, e_bar: bool) -> ZetaPoly:
+    """zeta(w; w_bar) zeta(e; e_bar), shared by every closed form of weight w + e."""
+    return zeta_reg(w, w_bar) * zeta_reg(e, e_bar)
+
+
+def closed_plain(r: int, s: int) -> ZetaPoly:
     """zeta(r,s) for odd r+s (Euler); see _closed."""
     return _closed(r, s, False, False)
 
 
-def closed_bar_r(r: int, s: int) -> RegValue:
+def closed_bar_r(r: int, s: int) -> ZetaPoly:
     """zeta(r-bar, s) for odd r+s: bar on the inner slot."""
     return _closed(r, s, True, False)
 
 
-def closed_bar_s(r: int, s: int) -> RegValue:
+def closed_bar_s(r: int, s: int) -> ZetaPoly:
     """zeta(r, s-bar) for odd r+s: bar on the outer slot."""
     return _closed(r, s, False, True)
 
 
-def closed_bar_both(r: int, s: int) -> RegValue:
+def closed_bar_both(r: int, s: int) -> ZetaPoly:
     """zeta(r-bar, s-bar) for odd r+s: bars on both slots."""
     return _closed(r, s, True, True)
 
@@ -337,7 +326,7 @@ CLOSED_FORMS = {
 }
 
 
-def closed_form(idx: DoubleIndex) -> RegValue:
+def closed_form(idx: DoubleIndex) -> ZetaPoly:
     """Dispatch to the closed form matching the index's bar pattern."""
     return CLOSED_FORMS[(idx.r_bar, idx.s_bar)][1](idx.r, idx.s)
 
@@ -356,14 +345,14 @@ def _product_bars(which: str):
     return _PRODUCTS[which]
 
 
-def _stuffle(r: int, s: int, a: bool, b: bool, double) -> RegValue:
+def _stuffle(r: int, s: int, a: bool, b: bool, double) -> ZetaPoly:
     """zeta(r; a) zeta(s; b) - D(r, s; a, b) - D(s, r; b, a) - zeta(r+s; a xor b),
-    with double(r, s, r_bar, s_bar) -> RegValue supplying the double sums D."""
+    with double(r, s, r_bar, s_bar) -> ring element supplying the double sums D."""
     return (zeta_reg(r, a) * zeta_reg(s, b) - double(r, s, a, b) - double(s, r, b, a)
             - zeta_reg(r + s, a != b))
 
 
-def stuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_MAX) -> RegValue:
+def stuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_MAX) -> ZetaPoly:
     """Residual of a double-stuffle relation with double sums taken directly.
 
     which = "mixed":        zeta(r-bar) zeta(s) - zeta(r-bar,s) - zeta(s,r-bar)
@@ -374,14 +363,14 @@ def stuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_M
     a, b = _product_bars(which)
     if not b and s < 2:
         raise DomainError("the product relation with an unbarred factor needs s >= 2")
-    return _stuffle(r, s, a, b, lambda *idx: RegValue(_dd(*idx, n_max), ZERO))
+    return _stuffle(r, s, a, b, lambda *idx: ZetaPoly.of(_dd(*idx, n_max)))
 
 
-def stuffle_closed_residual(r: int, s: int, which: str = "mixed") -> RegValue:
+def stuffle_closed_residual(r: int, s: int, which: str = "mixed") -> ZetaPoly:
     """Residual of a stuffle relation with every double sum from its closed form.
 
-    No direct sums are involved; in the mixed relation at s = 1 both sides
-    carry a T-part and the check runs symbolically in the T-ring.
+    No direct sums are involved, so the residual is exactly 0; in the mixed
+    relation at s = 1 both sides carry a T-part, which cancels too.
     """
     a, b = _product_bars(which)
     return _stuffle(r, s, a, b, lambda i, j, i_bar, j_bar: CLOSED_FORMS[(i_bar, j_bar)][1](i, j))

@@ -3,17 +3,18 @@ and the three families of relations among them.
 
 For a fixed weight k, each generating function is the homogeneous polynomial
 sum_{r+s=k} c_{r,s} x^(r-1) y^(s-1), stored as the coefficient array indexed
-by r = 1..k-1.  Coefficients are RegValues and always come from the direct
-summation evaluators, never from the closed forms under test, so the relation
-checks here are independent of the closed-form code paths.
+by r = 1..k-1.  Coefficients are ZetaPoly ring elements: products of single
+zeta values, and double sums that always come from the direct summation
+evaluators (as constants), never from the closed forms under test, so the
+relation checks here are independent of the closed-form code paths.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
-from .hpreal import DomainError, ZERO, binom
-from .zeta_core import RegValue, zeta, zeta_bar, zeta_reg
+from .hpreal import DomainError, binom
+from .zeta_core import ZetaPoly, zeta_reg
 from .euler_sums import DEFAULT_N_MAX, DoubleIndex, double_direct
 
 __all__ = ["HomogPoly", "build", "substitute", "RelationResidual", "RELATIONS",
@@ -33,7 +34,7 @@ class HomogPoly:
         if len(self.coeffs) != self.weight - 1:
             raise DomainError("coefficient array must have length k-1")
 
-    def coeff(self, r: int) -> RegValue:
+    def coeff(self, r: int) -> ZetaPoly:
         """Coefficient of x^(r-1) y^(k-r-1), r in 1..k-1."""
         return self.coeffs[r - 1]
 
@@ -52,19 +53,17 @@ class HomogPoly:
         return HomogPoly(self.weight, tuple(-c for c in self.coeffs))
 
 
-def _direct(r: int, s: int, r_bar: bool, s_bar: bool, n_max: int) -> RegValue:
-    v = double_direct(DoubleIndex(r, s, r_bar, s_bar), n_max).value
-    return RegValue(v, ZERO)
+def _direct(r: int, s: int, r_bar: bool, s_bar: bool, n_max: int) -> ZetaPoly:
+    return ZetaPoly.of(double_direct(DoubleIndex(r, s, r_bar, s_bar), n_max).value)
 
 
-def _g1(r: int, s: int, n_max: int) -> RegValue:
+def _g1(r: int, s: int, n_max: int) -> ZetaPoly:
     """zeta(r-bar, s); the divergent slot s = 1 uses the stuffle regularization
     zeta(r-bar, 1) = zeta(r-bar) T - zeta(1, r-bar) - zeta(r+1-bar), which is
     the one genuinely T-carrying coefficient in the whole family."""
     if s != 1:
         return _direct(r, s, True, False, n_max)
-    finite = -double_direct(DoubleIndex(1, r, False, True), n_max).value - zeta_bar(r + 1)
-    return RegValue(finite, zeta_bar(r))
+    return zeta_reg(r, True) * zeta_reg(1) - _direct(1, r, False, True, n_max) - zeta_reg(r + 1, True)
 
 
 # name -> coefficient c_{r,s} of x^(r-1) y^(s-1), from direct evaluators only
@@ -74,8 +73,8 @@ _COEFFS = {
     "G1": _g1,
     "G2": lambda r, s, n_max: _direct(r, s, False, True, n_max),
     "G3": lambda r, s, n_max: _direct(r, s, True, True, n_max),
-    "T1": lambda r, s, n_max: RegValue(zeta(r + s), ZERO),
-    "T2": lambda r, s, n_max: RegValue(zeta_bar(r + s), ZERO),
+    "T1": lambda r, s, n_max: zeta_reg(r + s),
+    "T2": lambda r, s, n_max: zeta_reg(r + s, True),
 }
 
 
@@ -98,30 +97,24 @@ def substitute(p: HomogPoly, mat: Matrix) -> HomogPoly:
 
     Matrix entries are restricted to {-1, 0, 1}: the relations only ever use
     sign flips, swaps and the shear (x, x+y) and its relatives.  The
-    combinatorics are exact integers; RegValues are combined linearly.
+    combinatorics are exact integers; ring elements are combined linearly.
     """
     (a, b), (c, d) = mat
     for entry in (a, b, c, d):
         if entry not in (-1, 0, 1):
             raise DomainError("substitution matrix entries must be in {-1, 0, 1}")
     k = p.weight
-    acc: list = [None] * (k - 1)
+    terms: list = [[] for _ in range(k - 1)]  # terms[u]: the parts of x^u
     for r in range(1, k):
         s = k - r
         coeff = p.coeffs[r - 1]
         for i in range(r):  # (a x + b y)^(r-1) term i
             w1 = binom(r - 1, i) * a ** i * b ** (r - 1 - i)
-            if w1 == 0:
-                continue
             for j in range(s):  # (c x + d y)^(s-1) term j
                 w = w1 * binom(s - 1, j) * c ** j * d ** (s - 1 - j)
-                if w == 0:
-                    continue
-                u = i + j  # exponent of x
-                contrib = coeff * w
-                acc[u] = contrib if acc[u] is None else acc[u] + contrib
-    zero = RegValue(ZERO, ZERO)
-    return HomogPoly(weight=k, coeffs=tuple(zero if c is None else c for c in acc))
+                if w:
+                    terms[i + j].append(coeff * w)
+    return HomogPoly(weight=k, coeffs=tuple(ZetaPoly.sum(parts) for parts in terms))
 
 
 class RelationResidual(NamedTuple):

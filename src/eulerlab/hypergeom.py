@@ -410,7 +410,8 @@ def check_odd_zeta_series(x: Param) -> ExtReal:
 
     The first series is summed through the generic +1 evaluator (it is a
     balanced 4F3 after the index shift m = n+1); the second from the zeta
-    table; both truncations are independent.
+    table as x^2/(1-x^2) + sum_{r<=29} (zeta(2r+1) - 1) x^(2r), whose terms
+    fall like (x/2)^(2r); both truncations are independent.
     """
     xf = _frac(x)
     if abs(xf) >= Fraction(1, 2):
@@ -418,13 +419,7 @@ def check_odd_zeta_series(x: Param) -> ExtReal:
     if xf == 0:
         return ZERO
     series1 = _core_series(xf, xf)
-    xv = ExtReal.from_fraction(xf)
-    x2 = xv * xv
-    series2 = ZERO
-    xpow = x2
-    r = 1
-    while abs(float(xpow)) > 1e-40 and r <= 29:
-        series2 = series2 + zeta(2 * r + 1) * xpow
-        xpow = xpow * x2
-        r += 1
+    x2 = ExtReal.from_fraction(xf * xf)
+    series2 = sum(((zeta(2 * r + 1) - 1) * x2 ** r for r in range(1, 30)),
+                  ExtReal.from_fraction(xf * xf / (1 - xf * xf)))
     return abs(series1 + series2)

@@ -9,13 +9,13 @@ built level by level from each level's remainder expansion.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
-from .hpreal import DomainError, ExtReal, ONE, ZERO, binom, const_pi, sinc_pi
-from .zeta_core import SeriesResult, zeta, zeta_bar
+from .hpreal import DomainError, ExtReal, ZERO, binom, sinc_pi
+from .zeta_core import SeriesResult, ZetaPoly, zeta_bar, zeta_reg
 from .euler_sums import (
     DEFAULT_N_MAX,
     N_MAX_CAP,
@@ -62,15 +62,20 @@ class HIndex:
         return (2,) * self.a + (3,) + (2,) * self.b
 
 
-def h_single(a: int, star: bool = False) -> ExtReal:
-    """H(a) = pi^(2a)/(2a+1)! and H*(a) = -2 zeta(2a-bar); H(0) = H*(0) = 1."""
+@lru_cache(maxsize=None)
+def _h_single(a: int, star: bool) -> ZetaPoly:
     if a < 0 or a > 20:
         raise DomainError("h_single requires 0 <= a <= 20")
     if a == 0:
-        return ONE
+        return ZetaPoly.of(1)
     if star:
-        return -2 * zeta_bar(2 * a)
-    return const_pi() ** (2 * a) / ExtReal.from_fraction(Fraction(math.factorial(2 * a + 1)))
+        return -2 * zeta_reg(2 * a, True)
+    return _h_single(a - 1, False) * zeta_reg(2) * Fraction(3, a * (2 * a + 1))  # pi^2 = 6 zeta(2)
+
+
+def h_single(a: int, star: bool = False) -> ExtReal:
+    """H(a) = pi^(2a)/(2a+1)! and H*(a) = -2 zeta(2a-bar); H(0) = H*(0) = 1."""
+    return _h_single(a, star).finite
 
 
 # ---------------------------------------------------------------------------
@@ -106,32 +111,37 @@ def h_direct(idx: HIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def _h_closed(a: int, b: int, star: bool) -> ExtReal:
-    """sum_{r<=K} sign_r {c_r zeta(2r+1) + C(2r,2b+1) zeta(2r+1-bar)} H(K-r),
-    K = a+b+1: c_r = C(2r,2a+2), sign_r = (-1)^r for H; c_r = C(2r,2a) -
-    delta_{r,a}, sign_r = 1 and H* in place of H for H*."""
+def _h(a: int, b: int, star: bool) -> ZetaPoly:
+    """H(a,b) = 2 sum_{r<=K} (-1)^r [C(2r,2a+2) zeta(2r+1)
+    + C(2r,2b+1) zeta(2r+1-bar)] H(K-r),  K = a+b+1;
+    H*(a,b) = -2 sum_{r<=K} {[C(2r,2a) - delta_{r,a}] zeta(2r+1)
+    + C(2r,2b+1) zeta(2r+1-bar)} H*(K-r)."""
     k = a + b + 1
     if k > 20:
         raise DomainError("closed forms capped at K = 20")
-    total = ZERO
+    parts = []
     for r in range(1, k + 1):
         c_plain = (binom(2 * r, 2 * a) - (r == a)) if star else binom(2 * r, 2 * a + 2)
-        coeff = c_plain * zeta(2 * r + 1) + binom(2 * r, 2 * b + 1) * zeta_bar(2 * r + 1)
-        term = coeff * h_single(k - r, star)
-        total = total - term if r % 2 and not star else total + term
-    return total
+        sign = -2 if star or r % 2 else 2
+        parts.append(_zeta_times_h(2 * r + 1, False, k - r, star) * (sign * c_plain))
+        parts.append(_zeta_times_h(2 * r + 1, True, k - r, star) * (sign * binom(2 * r, 2 * b + 1)))
+    return ZetaPoly.sum(parts)
+
+
+@lru_cache(maxsize=None)
+def _zeta_times_h(w: int, bar: bool, n: int, star: bool) -> ZetaPoly:
+    """zeta(w; bar) H(n), or H*(n) if star, shared by every closed form of K = n + (w-1)/2."""
+    return zeta_reg(w, bar) * _h_single(n, star)
 
 
 def h_closed(a: int, b: int) -> ExtReal:
-    """H(a,b) = 2 sum_{r<=K} (-1)^r [C(2r,2a+2) zeta(2r+1)
-    + C(2r,2b+1) zeta(2r+1-bar)] H(K-r),  K = a+b+1."""
-    return 2 * _h_closed(a, b, False)
+    """H(a,b) from its binomial closed form (see _h)."""
+    return _h(a, b, False).finite
 
 
 def hstar_closed(a: int, b: int) -> ExtReal:
-    """H*(a,b) = -2 sum_{r<=K} {[C(2r,2a) - delta_{r,a}] zeta(2r+1)
-    + C(2r,2b+1) zeta(2r+1-bar)} H*(K-r)."""
-    return -2 * _h_closed(a, b, True)
+    """H*(a,b) from its binomial closed form (see _h)."""
+    return _h(a, b, True).finite
 
 
 def hstar_pilehrood(a: int, b: int, n_max: int = DEFAULT_N_MAX) -> ExtReal:
@@ -146,8 +156,7 @@ def hstar_pilehrood(a: int, b: int, n_max: int = DEFAULT_N_MAX) -> ExtReal:
 def hstar_closed_via_double(a: int, b: int) -> ExtReal:
     """Same identity as hstar_pilehrood but with the double sum from its own
     closed form: a pure closed-form re-derivation of H*(a,b)."""
-    dd = closed_bar_s(2 * a + 1, 2 * b + 2).finite
-    return -4 * dd - 2 * zeta_bar(2 * a + 2 * b + 3)
+    return (-4 * closed_bar_s(2 * a + 1, 2 * b + 2) - 2 * zeta_reg(2 * a + 2 * b + 3, True)).finite
 
 
 # ---------------------------------------------------------------------------
@@ -162,36 +171,24 @@ def sum_identities(k: int) -> Tuple[ExtReal, ExtReal]:
     """
     if not 1 <= k <= 6:
         raise DomainError("sum identities verified for 1 <= K <= 6")
-    lhs_h = ZERO
-    lhs_hs = ZERO
-    for a in range(k):
-        b = k - 1 - a
-        lhs_h = lhs_h + h_closed(a, b)
-        lhs_hs = lhs_hs + hstar_closed(a, b)
-    rhs_h = ZERO
-    rhs_hs = ZERO
-    for r in range(1, k + 1):
-        term = h_single(k - r) * zeta(2 * r + 1)
-        rhs_h = rhs_h + term if r % 2 else rhs_h - term
-        rhs_hs = rhs_hs + h_single(k - r, star=True) * zeta(2 * r + 1)
-    return (lhs_h - rhs_h, lhs_hs - rhs_hs)
+    res_h = ZetaPoly.sum([_h(a, k - 1 - a, False) for a in range(k)] + [
+        (-1) ** r * _h_single(k - r, False) * zeta_reg(2 * r + 1) for r in range(1, k + 1)])
+    res_hs = ZetaPoly.sum([_h(a, k - 1 - a, True) for a in range(k)] + [
+        -_h_single(k - r, True) * zeta_reg(2 * r + 1) for r in range(1, k + 1)])
+    return res_h.finite, res_hs.finite
 
 
-def _weighted_hstar(k: int, r: Optional[int] = None) -> ExtReal:
-    """sum_{a+b=K-1} (1 + delta_{a,0}/2 - K delta_{a,r}) H*(a,b), zero weights skipped."""
-    total = ZERO
-    for a in range(k):
-        w = Fraction(1) + (Fraction(1, 2) if a == 0 else 0) - (k if a == r else 0)
-        if w:
-            total = total + ExtReal.from_fraction(w) * hstar_closed(a, k - 1 - a)
-    return total
+def _weighted_hstar(k: int, r: Optional[int] = None) -> ZetaPoly:
+    """sum_{a+b=K-1} (1 + delta_{a,0}/2 - K delta_{a,r}) H*(a,b)."""
+    return ZetaPoly.sum((1 + (Fraction(1, 2) if a == 0 else 0) - (k if a == r else 0))
+                        * _h(a, k - 1 - a, True) for a in range(k))
 
 
 def zeta_bar_odd_from_hstar(k: int) -> ExtReal:
     """zeta(2K+1-bar) = -(1/2K) sum_{a+b=K-1} (1 + delta_{a,0}/2) H*(a,b)."""
     if not 1 <= k <= 6:
         raise DomainError("verified for 1 <= K <= 6")
-    return -_weighted_hstar(k) / (2 * k)
+    return (_weighted_hstar(k) * Fraction(-1, 2 * k)).finite
 
 
 def zeta_from_hstar(r: int, s: int) -> ExtReal:
@@ -202,7 +199,7 @@ def zeta_from_hstar(r: int, s: int) -> ExtReal:
     k = r + s
     if k > 6:
         raise DomainError("verified for K <= 6")
-    return _weighted_hstar(k, r) / (4 * k)
+    return (_weighted_hstar(k, r) * Fraction(1, 4 * k)).finite
 
 
 # ---------------------------------------------------------------------------

@@ -1,41 +1,29 @@
-"""Single zeta values zeta(k), alternating zeta values zeta(k-bar), and the
+"""Single zeta values zeta(k), alternating zeta values zeta(k-bar), the
 regularized conventions zeta(0) = zeta(0-bar) = -1/2, zeta(1) = T,
-zeta(1-bar) = -ln 2.
+zeta(1-bar) = -ln 2, and the exact ring ZetaPoly of closed forms.
 
-zeta(k) is an Euler-Maclaurin sum in double-double; the direct alternating
-series zeta_bar_direct, a cross-check independent of the reflection formula,
-is summed by hpreal's Levin transform on its exact terms.
-
-The divergent weight-1 value is carried symbolically: a RegValue is an element
-of the ring R + R*T, where T stands for the regularized zeta(1).  Every
-convergent quantity embeds with tcoef exactly zero.
+A ZetaPoly has rational coefficients on monomials in pi, ln 2, T and the odd
+zeta values: zeta(2n) enters as a Bernoulli rational times pi^2n and
+zeta(k-bar) as -(1 - 2^(1-k)) zeta(k), so identities among closed forms
+cancel exactly.  zeta(k) and zeta_bar(k) are the finite parts of their ring
+elements.  The direct alternating series zeta_bar_direct, a cross-check
+independent of the reflection formula, is summed by hpreal's Levin transform
+on its exact terms.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
-from .hpreal import (
-    DomainError,
-    ExtReal,
-    ONE,
-    ZERO,
-    const_ln2,
-    em_coefficient,
-    levin_sum,
-    to_decimal,
-)
+from .hpreal import (FIXED_BITS, DomainError, ExtReal, atanh_ln2_fraction, bernoulli,
+                     em_coefficient, from_fixed, levin_sum, machin_pi_fraction)
 
-__all__ = [
-    "WEIGHT_CAP",
-    "RegValue",
-    "SeriesResult",
-    "zeta",
-    "zeta_bar",
-    "zeta_reg",
-    "zeta_bar_direct",
-]
+__all__ = ["WEIGHT_CAP", "ZetaPoly", "SeriesResult", "zeta", "zeta_bar", "zeta_reg",
+           "zeta_bar_direct"]
 
 WEIGHT_CAP = 60
 
@@ -53,127 +41,171 @@ class SeriesResult:
             raise DomainError("tail_estimate must be nonnegative")
 
 
-@dataclass(frozen=True)
-class RegValue:
-    """finite + tcoef * T, with T the symbolic divergent zeta(1).
+# Ring elements are evaluated at 2^-_BITS: closed forms cancel at most ~2^58
+# (double sums, k <= 39) and ~2^139 (H and H*, K <= 20) of their terms' size,
+# which leaves at least 180 bits for the one rounding to ExtReal.
+_BITS = 320
 
-    Products of two genuinely divergent values (T*T) never occur in any
-    in-scope relation and are rejected outright.
+# A monomial is the sorted tuple of its generators, repeated by power: an odd
+# w >= 3 stands for zeta(w), _T for the regularized zeta(1), _PI and _LN2 for
+# pi and ln 2; () is 1.
+_PI, _LN2, _T = -1, 0, 1
+
+
+@lru_cache(maxsize=None)
+def _generator(g: int) -> int:
+    """The generator g times 2^_BITS: pi and ln 2 from 100-digit rationals,
+    zeta(w) by Euler-Maclaurin at N = 2^8 (so N^-w is a shift) with 16 guard
+    bits, sum_{m<N} m^-w + N^(1-w)/(w-1) + N^-w/2 + sum_j kappa_j (w)_(2j-1)
+    N^(1-w-2j), up to the first correction below the unit (25 of them at w = 3)."""
+    if g in (_PI, _LN2):
+        return math.floor((machin_pi_fraction if g == _PI else atanh_ln2_fraction)(100) * (1 << _BITS))
+    one = 1 << (_BITS + 16)
+    total = sum(one // m ** g for m in range(1, 256)) + (one >> 8 * g - 8) // (g - 1) + (one >> 8 * g + 1)
+    rising = g  # (w)_(2j-1)
+    for j in itertools.count(1):
+        kappa = em_coefficient(j)
+        term = (one * rising * kappa.numerator // kappa.denominator) >> 8 * (g + 2 * j - 1)
+        if term in (0, -1):
+            return total >> 16
+        total += term
+        rising *= (g + 2 * j - 1) * (g + 2 * j)
+
+
+@lru_cache(maxsize=None)
+def _monomial(mono: tuple) -> int:
+    """The product of a monomial's generators times 2^_BITS."""
+    value = 1 << _BITS
+    for g in mono:
+        value = value * _generator(g) >> _BITS
+    return value
+
+
+class ZetaPoly:
+    """Exact element of Q[pi, ln 2, zeta(3), zeta(5), ..., T]: `terms` maps
+    monomials to nonzero Fractions, read-only since cached elements are
+    shared.  Ints, Fractions and ExtReals (as the exact dyadic rationals they
+    hold) combine with it as constants.
+
+    `finite` (T := 0) and `tcoef` (the coefficient of T) sum the exact
+    integer combination of the monomials' values at 2^-320, so term order
+    cannot matter, and round once to ExtReal.  T*T never occurs in an
+    in-scope relation and is rejected.
     """
 
-    finite: ExtReal
-    tcoef: ExtReal
+    __slots__ = ("terms", "_finite")
+
+    def __init__(self, terms=(), finite=None):
+        self.terms = MappingProxyType({m: c for m, c in dict(terms).items() if c})
+        self._finite = finite  # the rounded finite part, once known
+
+    @staticmethod
+    def of(x) -> "ZetaPoly":
+        """x if it is a ring element, else the constant x."""
+        if isinstance(x, ZetaPoly):
+            return x
+        return ZetaPoly({(): x.to_fraction() if isinstance(x, ExtReal) else Fraction(x)})
+
+    @staticmethod
+    def sum(elements) -> "ZetaPoly":
+        """The sum of ring elements and constants, collected in one pass."""
+        terms: dict = {}
+        for e in elements:
+            for m, c in ZetaPoly.of(e).terms.items():
+                terms[m] = terms.get(m, 0) + c
+        return ZetaPoly(terms)
+
+    def _part(self, t_degree: int) -> ExtReal:
+        parts = [(c, _monomial(tuple(g for g in m if g != _T)))
+                 for m, c in self.terms.items() if m.count(_T) == t_degree]
+        den = math.lcm(*(c.denominator for c, _ in parts))
+        num = sum(c.numerator * (den // c.denominator) * v for c, v in parts)
+        return from_fixed((2 * num + den) // (2 * den), FIXED_BITS - _BITS)
 
     @property
-    def is_convergent(self) -> bool:
-        return float(self.tcoef) == 0.0
+    def finite(self) -> ExtReal:
+        if self._finite is None:
+            self._finite = self._part(0)
+        return self._finite
 
-    def __add__(self, other: "RegValue") -> "RegValue":
-        return RegValue(self.finite + other.finite, self.tcoef + other.tcoef)
+    @property
+    def tcoef(self) -> ExtReal:
+        return self._part(1)
 
-    def __sub__(self, other: "RegValue") -> "RegValue":
-        return RegValue(self.finite - other.finite, self.tcoef - other.tcoef)
+    def __add__(self, other) -> "ZetaPoly":
+        return ZetaPoly.sum((self, other))
 
-    def __neg__(self) -> "RegValue":
-        return RegValue(-self.finite, -self.tcoef)
+    def __neg__(self) -> "ZetaPoly":
+        return self * -1
 
-    def __mul__(self, other):
-        if isinstance(other, RegValue):
-            if float(self.tcoef) != 0.0 and float(other.tcoef) != 0.0:
-                raise DomainError("T*T is not defined in the regularized ring")
-            return RegValue(
-                self.finite * other.finite,
-                self.finite * other.tcoef + self.tcoef * other.finite,
-            )
-        return RegValue(self.finite * other, self.tcoef * other)
+    def __sub__(self, other) -> "ZetaPoly":
+        return ZetaPoly.sum((self, -ZetaPoly.of(other)))
 
-    __rmul__ = __mul__
+    def __mul__(self, other) -> "ZetaPoly":
+        terms: dict = {}
+        for m2, c2 in ZetaPoly.of(other).terms.items():
+            for m1, c1 in self.terms.items():
+                m = tuple(sorted(m1 + m2)) if m2 else m1
+                if m.count(_T) > 1:
+                    raise DomainError("T*T is not defined in the regularized ring")
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return ZetaPoly(terms)
 
-    def __str__(self) -> str:
-        if self.is_convergent:
-            return to_decimal(self.finite)
-        return f"{to_decimal(self.finite)} + ({to_decimal(self.tcoef)})*T"
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __eq__(self, other) -> bool:
+        return self.terms == ZetaPoly.of(other).terms
+
+    __hash__ = None
 
 
-# ---------------------------------------------------------------------------
-# Euler-Maclaurin evaluation of zeta(k)
-# ---------------------------------------------------------------------------
-
-_EM_N, _EM_M = 40, 20
+def _single(k: int, bar: bool) -> dict:
+    """Terms of zeta(k), k >= 2, or zeta(k-bar), k >= 1, with
+    zeta(2n) = (-1)^(n+1) B_2n 2^(2n-1) / (2n)! pi^2n."""
+    if bar and k == 1:
+        return {(_LN2,): Fraction(-1)}
+    scale = Fraction(1, 1 << (k - 1)) - 1 if bar else Fraction(1)
+    if k % 2:
+        return {(k,): scale}
+    return {(_PI,) * k: scale * (-1) ** (k // 2 + 1) * bernoulli(k) * (1 << (k - 1)) / math.factorial(k)}
 
 
 @lru_cache(maxsize=None)
 def zeta(k: int) -> ExtReal:
-    """zeta(k) for integer k in [2, 60], >= 30 correct digits:
-    sum_{n<N} n^-k + N^(1-k)/(k-1) + N^-k/2 + Bernoulli corrections.
-
-    With (N, M) = (40, 20) the first omitted correction is far below 1e-32
-    for every k in [2, 60].
-    """
-    if k < 2:
-        raise DomainError("zeta requires k >= 2; use zeta_reg for k in {0, 1}")
-    if k > WEIGHT_CAP:
-        raise DomainError(f"zeta weight must be <= {WEIGHT_CAP}")
-    n = _EM_N
-    total = ZERO
-    for j in range(1, n):
-        total = total + ONE / ExtReal.from_real(j ** k)
-    nk = ExtReal.from_real(n) ** (-k)
-    total = total + ExtReal.from_real(n) * nk / (k - 1) + nk / 2
-    # + sum_j B_2j/(2j)! (k)_{2j-1} N^{1-k-2j}
-    rising = k  # (k)_1
-    npow = nk / n  # N^(-k-1)
-    for j in range(1, _EM_M + 1):
-        total = total + ExtReal.from_fraction(em_coefficient(j)) * rising * npow
-        rising *= (k + 2 * j - 1) * (k + 2 * j)
-        npow = npow / (n * n)
-    return total
+    """zeta(k) for integer k in [2, 60], within 2^-106 relative."""
+    if not 2 <= k <= WEIGHT_CAP:
+        raise DomainError(f"zeta requires 2 <= k <= {WEIGHT_CAP}; use zeta_reg for k in {{0, 1}}")
+    return ZetaPoly(_single(k, False)).finite
 
 
 @lru_cache(maxsize=None)
 def zeta_bar(k: int) -> ExtReal:
-    """zeta(k-bar) = -(1 - 2^(1-k)) zeta(k) for k >= 2; -ln 2 at k = 1.
-
-    The k = 1 value is the sum of the defining series sum (-1)^m/m and the
-    k -> 1 limit of the reflection formula.
-    """
+    """zeta(k-bar) = -(1 - 2^(1-k)) zeta(k) for k >= 2; -ln 2 at k = 1, the
+    sum of sum (-1)^m/m and the k -> 1 limit of the reflection formula."""
     if k < 1 or k > WEIGHT_CAP:
         raise DomainError("zeta_bar requires 1 <= k <= 60; use zeta_reg for k = 0")
-    if k == 1:
-        return -const_ln2()
-    return -(ONE - ExtReal(2.0 ** (1 - k))) * zeta(k)
+    return ZetaPoly(_single(k, True)).finite
 
 
-def zeta_reg(k: int, bar: bool = False) -> RegValue:
-    """Regularized zeta(k), or zeta(k-bar) if bar, at any weight in [0, 60].
-
+@lru_cache(maxsize=None)
+def zeta_reg(k: int, bar: bool = False) -> ZetaPoly:
+    """Regularized zeta(k), or zeta(k-bar) if bar, at any weight in [0, 60]:
     weight 0 -> -1/2 for both bar values; weight 1 -> the pure symbol T
-    (unbarred) or -ln 2 (barred); weight >= 2 embeds the convergent value.
-    """
+    (unbarred) or -ln 2 (barred).  Any other value carries zeta(k) or
+    zeta_bar(k) as its finite part, from their caches."""
     if not 0 <= k <= WEIGHT_CAP:
         raise DomainError(f"zeta weight must be in [0, {WEIGHT_CAP}]")
     if k == 0:
-        return RegValue(ExtReal(-0.5), ZERO)
-    if k == 1:
-        if bar:
-            return RegValue(-const_ln2(), ZERO)
-        return RegValue(ZERO, ONE)
-    return RegValue(zeta_bar(k) if bar else zeta(k), ZERO)
+        return ZetaPoly({(): Fraction(-1, 2)})
+    if k == 1 and not bar:
+        return ZetaPoly({(_T,): Fraction(1)})
+    return ZetaPoly(_single(k, bar), zeta_bar(k) if bar else zeta(k))
 
-
-# ---------------------------------------------------------------------------
-# Direct alternating series, used as a cross-check oracle for zeta_bar
-# ---------------------------------------------------------------------------
 
 def zeta_bar_direct(k: int) -> SeriesResult:
     """sum_{m>=1} (-1)^m m^-k by the Levin transform (hpreal.levin_sum) of
-    its exact terms, independent of the reflection formula.
-
-    The estimate adds 2^-100 |value|: as a cross-check of zeta_bar it must
-    also cover the reflection side, whose zeta(k) holds ~1e-31 relative.
-    """
+    its exact terms, independent of the reflection formula."""
     if k < 1 or k > WEIGHT_CAP:
         raise DomainError(f"zeta_bar_direct requires 1 <= k <= {WEIGHT_CAP}")
     total, est, n = levin_sum((-(m ** k), (m + 1) ** k, 0.0) for m in itertools.count(1))
-    est += 2.0 ** -100 * abs(float(total))
     return SeriesResult(value=-ExtReal.from_fraction(total), terms_used=n, tail_estimate=ExtReal(est))

@@ -7,7 +7,7 @@ averaging) for the double sums, Pascal's triangle for binomials, the stdlib
 `decimal` module at 60 digits for exp and ln, Euler-Maclaurin in exact
 rationals (Bernoulli numbers by the Akiyama-Tanigawa table) for Euler's
 constant and zeta(k), and closed forms in exact rationals for hypergeometric
-sums.
+sums, for Euler's odd-weight double sums and for Zagier's H(a,b) / H*(a,b).
 """
 from __future__ import annotations
 
@@ -83,6 +83,7 @@ def pi_squared_over_6(digits: int = 45) -> Fraction:
     return machin_pi(digits) ** 2 / 6
 
 
+@lru_cache(maxsize=None)
 def pascal_binom(n: int, k: int) -> int:
     """C(n, k) from Pascal's triangle, no factorials."""
     if k < 0 or k > n:
@@ -203,4 +204,88 @@ def sinc_pi(y: Fraction, digits: int = 45) -> Fraction:
         term = term * z2 / ((2 * n) * (2 * n + 1))
         total += -term if n % 2 else term
         n += 1
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Euler's and Zagier's closed forms in Fractions, from 80-digit zeta values
+# ---------------------------------------------------------------------------
+
+_ORACLE_BITS = 320
+
+
+def _round_bits(x: Fraction) -> Fraction:
+    """x to the nearest multiple of 2^-320, so that products stay small."""
+    return Fraction(round(x * (1 << _ORACLE_BITS)), 1 << _ORACLE_BITS)
+
+
+@lru_cache(maxsize=None)
+def zeta_80(k: int) -> Fraction:
+    """zeta(k), even or odd k >= 2, to 80 digits by `zeta` (Euler-Maclaurin
+    at N = 60) -- never as a rational times pi^k."""
+    return _round_bits(zeta(k, n=60, digits=80))
+
+
+def _reg_zeta(w: int, bar: bool):
+    """Regularized zeta(w) or zeta(w-bar) as (finite, T-coefficient)."""
+    if w == 0:
+        return Fraction(-1, 2), Fraction(0)
+    if w == 1:
+        return (_round_bits(-atanh_ln2(80)), Fraction(0)) if bar else (Fraction(0), Fraction(1))
+    z = zeta_80(w)
+    return (-(1 - Fraction(1, 2 ** (w - 1))) * z if bar else z), Fraction(0)
+
+
+def _reg_mul(a, b):
+    assert a[1] == 0 or b[1] == 0, "T*T"
+    return a[0] * b[0], a[0] * b[1] + a[1] * b[0]
+
+
+def euler_double(r: int, s: int, r_bar: bool, s_bar: bool) -> Fraction:
+    """Finite part (T := 0) of zeta(r, s) with bars, odd r+s, by Euler's
+    formula: with x = r_bar xor s_bar and zeta(w; b) = zeta(w-bar) if b,
+    -1/2 zeta(k; x) + [s even] zeta(r; r_bar) zeta(s; s_bar)
+    + (-1)^r sum_l [C(k-2l-1, r-1) zeta(k-2l; r_bar)
+                    + C(k-2l-1, s-1) zeta(k-2l; s_bar)] zeta(2l; x)."""
+    k, x = r + s, r_bar != s_bar
+    total = -_reg_zeta(k, x)[0] / 2
+    if s % 2 == 0:
+        total += _reg_mul(_reg_zeta(r, r_bar), _reg_zeta(s, s_bar))[0]
+    sign = -1 if r % 2 else 1
+    for l in range((k - 1) // 2 + 1):
+        even = _reg_zeta(2 * l, x)
+        for c, bar in ((pascal_binom(k - 2 * l - 1, r - 1), r_bar),
+                       (pascal_binom(k - 2 * l - 1, s - 1), s_bar)):
+            if c:
+                total += sign * c * _reg_mul(_reg_zeta(k - 2 * l, bar), even)[0]
+    return total
+
+
+@lru_cache(maxsize=None)
+def h_single(n: int) -> Fraction:
+    """H(n) = zeta({2}^n), the n-th elementary symmetric function of 1/m^2,
+    by Newton's identities from the power sums zeta(2i):
+    n e_n = sum_{i<=n} (-1)^(i-1) e_(n-i) zeta(2i)."""
+    if n == 0:
+        return Fraction(1)
+    total = sum((-1) ** (i - 1) * h_single(n - i) * zeta_80(2 * i) for i in range(1, n + 1))
+    return _round_bits(total / n)
+
+
+def zagier_h(a: int, b: int, star: bool) -> Fraction:
+    """Zagier's H(a,b) (star False) or H*(a,b), K = a+b+1:
+    H(a,b) = 2 sum_r (-1)^r [C(2r,2a+2) zeta(2r+1) + C(2r,2b+1) zeta(2r+1-bar)] H(K-r),
+    H*(a,b) = -2 sum_r {[C(2r,2a) - delta_ra] zeta(2r+1) + C(2r,2b+1) zeta(2r+1-bar)}
+    H*(K-r), with H*(n) = -2 zeta(2n-bar)."""
+    k = a + b + 1
+    total = Fraction(0)
+    for r in range(1, k + 1):
+        z, zbar = _reg_zeta(2 * r + 1, False)[0], _reg_zeta(2 * r + 1, True)[0]
+        c_bar = pascal_binom(2 * r, 2 * b + 1)
+        n = k - r
+        if star:
+            single = -2 * _reg_zeta(2 * n, True)[0] if n else Fraction(1)
+            total -= 2 * ((pascal_binom(2 * r, 2 * a) - (r == a)) * z + c_bar * zbar) * single
+        else:
+            total += 2 * (-1) ** r * (pascal_binom(2 * r, 2 * a + 2) * z + c_bar * zbar) * h_single(n)
     return total

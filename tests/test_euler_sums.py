@@ -230,58 +230,20 @@ def test_closed_forms_even_weight_rejected():
             fn(2, 2)
 
 
-def test_closed_reevaluation_identity():
-    # recompute closed forms term by term with independently generated
-    # binomials, in the reference summation order, and demand exact equality
-    from eulerlab.zeta_core import zeta_reg as z
-
-    def plain(r, s):
-        k = r + s
-        acc = z(k) * Fraction(-1, 2)
-        if s % 2 == 0:
-            acc = acc + z(r) * z(s)
-        sgn = -1 if r % 2 else 1
-        for l in range(0, (k - 1) // 2 + 1):
-            c = oracles.pascal_binom(k - 2 * l - 1, r - 1) + oracles.pascal_binom(k - 2 * l - 1, s - 1)
-            acc = acc + (z(k - 2 * l) * z(2 * l)) * (sgn * c)
-        return acc
-
-    def bar_r(r, s):
-        k = r + s
-        acc = z(k, True) * Fraction(-1, 2)
-        if s % 2 == 0:
-            acc = acc + z(r, True) * z(s)
-        sgn = -1 if r % 2 else 1
-        for l in range(0, (k - 1) // 2 + 1):
-            c1 = oracles.pascal_binom(k - 2 * l - 1, r - 1)
-            c2 = oracles.pascal_binom(k - 2 * l - 1, s - 1)
-            if c1:
-                acc = acc + (z(k - 2 * l, True) * z(2 * l, True)) * (sgn * c1)
-            if c2:
-                acc = acc + (z(k - 2 * l) * z(2 * l, True)) * (sgn * c2)
-        return acc
-
-    def one_bar_s(s):
-        # zeta(1, s-bar): the T-terms are left out, every C(k-2l-1, 0) term
-        # comes before the C(k-2l-1, s-1) terms
-        k = 1 + s
-        acc = z(k, True) * Fraction(-1, 2)
-        for l in range(0, (k - 3) // 2 + 1):
-            acc = acc + (z(k - 2 * l) * z(2 * l, True)) * -1
-        for l in range(0, (k - 1) // 2 + 1):
-            c2 = oracles.pascal_binom(k - 2 * l - 1, s - 1)
-            if c2:
-                acc = acc + (z(k - 2 * l, True) * z(2 * l, True)) * -c2
-        return acc
-
-    for expected, got in ((plain(2, 5), closed_plain(2, 5)),
-                          (plain(1, 12), closed_plain(1, 12)),
-                          (bar_r(3, 8), closed_bar_r(3, 8)),
-                          (bar_r(1, 20), closed_bar_r(1, 20)),
-                          (one_bar_s(30), closed_bar_s(1, 30)),
-                          (one_bar_s(6), closed_bar_s(1, 6))):
-        assert (expected.finite.hi, expected.finite.lo) == (got.finite.hi, got.finite.lo)
-        assert (expected.tcoef.hi, expected.tcoef.lo) == (got.tcoef.hi, got.tcoef.lo)
+def test_closed_forms_match_fraction_oracle():
+    # all 1520 odd-weight keys (k <= 39, four bar patterns; the regularized
+    # s = 1 rows by their finite part) against Euler's formula in Fractions
+    # over 80-digit Euler-Maclaurin zeta values, even ones included
+    tol = Fraction(1, 10 ** 30)
+    count = 0
+    for k in range(3, 40, 2):
+        for r in range(1, k):
+            for (rb, sb), (_, fn) in CLOSED_FORMS.items():
+                exact = oracles.euler_double(r, k - r, rb, sb)
+                got = fn(r, k - r).finite.to_fraction()
+                assert abs(got - exact) <= tol * abs(exact), (r, k - r, rb, sb)
+                count += 1
+    assert count == 1520
 
 
 def test_closed_form_dispatch():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerlab.hpreal import DomainError, ExtReal
-from eulerlab.zeta_core import RegValue, zeta, zeta_bar
+from eulerlab.zeta_core import ZetaPoly, zeta, zeta_bar
 from eulerlab.genfun import HomogPoly, build, substitute, verify_relations
 
 N = 100_000
@@ -80,7 +80,7 @@ def _random_poly(k, seed):
 
     rng = random.Random(seed)
     coeffs = tuple(
-        RegValue(ExtReal(Fraction(rng.randint(-20, 20), rng.choice((1, 2, 4)))), ExtReal(0.0))
+        ZetaPoly.of(ExtReal(Fraction(rng.randint(-20, 20), rng.choice((1, 2, 4)))))
         for _ in range(k - 1)
     )
     return HomogPoly(weight=k, coeffs=coeffs)

@@ -20,29 +20,29 @@ LOCKED = {
     "closedforms": {
         "closed-plain-vs-direct": 1e-6, "closed-inner-bar-vs-direct": 1e-6,
         "closed-outer-bar-vs-direct": 1e-6, "closed-both-bars-vs-direct": 1e-6,
-        "closed-plain-tcoef": 1e-24, "closed-inner-bar-tcoef": 1e-24,
-        "closed-outer-bar-tcoef": 1e-24, "closed-both-bars-tcoef": 1e-24,
-        "stuffle-closed-mixed": 1e-24, "stuffle-closed-alt": 1e-24,
+        "closed-plain-tcoef": 0.0, "closed-inner-bar-tcoef": 0.0,
+        "closed-outer-bar-tcoef": 0.0, "closed-both-bars-tcoef": 0.0,
+        "stuffle-closed-mixed": 0.0, "stuffle-closed-alt": 0.0,
     },
     "genfun": {
         "genfun-stuffle-finite": 1e-6, "genfun-shuffle-finite": 1e-6,
-        "genfun-reduction-finite": 1e-6, "genfun-stuffle-tpart": 1e-24,
-        "genfun-shuffle-tpart": 1e-24, "genfun-reduction-tpart": 1e-24,
+        "genfun-reduction-finite": 1e-6, "genfun-stuffle-tpart": 0.0,
+        "genfun-shuffle-tpart": 0.0, "genfun-reduction-tpart": 0.0,
     },
     "hyp": {
         "saalschutz": 0.0, "poch-ratio": 0.0,
         "gauss": 1e-18, "kummer": 1e-18, "dougall-limit": 1e-18,
         "andrews-limit-s1": 1e-10, "andrews-limit-s2": 1e-8,
-        "odd-zeta-series": 1e-18,
+        "odd-zeta-series": 1e-32,
     },
     "zagier": {
-        "h-closed": 1e-24, "hstar-closed": 1e-24,
+        "h-closed": 0.0, "hstar-closed": 0.0,
         "h-closed-vs-direct": 1e-15, "hstar-closed-vs-direct": 1e-15,
-        "hstar-closed-vs-pilehrood": 1e-6, "hstar-closed-vs-closeddouble": 1e-24,
-        "sumident-H": 1e-24, "sumident-Hstar": 1e-24,
-        "zetabar-from-hstar": 1e-24, "zeta-from-hstar": 1e-24,
+        "hstar-closed-vs-pilehrood": 1e-6, "hstar-closed-vs-closeddouble": 0.0,
+        "sumident-H": 0.0, "sumident-Hstar": 0.0,
+        "zetabar-from-hstar": 0.0, "zeta-from-hstar": 0.0,
         "zeta-from-hstar-vs-direct": 1e-6,
-        "reflection": 1e-18, "diagonal-route": 1e-18,
+        "reflection": 1e-18, "diagonal-route": 1e-32,
     },
 }
 

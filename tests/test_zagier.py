@@ -24,6 +24,7 @@ from eulerlab.zagier import (
     zeta_from_hstar,
 )
 from conftest import approx_abs
+import oracles
 
 F = Fraction
 N = 100_000
@@ -144,6 +145,18 @@ def test_quadruple_agreement():
             assert float(hsc) >= float(hc)
 
 
+def test_h_closed_match_fraction_oracle():
+    # Zagier's formulas in Fractions over 80-digit Euler-Maclaurin zeta
+    # values, H(n) from Newton's identities instead of pi^2n / (2n+1)!
+    tol = F(1, 10 ** 30)
+    for total in range(20):
+        for a in range(total + 1):
+            b = total - a
+            for star, closed in ((False, h_closed), (True, hstar_closed)):
+                exact = oracles.zagier_h(a, b, star)
+                assert abs(closed(a, b).to_fraction() - exact) <= tol * abs(exact), (a, b, star)
+
+
 def test_pilehrood_weight3(frozen):
     assert approx_abs(hstar_pilehrood(0, 0, N), frozen["zeta3"], F(1, 10 ** 8))
     assert abs(float(hstar_pilehrood(1, 0, N) - hstar_closed(1, 0))) < 1e-6
@@ -200,12 +213,14 @@ def test_eval_f_against_term_series():
 
 
 def test_diagonal_route(frozen):
+    # sum_r zeta(2r+1) x^2r = x^2/(1-x^2) + sum_r (zeta(2r+1) - 1) x^2r, whose
+    # terms fall like (x/2)^2r
     x = F(1, 4)
     xv = ExtReal.from_fraction(x)
-    acc = ExtReal(0.0)
+    acc = ExtReal.from_fraction(x * x / (1 - x * x))
     for r in range(1, 18):
-        acc = acc + zeta(2 * r + 1) * xv ** (2 * r)
-    assert abs(float(eval_F(x, x) + sinc_pi(xv) * acc)) < 1e-18
+        acc = acc + (zeta(2 * r + 1) - 1) * xv ** (2 * r)
+    assert abs(float(eval_F(x, x) + sinc_pi(xv) * acc)) < 1e-32
 
 
 def test_eval_f_domain_and_zeroes():
