@@ -5,10 +5,9 @@ zeta(1-bar) = -ln 2, and the exact ring ZetaPoly of closed forms.
 A ZetaPoly has rational coefficients on monomials in pi, ln 2, T and the odd
 zeta values: zeta(2n) enters as a Bernoulli rational times pi^2n and
 zeta(k-bar) as -(1 - 2^(1-k)) zeta(k), so identities among closed forms
-cancel exactly.  zeta(k) and zeta_bar(k) are the finite parts of their ring
-elements.  The direct alternating series zeta_bar_direct, a cross-check
-independent of the reflection formula, is summed by hpreal's Levin transform
-on its exact terms.
+cancel exactly; zeta(k) and zeta_bar(k) cache their rounded values.  The
+direct alternating series zeta_bar_direct, a cross-check independent of the
+reflection formula, is summed by hpreal's Levin transform on its exact terms.
 """
 from __future__ import annotations
 
@@ -95,9 +94,9 @@ class ZetaPoly:
 
     __slots__ = ("terms", "_finite")
 
-    def __init__(self, terms=(), finite=None):
+    def __init__(self, terms=()):
         self.terms = MappingProxyType({m: c for m, c in dict(terms).items() if c})
-        self._finite = finite  # the rounded finite part, once known
+        self._finite = None  # the rounded finite part, once known
 
     @staticmethod
     def of(x) -> "ZetaPoly":
@@ -154,7 +153,8 @@ class ZetaPoly:
     __radd__, __rmul__ = __add__, __mul__
 
     def __eq__(self, other) -> bool:
-        return self.terms == ZetaPoly.of(other).terms
+        known = isinstance(other, (ZetaPoly, int, Fraction, ExtReal))
+        return self.terms == ZetaPoly.of(other).terms if known else NotImplemented
 
     __hash__ = None
 
@@ -187,19 +187,19 @@ def zeta_bar(k: int) -> ExtReal:
     return ZetaPoly(_single(k, True)).finite
 
 
-@lru_cache(maxsize=None)
 def zeta_reg(k: int, bar: bool = False) -> ZetaPoly:
-    """Regularized zeta(k), or zeta(k-bar) if bar, at any weight in [0, 60]:
-    weight 0 -> -1/2 for both bar values; weight 1 -> the pure symbol T
-    (unbarred) or -ln 2 (barred).  Any other value carries zeta(k) or
-    zeta_bar(k) as its finite part, from their caches."""
+    """Regularized zeta(k), or zeta(k-bar) if bar, for k in [0, 60]: -1/2 at
+    k = 0, T or -ln 2 at k = 1, else an element whose finite part is zeta(k)
+    or zeta_bar(k) from their caches, so it is rounded only once."""
     if not 0 <= k <= WEIGHT_CAP:
         raise DomainError(f"zeta weight must be in [0, {WEIGHT_CAP}]")
     if k == 0:
         return ZetaPoly({(): Fraction(-1, 2)})
     if k == 1 and not bar:
         return ZetaPoly({(_T,): Fraction(1)})
-    return ZetaPoly(_single(k, bar), zeta_bar(k) if bar else zeta(k))
+    element = ZetaPoly(_single(k, bar))
+    element._finite = zeta_bar(k) if bar else zeta(k)
+    return element
 
 
 def zeta_bar_direct(k: int) -> SeriesResult:

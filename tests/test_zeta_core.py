@@ -159,3 +159,5 @@ def test_zetapoly_ring_axioms():
         assert (a + b).finite == (b + a).finite and (a * c).tcoef == (c * a).tcoef
         scale = 1 + abs(float(a.finite)) + abs(float(b.finite))
         assert abs(float((a + b).finite - a.finite - b.finite)) <= 1e-30 * scale
+    # foreign objects are unequal rather than an error
+    assert zero != None and zeta_reg(3) != "zeta(3)" and zeta_reg(0) == Fraction(-1, 2)
