@@ -5,7 +5,8 @@ summation formulas.
 Direct summation, for double sums and the nested sums of zagier alike, runs
 one engine: a single O(n_max) pass in cache-sized blocks, carrying one prefix
 sum per inner level from block to block, in float64 with an exact accumulator
-rounded once at the end.  Its tail is built level by level from remainder
+that keeps even and odd m apart: one pass serves both signs of the outer slot,
+each sum rounded once.  Its tail is built level by level from remainder
 expansions (Euler-Maclaurin for smooth sums, Boole for alternating ones)
 generated from the Bernoulli numbers, for every bar pattern and depth; runs
 at n_max = 1e5 land within ~2e-16 absolute.  Closed forms are exact
@@ -137,29 +138,35 @@ _BLOCK = 1 << 13
 
 # Exact accumulator (R. M. Neal's superaccumulator, arXiv:1505.05571): frexp
 # writes a double as a 53-bit integer times 2^(e-53) with -1073 <= e <= 1024;
-# its 26-bit halves add up exactly in float64 buckets per e while fewer than
-# 2^26 terms go in.
+# its 26-bit halves add up exactly in float64 buckets per e and per parity of
+# m (even m first), and each high half (< 2^27) folds onto the low one
+# (< 2^26) 26 buckets up, exactly while 3 * 2^26 * terms < 2^53.
 _E_OFFSET = 1074
 _E_BINS = _E_OFFSET + 1025
 
 
 def _exact_add(acc: np.ndarray, x: np.ndarray) -> None:
-    """Add the terms x exactly into acc, shape (2, _E_BINS): the high and low
-    26-bit halves of their integer mantissas, bucketed by exponent."""
+    """Add the terms x, from an odd m on, exactly into acc, shape (2, 2 * _E_BINS):
+    their mantissas' high and low 26-bit halves, by exponent and parity of m."""
     mant, e = np.frexp(x)
     ints = np.ldexp(mant, 53)
     hi = np.trunc(ints * 2.0 ** -26)
     e += _E_OFFSET
-    acc[0] += np.bincount(e, hi, _E_BINS)
-    acc[1] += np.bincount(e, ints - hi * 2.0 ** 26, _E_BINS)
+    e[0::2] += _E_BINS
+    acc[0] += np.bincount(e, hi, 2 * _E_BINS)
+    acc[1] += np.bincount(e, ints - hi * 2.0 ** 26, 2 * _E_BINS)
 
 
-def _exact_sum(acc: np.ndarray) -> float:
-    """The correctly rounded sum held in acc, as math.fsum would return it."""
+def _exact_int(acc: np.ndarray) -> int:
+    """The exact sum held in acc, shape (2, _E_BINS), in units of
+    2^-(_E_OFFSET + 53): the high halves folded onto the low ones first."""
+    folded = np.concatenate((acc[1], np.zeros(26)))
+    folded[26:] += acc[0]
+    nonzero = np.flatnonzero(folded)
     total = 0
-    for i in np.flatnonzero(acc.any(axis=0)):
-        total += ((int(acc[0, i]) << 26) + int(acc[1, i])) << int(i)
-    return total / (1 << (_E_OFFSET + 53))
+    for i, v in zip(nonzero.tolist(), folded[nonzero].tolist()):
+        total += int(v) << i
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +217,17 @@ def _nested_tail(exps: tuple, bars: tuple, star: bool, n_max: int, carry: list) 
 
 
 @lru_cache(maxsize=4096)
-def _nested_direct(exps: tuple, bars: tuple, star: bool, n_max: int):
-    """(value, tail_estimate) of sum_(m_1 < ... < m_d) prod_j sigma_j(m_j) m_j^-e_j
-    (<= if star), inner to outer: one blocked pass with one carried prefix sum
-    per inner level, the outermost level into the exact accumulator."""
+def _nested_head(exps: tuple, inner_bars: tuple, star: bool, n_max: int) -> tuple:
+    """(even, odd, carry): one blocked pass with one carried prefix sum per inner
+    level; the outermost level's terms, without the sign of its slot, go into
+    the exact accumulator, whose sums over even and odd m come back as ints."""
     d = len(exps)
     carry = [0.0] * (d - 1)  # P_j at the block's start - 1
-    acc = np.zeros((2, _E_BINS))
+    acc = np.zeros((2, 2 * _E_BINS))
     for start in range(1, n_max + 1, _BLOCK):
         m = np.arange(start, min(start + _BLOCK, n_max + 1), dtype=np.float64)
         prev = None  # P_0 = 1, so the first level's terms are its weights
-        for j, (e, bar) in enumerate(zip(exps, bars)):
+        for j, (e, bar) in enumerate(zip(exps, (*inner_bars, False))):
             terms = m ** float(-e)
             if bar:
                 terms[0::2] *= -1.0
@@ -232,16 +239,27 @@ def _nested_direct(exps: tuple, bars: tuple, star: bool, n_max: int):
             else:
                 prev = np.cumsum(np.concatenate(([carry[j]], terms)))  # P_j from start - 1 on
                 carry[j] = float(prev[-1])
+    return _exact_int(acc[:, :_E_BINS]), _exact_int(acc[:, _E_BINS:]), tuple(carry)
+
+
+@lru_cache(maxsize=4096)
+def _nested_direct(exps: tuple, bars: tuple, star: bool, n_max: int):
+    """(value, tail_estimate) of sum_(m_1 < ... < m_d) prod_j sigma_j(m_j) m_j^-e_j
+    (<= if star), inner to outer: _nested_head's exact even and odd sums,
+    added or subtracted (a sign flip is exact) and rounded once, plus the tail."""
+    even, odd, carry = _nested_head(exps, bars[:-1], star, n_max)
+    head = (even - odd if bars[-1] else even + odd) / (1 << (_E_OFFSET + 53))
     tail, est = _nested_tail(exps, bars, star, n_max, carry)
-    return ExtReal(_exact_sum(acc) + tail), ExtReal(est)
+    return ExtReal(head + tail), ExtReal(est)
 
 
 def double_direct(idx: DoubleIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
     """Direct single-pass evaluation of a double Euler sum truncated at n_max:
-    the depth-2 case of _nested_direct.  The tail is the inner limit times the
-    outer tail (for r = 1: gamma times it plus the log tail) minus the outer
-    tails of the inner remainder's expansion; tail_estimate is the first
-    omitted term plus float64 noise."""
+    the depth-2 case of _nested_direct, whose head pass zeta(r, s) and
+    zeta(r, s-bar) share (likewise with r-bar).  The tail is the inner limit
+    times the outer tail (for r = 1: gamma times it plus the log tail) minus
+    the outer tails of the inner remainder's expansion; tail_estimate is the
+    first omitted term plus float64 noise."""
     if not idx.convergent:
         raise DomainError(
             f"{idx} diverges (unbarred outer exponent 1); "

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulerlab.hpreal import DomainError, ExtReal, const_gamma_f64
 from eulerlab.zeta_core import zeta, zeta_bar
@@ -14,10 +15,12 @@ from eulerlab.euler_sums import (
     DoubleIndex,
     _BLOCK,
     _E_BINS,
+    _E_OFFSET,
     _INNER_ORDER,
     _nested_direct,
+    _nested_head,
     _exact_add,
-    _exact_sum,
+    _exact_int,
     _expansion,
     _log_tail,
     _tail,
@@ -32,7 +35,7 @@ from eulerlab.euler_sums import (
     stuffle_closed_residual,
     sum_formula_check,
 )
-from conftest import approx_abs
+from conftest import approx_abs, clear_direct_caches
 import oracles
 
 N = 100_000
@@ -105,11 +108,21 @@ def test_tails_match_partial_sums():
 SEAM_N = (100, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, N)
 
 
-def _blocked_sum(x: np.ndarray) -> float:
-    acc = np.zeros((2, _E_BINS))
+def _blocked_sums(x: np.ndarray) -> tuple:
+    """(sum, alternating sum) of x through the blocked accumulator, x[0]
+    taken as the term at m = 1: even + odd and even - odd, each rounded once."""
+    acc = np.zeros((2, 2 * _E_BINS))
     for start in range(0, len(x), _BLOCK):
         _exact_add(acc, x[start:start + _BLOCK].copy())
-    return _exact_sum(acc)
+    even, odd = _exact_int(acc[:, :_E_BINS]), _exact_int(acc[:, _E_BINS:])
+    unit = 1 << (_E_OFFSET + 53)
+    return (even + odd) / unit, (even - odd) / unit
+
+
+def _assert_matches_fsum(x: np.ndarray) -> None:
+    signs = np.where(np.arange(len(x)) % 2 == 0, -1.0, 1.0)  # (-1)^m, m = 1, 2, ...
+    for got, ref in zip(_blocked_sums(x), (math.fsum(x), math.fsum(signs * x))):
+        assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref), (got, ref)
 
 
 def test_exact_sum_matches_fsum_bit_for_bit():
@@ -129,14 +142,24 @@ def test_exact_sum_matches_fsum_bit_for_bit():
         np.arange(1.0, 3 * _BLOCK + 6) ** -2.5 * (-1.0) ** np.arange(3 * _BLOCK + 5),
     ]
     for x in cases:
-        got, ref = _blocked_sum(x), math.fsum(x)
-        assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref), (got, ref)
+        _assert_matches_fsum(x)
+
+
+@given(st.integers(1, 3 * _BLOCK + 5), st.integers(-1080, 1000), st.integers(0, 2100),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_exact_sum_matches_fsum_on_random_terms(n, e_low, e_span, seed):
+    # signed 53-bit mantissas at exponents drawn from [e_low, e_low + e_span],
+    # capped so that no sum overflows; subnormals and zeros included
+    rng = np.random.default_rng(seed)
+    mant = rng.integers(-(2 ** 53) + 1, 2 ** 53, n).astype(np.float64)
+    _assert_matches_fsum(np.ldexp(mant, rng.integers(e_low, min(e_low + e_span, 1000) + 1, n) - 53))
 
 
 def test_accumulator_bound_covers_n_max_cap():
-    # the 26-bit halves of up to N_MAX_CAP mantissas sum exactly in float64
-    # buckets only while fewer than 2^26 terms go in
-    assert N_MAX_CAP < 2 ** 26
+    # a folded bucket holds up to N_MAX_CAP high halves (< 2^27) and low
+    # halves (< 2^26) of 53-bit mantissas, exact in float64 below 2^53
+    assert 3 * 2 ** 26 * N_MAX_CAP < 2 ** 53
 
 
 def _whole_array_direct(r, s, r_bar, s_bar, n_max):
@@ -176,7 +199,7 @@ def test_direct_sum_memory_is_bounded():
     # numpy reports its buffers to tracemalloc; an n_max-long float64 array
     # at 1e6 alone is 8 MB
     for idx in (DoubleIndex(3, 4, True, False), DoubleIndex(1, 4)):
-        _nested_direct.cache_clear()
+        clear_direct_caches()
         tracemalloc.start()
         try:
             double_direct(idx, 10 ** 6)
@@ -184,6 +207,27 @@ def test_direct_sum_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 4e6, (idx, peak)
+
+
+def test_outer_sign_siblings_share_one_head_pass():
+    # two requests that differ only in the outer sign (-1)^m run one head
+    # pass between them, and each gives the bits it gives from cold caches
+    def bits(exps, bars, star, n_max):
+        value, est = _nested_direct(exps, bars, star, n_max)
+        return value.hi, value.lo, est.hi, est.lo
+
+    for n_max in SEAM_N:
+        for exps, inner_bars, star in (((1, 2), (False,), False), ((3, 4), (True,), False),
+                                       ((2, 3, 2), (False, False), False),
+                                       ((2, 3, 2), (False, False), True)):
+            requests = [(exps, (*inner_bars, outer), star, n_max) for outer in (False, True)]
+            alone = []
+            for request in requests:
+                clear_direct_caches()
+                alone.append(bits(*request))
+            clear_direct_caches()
+            assert [bits(*request) for request in requests] == alone, (exps, inner_bars, star, n_max)
+            assert _nested_head.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

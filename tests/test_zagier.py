@@ -7,7 +7,7 @@ import pytest
 
 from eulerlab.hpreal import DomainError, ExtReal, const_pi, sinc_pi
 from eulerlab.zeta_core import zeta, zeta_bar
-from eulerlab.euler_sums import _BLOCK, N_MAX_CAP, DoubleIndex, _nested_direct, _nested_tail, double_direct
+from eulerlab.euler_sums import _BLOCK, N_MAX_CAP, DoubleIndex, _nested_tail, double_direct
 from eulerlab.zagier import (
     HIndex,
     eval_F,
@@ -23,7 +23,7 @@ from eulerlab.zagier import (
     zeta_bar_odd_from_hstar,
     zeta_from_hstar,
 )
-from conftest import approx_abs
+from conftest import approx_abs, clear_direct_caches
 import oracles
 
 F = Fraction
@@ -121,7 +121,7 @@ def test_nested_direct_meets_closed_forms():
 def test_mzv_memory_is_bounded():
     # a pass over n_max-long level arrays holds ~40 MB at 1e6; a blocked one
     # holds a few blocks and the accumulator
-    _nested_direct.cache_clear()
+    clear_direct_caches()
     tracemalloc.start()
     try:
         mzv_direct((2,) * 9, n_max=10 ** 6)
