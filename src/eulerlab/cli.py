@@ -209,26 +209,24 @@ def _cmd_verify(ns, out=None) -> int:
 def _doublesums_rows(k: int, n_max: int, digits: int) -> List[dict]:
     if not 2 <= k <= 39:
         raise UsageError("doublesums weight must be in [2, 39]")
+    indices = [es.DoubleIndex(r, k - r, rb, sb) for r in range(1, k) for rb, sb in es.CLOSED_FORMS]
+    # even weight: every convergent sum directly, their head passes run as one
+    direct = [idx for idx in indices if idx.convergent and k % 2 == 0]
+    values = dict(zip(direct, es.double_directs(direct, n_max)))
     rows = []
-    for r in range(1, k):
-        s = k - r
-        for (rb, sb), (name, _) in es.CLOSED_FORMS.items():
-            idx = es.DoubleIndex(r, s, rb, sb)
-            if idx.convergent:
-                if k % 2 == 1:
-                    value, route = es.closed_form(idx).finite, f"closed-{name}"
-                else:
-                    value, route = es.double_direct(idx, n_max).value, f"direct[n={n_max}]"
-                value_str = to_decimal(value, digits)
-            elif k % 2 == 1:
-                value_str = to_decimal(es.closed_form(idx).finite, digits)
-                route = f"closed-{name}-regularized"
-            else:
-                value_str, route = "NA", "divergent"
-            rows.append({
-                "r": r, "s": s, "bar_r": int(rb), "bar_s": int(sb),
-                "value": value_str, "route": route,
-            })
+    for idx in indices:
+        name = es.CLOSED_FORMS[idx.r_bar, idx.s_bar][0]
+        if idx in values:
+            value_str, route = to_decimal(values[idx].value, digits), f"direct[n={n_max}]"
+        elif k % 2 == 1:
+            value_str = to_decimal(es.closed_form(idx).finite, digits)
+            route = f"closed-{name}" if idx.convergent else f"closed-{name}-regularized"
+        else:
+            value_str, route = "NA", "divergent"
+        rows.append({
+            "r": idx.r, "s": idx.s, "bar_r": int(idx.r_bar), "bar_s": int(idx.s_bar),
+            "value": value_str, "route": route,
+        })
     return rows
 
 

@@ -3,8 +3,9 @@ odd-weight closed forms, stuffle/shuffle consistency checks, and the
 summation formulas.
 
 Direct summation, for double sums and the nested sums of zagier alike, runs
-one engine: a single O(n_max) pass in cache-sized blocks, carrying one prefix
-sum per inner level from block to block, in float64 with an exact accumulator
+one engine: a single O(n_max) pass in cache-sized blocks for a list of sums,
+computing each power m^-e once per block and carrying one prefix sum per
+inner level from block to block, in float64 with an exact run accumulator
 that keeps even and odd m apart: one pass serves both signs of the outer slot,
 each sum rounded once.  Its tail is built level by level from remainder
 expansions (Euler-Maclaurin for smooth sums, Boole for alternating ones)
@@ -28,6 +29,7 @@ __all__ = [
     "DoubleIndex",
     "SeriesResult",
     "double_direct",
+    "double_directs",
     "closed_plain",
     "closed_bar_r",
     "closed_bar_s",
@@ -44,8 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 100_000
-# largest truncation a direct sum accepts: it bounds the time of a run (memory
-# is O(block)) and keeps the exact accumulator below its 2^26-term bound
+# largest truncation a direct sum accepts; it bounds time only (memory is O(block))
 N_MAX_CAP = 10_000_000
 _WEIGHT_CAP = 40
 
@@ -136,37 +137,28 @@ def _log_tail(s: float, n: float, alt: bool) -> float:
 # block starts at an odd m, where (-1)^m is -1 on the block's even positions.
 _BLOCK = 1 << 13
 
-# Exact accumulator (R. M. Neal's superaccumulator, arXiv:1505.05571): frexp
-# writes a double as a 53-bit integer times 2^(e-53) with -1073 <= e <= 1024;
-# its 26-bit halves add up exactly in float64 buckets per e and per parity of
-# m (even m first), and each high half (< 2^27) folds onto the low one
-# (< 2^26) 26 buckets up, exactly while 3 * 2^26 * terms < 2^53.
-_E_OFFSET = 1074
-_E_BINS = _E_OFFSET + 1025
 
-
-def _exact_add(acc: np.ndarray, x: np.ndarray) -> None:
-    """Add the terms x, from an odd m on, exactly into acc, shape (2, 2 * _E_BINS):
-    their mantissas' high and low 26-bit halves, by exponent and parity of m."""
-    mant, e = np.frexp(x)
-    ints = np.ldexp(mant, 53)
-    hi = np.trunc(ints * 2.0 ** -26)
-    e += _E_OFFSET
-    e[0::2] += _E_BINS
-    acc[0] += np.bincount(e, hi, 2 * _E_BINS)
-    acc[1] += np.bincount(e, ints - hi * 2.0 ** 26, 2 * _E_BINS)
-
-
-def _exact_int(acc: np.ndarray) -> int:
-    """The exact sum held in acc, shape (2, _E_BINS), in units of
-    2^-(_E_OFFSET + 53): the high halves folded onto the low ones first."""
-    folded = np.concatenate((acc[1], np.zeros(26)))
-    folded[26:] += acc[0]
-    nonzero = np.flatnonzero(folded)
-    total = 0
-    for i, v in zip(nonzero.tolist(), folded[nonzero].tolist()):
-        total += int(v) << i
-    return total
+def _add_runs(acc: list, x: np.ndarray) -> None:
+    """Add the sums of x[0::2] and x[1::2] (at most _BLOCK finite doubles) into
+    the ints acc[0] and acc[1] exactly, in units of 2^-1074.  A double with sign
+    bit s, exponent bits E and fraction f is (-1)^s (2^52 [E > 0] + f) times
+    2^(max(E, 1) - 1075).  The rows (x[2i], x[2i+1]) are cut into runs along
+    which both keep their sign and exponent bits; a run's fractions add up
+    exactly in uint64, as (_BLOCK // 2) (2^52 - 1) < 2^64, then into acc."""
+    u = (x if len(x) % 2 == 0 else np.append(x, 0.0)).view(np.uint64)
+    top = (u >> np.uint64(52)).astype(np.uint16)  # sign and exponent bits
+    row = top.view(np.uint32)  # both columns' bits as one word per row
+    starts = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+    fracs = np.add.reduceat((u & np.uint64((1 << 52) - 1)).reshape(-1, 2), starts, axis=0)
+    bounds = [*starts.tolist(), len(row)]
+    counts = [b - a for a, b in zip(bounds, bounds[1:])]
+    for c, (tops, column) in enumerate(zip(top.reshape(-1, 2)[starts].T.tolist(), fracs.T.tolist())):
+        for t, f, n in zip(tops, column, counts):
+            e = t & 0x7FF
+            if e == 0x7FF:
+                raise OverflowError("a direct sum met a non-finite term")
+            run = (f + (n << 52)) << (e - 1) if e else f
+            acc[c] += -run if t >> 11 else run
 
 
 # ---------------------------------------------------------------------------
@@ -216,39 +208,53 @@ def _nested_tail(exps: tuple, bars: tuple, star: bool, n_max: int, carry: list) 
     return tail, abs(first_omitted) + noise
 
 
-@lru_cache(maxsize=4096)
-def _nested_head(exps: tuple, inner_bars: tuple, star: bool, n_max: int) -> tuple:
-    """(even, odd, carry): one blocked pass with one carried prefix sum per inner
-    level; the outermost level's terms, without the sign of its slot, go into
-    the exact accumulator, whose sums over even and odd m come back as ints."""
-    d = len(exps)
-    carry = [0.0] * (d - 1)  # P_j at the block's start - 1
-    acc = np.zeros((2, 2 * _E_BINS))
-    for start in range(1, n_max + 1, _BLOCK):
+# (exps, inner_bars, star, n_max) -> its head, for the heads run (at most 4096)
+_HEADS: dict = {}
+
+
+def _heads(keys: list, star: bool, n_max: int) -> list:
+    """[(odd, even, carry)] for each key (exps, inner_bars), inner to outer: the
+    exact sums (units of 2^-1074) over odd and even m <= n_max of the outermost
+    level's terms, without the sign of its slot, and each inner level's prefix
+    sum at n_max.  The keys not cached run in one blocked pass, which carries
+    one prefix sum per inner level from block to block and computes each power
+    m^-e once per block, for every level of every key that uses it."""
+    if len(_HEADS) + len(keys) > 4096:
+        _HEADS.clear()
+    full = [(*key, star, n_max) for key in keys]
+    # keys sharing exponents run next to each other, so few powers stay live
+    todo = sorted(dict.fromkeys(key for key in full if key not in _HEADS), key=lambda key: sorted(key[0]))
+    last = {e: i for i, (exps, *_) in enumerate(todo) for e in exps}
+    heads = [[0, 0, [0.0] * (len(exps) - 1)] for exps, *_ in todo]  # odd, even, P_j at start - 1
+    for start in range(1, n_max + 1, _BLOCK) if todo else ():
         m = np.arange(start, min(start + _BLOCK, n_max + 1), dtype=np.float64)
-        prev = None  # P_0 = 1, so the first level's terms are its weights
-        for j, (e, bar) in enumerate(zip(exps, (*inner_bars, False))):
-            terms = m ** float(-e)
-            if bar:
-                terms[0::2] *= -1.0
-            if prev is not None:
+        powers = {}
+        for i, ((exps, inner_bars, *_), acc) in enumerate(zip(todo, heads)):
+            prev, carry = None, acc[2]  # P_0 = 1, so the first level's terms are its powers
+            for j, e in enumerate(exps):
+                if e not in powers:
+                    powers[e] = m ** float(-e)
                 # starred sums take the previous level at m, strict ones at m - 1
-                terms *= prev[1:] if star else prev[:-1]
-            if j == d - 1:
-                _exact_add(acc, terms)
-            else:
-                prev = np.cumsum(np.concatenate(([carry[j]], terms)))  # P_j from start - 1 on
-                carry[j] = float(prev[-1])
-    return _exact_int(acc[:, :_E_BINS]), _exact_int(acc[:, _E_BINS:]), tuple(carry)
+                terms = powers[e] if prev is None else powers[e] * (prev[1:] if star else prev[:-1])
+                if j < len(carry):
+                    prev = np.concatenate(([carry[j]], terms))  # P_j from start - 1 on
+                    if inner_bars[j]:
+                        prev[1::2] *= -1.0  # odd m, behind the carry
+                    carry[j] = float(np.cumsum(prev, out=prev)[-1])
+                else:
+                    _add_runs(acc, terms)
+            powers = {e: p for e, p in powers.items() if last[e] > i}
+    _HEADS.update((key, (odd, even, tuple(carry))) for key, (odd, even, carry) in zip(todo, heads))
+    return [_HEADS[key] for key in full]
 
 
 @lru_cache(maxsize=4096)
 def _nested_direct(exps: tuple, bars: tuple, star: bool, n_max: int):
     """(value, tail_estimate) of sum_(m_1 < ... < m_d) prod_j sigma_j(m_j) m_j^-e_j
-    (<= if star), inner to outer: _nested_head's exact even and odd sums,
+    (<= if star), inner to outer: the exact odd and even sums of its head,
     added or subtracted (a sign flip is exact) and rounded once, plus the tail."""
-    even, odd, carry = _nested_head(exps, bars[:-1], star, n_max)
-    head = (even - odd if bars[-1] else even + odd) / (1 << (_E_OFFSET + 53))
+    [(odd, even, carry)] = _heads([(exps, bars[:-1])], star, n_max)
+    head = (even - odd if bars[-1] else even + odd) / (1 << 1074)
     tail, est = _nested_tail(exps, bars, star, n_max, carry)
     return ExtReal(head + tail), ExtReal(est)
 
@@ -271,14 +277,21 @@ def double_direct(idx: DoubleIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
     return SeriesResult(value=value, terms_used=n_max, tail_estimate=est)
 
 
-def _dd(r, s, r_bar=False, s_bar=False, n_max=DEFAULT_N_MAX) -> ExtReal:
-    return double_direct(DoubleIndex(r, s, r_bar, s_bar), n_max).value
+def double_directs(indices: list, n_max: int = DEFAULT_N_MAX) -> list:
+    """[double_direct(idx, n_max) for idx in indices], with the head passes not
+    cached yet run as one pass (see _heads); each value keeps its bits."""
+    if all(idx.convergent for idx in indices) and 100 <= n_max <= N_MAX_CAP:
+        _heads([((idx.r, idx.s), (idx.r_bar,)) for idx in indices], False, n_max)
+    return [double_direct(idx, n_max) for idx in indices]  # which raises on a bad request
 
 
 # ---------------------------------------------------------------------------
 # Odd-weight closed forms, exact in the ZetaPoly ring
 # ---------------------------------------------------------------------------
 
+# a repeat returns the shared element, its finite part already rounded; all
+# 1520 keys of weight <= 39 would hold ~5 MB
+@lru_cache(maxsize=256)
 def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> ZetaPoly:
     """zeta(r, s) with optional bars, for odd k = r+s, as a finite zeta combination.
 
@@ -381,7 +394,7 @@ def stuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_M
     a, b = _product_bars(which)
     if not b and s < 2:
         raise DomainError("the product relation with an unbarred factor needs s >= 2")
-    return _stuffle(r, s, a, b, lambda *idx: ZetaPoly.of(_dd(*idx, n_max)))
+    return _stuffle(r, s, a, b, lambda *idx: ZetaPoly.of(double_direct(DoubleIndex(*idx), n_max).value))
 
 
 def stuffle_closed_residual(r: int, s: int, which: str = "mixed") -> ZetaPoly:
@@ -412,12 +425,14 @@ def shuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_M
     k = r + s
     x = a != b
     total = zeta_reg(r, a).finite * zeta_reg(s, b).finite
+    terms = []
     for j in range(1, k):
         c_a, c_b = binom(j - 1, r - 1), binom(j - 1, s - 1)
         # equal bars multiply the same double sum: add the coefficients first
-        for c, bar in ([(c_a + c_b, a)] if a == b else [(c_a, a), (c_b, b)]):
-            if c:
-                total = total - c * _dd(k - j, j, x, bar, n_max)
+        pairs = [(c_a + c_b, a)] if a == b else [(c_a, a), (c_b, b)]
+        terms += [(c, DoubleIndex(k - j, j, x, bar)) for c, bar in pairs if c]
+    for (c, _), res in zip(terms, double_directs([idx for _, idx in terms], n_max)):
+        total = total - c * res.value
     return total
 
 
@@ -445,20 +460,20 @@ def sum_formula_check(k: int, which: str, n_max: int = DEFAULT_N_MAX) -> ExtReal
     if which not in SUM_FORMULAS:
         raise DomainError(f"which must be one of {tuple(SUM_FORMULAS)}")
     r_bar, s_bar = SUM_FORMULAS[which]
+    # the right side's double sums, all with a barred outer slot: (sign, r, s, r_bar)
+    rhs_sums = {
+        (True, False): [(1, 1, k - 1, False), (-1, 1, k - 1, True)],
+        (True, True): [(1, k - 1, 1, False), (-1, k - 1, 1, True)],
+        (False, True): [(1, k - 1, 1, True), (1, 1, k - 1, True),
+                        (-1, k - 1, 1, False), (-1, 1, k - 1, False)],
+    }.get((r_bar, s_bar), [])
+    values = [res.value for res in double_directs(
+        [DoubleIndex(k - s, s, r_bar, s_bar) for s in range(2, k)]
+        + [DoubleIndex(i, j, i_bar, True) for _, i, j, i_bar in rhs_sums], n_max)]
     lhs = ZERO
-    for s in range(2, k):
-        lhs = lhs + _dd(k - s, s, r_bar, s_bar, n_max)
+    for value in values[:k - 2]:
+        lhs = lhs + value
     rhs = zeta_reg(k, r_bar).finite
-    if r_bar and not s_bar:
-        rhs = rhs + _dd(1, k - 1, False, True, n_max) - _dd(1, k - 1, True, True, n_max)
-    elif r_bar:
-        rhs = rhs + _dd(k - 1, 1, False, True, n_max) - _dd(k - 1, 1, True, True, n_max)
-    elif s_bar:
-        rhs = (
-            rhs
-            + _dd(k - 1, 1, True, True, n_max)
-            + _dd(1, k - 1, True, True, n_max)
-            - _dd(k - 1, 1, False, True, n_max)
-            - _dd(1, k - 1, False, True, n_max)
-        )
+    for (sign, *_), value in zip(rhs_sums, values[k - 2:]):
+        rhs = rhs + value if sign > 0 else rhs - value
     return lhs - rhs

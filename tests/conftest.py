@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from eulerlab.euler_sums import _nested_direct, _nested_head
+from eulerlab.euler_sums import _HEADS, _nested_direct
 from eulerlab.hpreal import ExtReal, parse_decimal
 
 # frozen reference digits, cross-validated in test_hpreal against the
@@ -43,4 +43,4 @@ def clear_direct_caches() -> None:
     """Empty both direct-sum caches, so the next direct request runs its head
     pass and is not a cache hit on either level."""
     _nested_direct.cache_clear()
-    _nested_head.cache_clear()
+    _HEADS.clear()

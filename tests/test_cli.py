@@ -7,9 +7,11 @@ import sys
 import time
 from fractions import Fraction
 
+from eulerlab import euler_sums as es
 from eulerlab.cli import main
-from eulerlab.hpreal import parse_decimal
-from conftest import ZETA3_50
+from eulerlab.hpreal import parse_decimal, to_decimal
+from eulerlab.verify import FAST_N_MAX
+from conftest import ZETA3_50, clear_direct_caches
 
 
 def run_cli(args, capsys):
@@ -163,6 +165,20 @@ def test_table_doublesums_even_weight_marks_divergent(capsys):
     divergent = [r for r in rows if r["route"] == "divergent"]
     assert divergent and all(r["value"] == "NA" for r in divergent)
     assert all(r["bar_s"] == "0" and r["s"] == "1" for r in divergent)
+
+
+def test_table_doublesums_batch_matches_single_sums(capsys):
+    # an even-weight table runs its direct sums as one batch of head passes;
+    # each row holds what double_direct gives for its index alone
+    clear_direct_caches()
+    code, out, _ = run_cli(["table", "doublesums", "6", "--digits", "32"], capsys)
+    assert code == 0
+    rows = [row for row in csv.DictReader(io.StringIO(out)) if row["route"] != "divergent"]
+    assert len(rows) == 18  # 5 splits x 4 bar patterns, less the two with s = 1 unbarred
+    for row in rows:
+        clear_direct_caches()
+        idx = es.DoubleIndex(int(row["r"]), int(row["s"]), row["bar_r"] == "1", row["bar_s"] == "1")
+        assert row["value"] == to_decimal(es.double_direct(idx, FAST_N_MAX).value, 32), row
 
 
 def test_table_hsums_json(capsys):

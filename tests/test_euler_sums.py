@@ -14,13 +14,12 @@ from eulerlab.euler_sums import (
     SUM_FORMULAS,
     DoubleIndex,
     _BLOCK,
-    _E_BINS,
-    _E_OFFSET,
+    _HEADS,
     _INNER_ORDER,
+    _add_runs,
+    _closed,
+    _heads,
     _nested_direct,
-    _nested_head,
-    _exact_add,
-    _exact_int,
     _expansion,
     _log_tail,
     _tail,
@@ -30,6 +29,7 @@ from eulerlab.euler_sums import (
     closed_form,
     closed_plain,
     double_direct,
+    double_directs,
     shuffle_check,
     stuffle_check,
     stuffle_closed_residual,
@@ -37,6 +37,7 @@ from eulerlab.euler_sums import (
 )
 from conftest import approx_abs, clear_direct_caches
 import oracles
+from eulerlab import euler_sums
 
 N = 100_000
 
@@ -109,14 +110,13 @@ SEAM_N = (100, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, N)
 
 
 def _blocked_sums(x: np.ndarray) -> tuple:
-    """(sum, alternating sum) of x through the blocked accumulator, x[0]
-    taken as the term at m = 1: even + odd and even - odd, each rounded once."""
-    acc = np.zeros((2, 2 * _E_BINS))
+    """(sum, alternating sum) of x through the run accumulator, block by block,
+    x[0] taken as the term at m = 1: even + odd and even - odd, each rounded once."""
+    acc = [0, 0]  # odd m, even m
     for start in range(0, len(x), _BLOCK):
-        _exact_add(acc, x[start:start + _BLOCK].copy())
-    even, odd = _exact_int(acc[:, :_E_BINS]), _exact_int(acc[:, _E_BINS:])
-    unit = 1 << (_E_OFFSET + 53)
-    return (even + odd) / unit, (even - odd) / unit
+        _add_runs(acc, x[start:start + _BLOCK])
+    odd, even = acc
+    return (even + odd) / (1 << 1074), (even - odd) / (1 << 1074)
 
 
 def _assert_matches_fsum(x: np.ndarray) -> None:
@@ -156,10 +156,17 @@ def test_exact_sum_matches_fsum_on_random_terms(n, e_low, e_span, seed):
     _assert_matches_fsum(np.ldexp(mant, rng.integers(e_low, min(e_low + e_span, 1000) + 1, n) - 53))
 
 
+def test_exact_sum_rejects_non_finite_terms():
+    # each raises, also where two infinities of one parity would cancel
+    for x in ([1.0, 2.0, np.inf, 0.5], [1.0, -np.inf, 0.5], [np.nan, 1.0], [np.inf, 1.0, -np.inf, 2.0]):
+        with pytest.raises(OverflowError):
+            _blocked_sums(np.array(x))
+
+
 def test_accumulator_bound_covers_n_max_cap():
-    # a folded bucket holds up to N_MAX_CAP high halves (< 2^27) and low
-    # halves (< 2^26) of 53-bit mantissas, exact in float64 below 2^53
-    assert 3 * 2 ** 26 * N_MAX_CAP < 2 ** 53
+    # a run adds at most _BLOCK // 2 fractions below 2^52 in uint64 before it
+    # goes into a Python int, whatever n_max is
+    assert (_BLOCK // 2) * (2 ** 52 - 1) < 2 ** 64
 
 
 def _whole_array_direct(r, s, r_bar, s_bar, n_max):
@@ -195,27 +202,37 @@ def test_blocked_direct_sum_matches_whole_array_reference():
                     assert got == (value.hi, value.lo, est.hi, est.lo), (r, s, r_bar, s_bar, n_max)
 
 
+def _weight_indices(k: int) -> list:
+    return [idx for r in range(1, k) for (rb, sb) in CLOSED_FORMS
+            if (idx := DoubleIndex(r, k - r, rb, sb)).convergent]
+
+
 def test_direct_sum_memory_is_bounded():
     # numpy reports its buffers to tracemalloc; an n_max-long float64 array
-    # at 1e6 alone is 8 MB
-    for idx in (DoubleIndex(3, 4, True, False), DoubleIndex(1, 4)):
+    # at 1e6 alone is 8 MB, and a batch keeps each power only while a sum
+    # in it still needs it
+    for run in (lambda: double_direct(DoubleIndex(3, 4, True, False), 10 ** 6),
+                lambda: double_direct(DoubleIndex(1, 4), 10 ** 6),
+                lambda: double_directs(_weight_indices(38), N)):
         clear_direct_caches()
         tracemalloc.start()
         try:
-            double_direct(idx, 10 ** 6)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6, (idx, peak)
+        assert peak < 4e6, peak
 
 
-def test_outer_sign_siblings_share_one_head_pass():
+def test_outer_sign_siblings_share_one_head_pass(monkeypatch):
     # two requests that differ only in the outer sign (-1)^m run one head
     # pass between them, and each gives the bits it gives from cold caches
     def bits(exps, bars, star, n_max):
         value, est = _nested_direct(exps, bars, star, n_max)
         return value.hi, value.lo, est.hi, est.lo
 
+    blocks = []
+    monkeypatch.setattr(euler_sums, "_add_runs", lambda acc, x: (blocks.append(len(x)), _add_runs(acc, x)))
     for n_max in SEAM_N:
         for exps, inner_bars, star in (((1, 2), (False,), False), ((3, 4), (True,), False),
                                        ((2, 3, 2), (False, False), False),
@@ -226,8 +243,55 @@ def test_outer_sign_siblings_share_one_head_pass():
                 clear_direct_caches()
                 alone.append(bits(*request))
             clear_direct_caches()
+            blocks.clear()
             assert [bits(*request) for request in requests] == alone, (exps, inner_bars, star, n_max)
-            assert _nested_head.cache_info().misses == 1
+            assert sum(blocks) == n_max  # the outermost level's terms went in once
+
+
+# keys (exps, inner_bars) and star of one batch: depth 2 with both inner bars
+# and r == s, depth 3 barred, the depth-9 H exponents, and a duplicate key
+BATCHES = (
+    ([((1, 2), (False,)), ((1, 2), (True,)), ((5, 5), (True,)), ((5, 5), (False,)),
+      ((2, 1), (True,)), ((37, 1), (False,)), ((1, 2), (False,))], False),
+    ([((2, 3, 2), (True, False)), ((2, 3, 2), (False, True)), ((3, 2, 2), (True, True)),
+      ((2, 2, 2, 2, 3, 2, 2, 2, 2), (False,) * 8), ((2, 3), (False,))], False),
+    ([((2, 3, 2), (False, False)), ((2, 2, 2, 2, 3, 2, 2, 2, 2), (False,) * 8),
+      ((2,) * 9, (False,) * 8), ((2, 3, 2), (False, False))], True),
+)
+
+
+def test_batched_heads_match_solo_passes_bit_for_bit():
+    # one pass over a list of heads shares each power m^-e among them; every
+    # head keeps the ints and carries of its own pass
+    for n_max in SEAM_N:
+        for keys, star in BATCHES:
+            solo = []
+            for key in keys:
+                clear_direct_caches()
+                solo.extend(_heads([key], star, n_max))
+            clear_direct_caches()
+            assert _heads(keys, star, n_max) == solo, (keys, star, n_max)
+
+
+def test_head_cache_stays_bounded():
+    # a batch that finds the cache full empties it first and still returns
+    # every head, cached before or not
+    clear_direct_caches()
+    keys = [((1, 2), (False,)), ((3, 4), (True,))]
+    first = _heads(keys[:1], False, 100)[0]
+    _HEADS.update(((i,), None) for i in range(4094))
+    assert _heads(keys, False, 100)[0] == first
+    assert len(_HEADS) == 2
+    clear_direct_caches()
+
+
+def test_closed_form_repeat_is_one_cache_hit():
+    _closed.cache_clear()
+    first = closed_bar_s(12, 27)
+    value = first.finite
+    again = closed_bar_s(12, 27)
+    assert again is first and again._finite is value
+    assert _closed.cache_info().hits == 1 and _closed.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
