@@ -376,11 +376,17 @@ def _product_bars(which: str):
     return _PRODUCTS[which]
 
 
-def _stuffle(r: int, s: int, a: bool, b: bool, double) -> ZetaPoly:
+def _stuffle_indices(r: int, s: int, which: str) -> list:
+    """The double sums D(r, s; a, b) and D(s, r; b, a) of a stuffle relation."""
+    a, b = _product_bars(which)
+    return [DoubleIndex(r, s, a, b), DoubleIndex(s, r, b, a)]
+
+
+def _stuffle(r: int, s: int, which: str, d_rs, d_sr) -> ZetaPoly:
     """zeta(r; a) zeta(s; b) - D(r, s; a, b) - D(s, r; b, a) - zeta(r+s; a xor b),
-    with double(r, s, r_bar, s_bar) -> ring element supplying the double sums D."""
-    return (zeta_reg(r, a) * zeta_reg(s, b) - double(r, s, a, b) - double(s, r, b, a)
-            - zeta_reg(r + s, a != b))
+    given the two double sums D of _stuffle_indices as ring elements or constants."""
+    a, b = _product_bars(which)
+    return zeta_reg(r, a) * zeta_reg(s, b) - d_rs - d_sr - zeta_reg(r + s, a != b)
 
 
 def stuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_MAX) -> ZetaPoly:
@@ -391,10 +397,10 @@ def stuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_M
     which = "alternating":  zeta(r-bar) zeta(s-bar) - zeta(r-bar,s-bar)
                             - zeta(s-bar,r-bar) - zeta(r+s)   (r, s >= 1)
     """
-    a, b = _product_bars(which)
-    if not b and s < 2:
+    if not _product_bars(which)[1] and s < 2:
         raise DomainError("the product relation with an unbarred factor needs s >= 2")
-    return _stuffle(r, s, a, b, lambda *idx: ZetaPoly.of(double_direct(DoubleIndex(*idx), n_max).value))
+    d_rs, d_sr = double_directs(_stuffle_indices(r, s, which), n_max)
+    return _stuffle(r, s, which, d_rs.value, d_sr.value)
 
 
 def stuffle_closed_residual(r: int, s: int, which: str = "mixed") -> ZetaPoly:
@@ -403,8 +409,22 @@ def stuffle_closed_residual(r: int, s: int, which: str = "mixed") -> ZetaPoly:
     No direct sums are involved, so the residual is exactly 0; in the mixed
     relation at s = 1 both sides carry a T-part, which cancels too.
     """
+    return _stuffle(r, s, which, *map(closed_form, _stuffle_indices(r, s, which)))
+
+
+def _shuffle_terms(r: int, s: int, which: str) -> list:
+    """(coefficient, double sum) pairs of a shuffle relation's right side (see shuffle_check)."""
     a, b = _product_bars(which)
-    return _stuffle(r, s, a, b, lambda i, j, i_bar, j_bar: CLOSED_FORMS[(i_bar, j_bar)][1](i, j))
+    if not b and s < 2:
+        raise DomainError("the mixed shuffle relation is numeric only for s >= 2")
+    k, x = r + s, a != b
+    terms = []
+    for j in range(1, k):
+        c_a, c_b = binom(j - 1, r - 1), binom(j - 1, s - 1)
+        # equal bars multiply the same double sum: add the coefficients first
+        pairs = [(c_a + c_b, a)] if a == b else [(c_a, a), (c_b, b)]
+        terms += [(c, DoubleIndex(k - j, j, x, bar)) for c, bar in pairs if c]
+    return terms
 
 
 def shuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_MAX) -> ExtReal:
@@ -419,18 +439,9 @@ def shuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_M
     which = "alternating" (both bars; r, s >= 1):
       zeta(r-bar) zeta(s-bar) = sum_j [C(j-1,r-1)+C(j-1,s-1)] zeta(k-j, j-bar)
     """
+    terms = _shuffle_terms(r, s, which)
     a, b = _product_bars(which)
-    if not b and s < 2:
-        raise DomainError("the mixed shuffle relation is numeric only for s >= 2")
-    k = r + s
-    x = a != b
     total = zeta_reg(r, a).finite * zeta_reg(s, b).finite
-    terms = []
-    for j in range(1, k):
-        c_a, c_b = binom(j - 1, r - 1), binom(j - 1, s - 1)
-        # equal bars multiply the same double sum: add the coefficients first
-        pairs = [(c_a + c_b, a)] if a == b else [(c_a, a), (c_b, b)]
-        terms += [(c, DoubleIndex(k - j, j, x, bar)) for c, bar in pairs if c]
     for (c, _), res in zip(terms, double_directs([idx for _, idx in terms], n_max)):
         total = total - c * res.value
     return total
@@ -438,6 +449,26 @@ def shuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_M
 
 # pattern name -> (r_bar, s_bar) of the double sums a summation formula adds up
 SUM_FORMULAS = {name: bars for bars, (name, _) in CLOSED_FORMS.items()}
+
+
+def _sum_formula_sums(k: int, which: str):
+    """(indices, signs) of a summation formula (see sum_formula_check): the k - 2
+    double sums of its left side, then those of its right side, with their signs."""
+    if k < 3:
+        raise DomainError("summation formulas require k >= 3")
+    if which not in SUM_FORMULAS:
+        raise DomainError(f"which must be one of {tuple(SUM_FORMULAS)}")
+    r_bar, s_bar = SUM_FORMULAS[which]
+    # the right side's double sums, all with a barred outer slot: (sign, r, s, r_bar)
+    rhs_sums = {
+        (True, False): [(1, 1, k - 1, False), (-1, 1, k - 1, True)],
+        (True, True): [(1, k - 1, 1, False), (-1, k - 1, 1, True)],
+        (False, True): [(1, k - 1, 1, True), (1, 1, k - 1, True),
+                        (-1, k - 1, 1, False), (-1, 1, k - 1, False)],
+    }.get((r_bar, s_bar), [])
+    return ([DoubleIndex(k - s, s, r_bar, s_bar) for s in range(2, k)]
+            + [DoubleIndex(i, j, i_bar, True) for _, i, j, i_bar in rhs_sums],
+            [sign for sign, *_ in rhs_sums])
 
 
 def sum_formula_check(k: int, which: str, n_max: int = DEFAULT_N_MAX) -> ExtReal:
@@ -455,25 +486,12 @@ def sum_formula_check(k: int, which: str, n_max: int = DEFAULT_N_MAX) -> ExtReal
     comes from the alternating-product stuffle split, whose depth-0 term is
     unbarred (the two bars cancel on the diagonal).
     """
-    if k < 3:
-        raise DomainError("summation formulas require k >= 3")
-    if which not in SUM_FORMULAS:
-        raise DomainError(f"which must be one of {tuple(SUM_FORMULAS)}")
-    r_bar, s_bar = SUM_FORMULAS[which]
-    # the right side's double sums, all with a barred outer slot: (sign, r, s, r_bar)
-    rhs_sums = {
-        (True, False): [(1, 1, k - 1, False), (-1, 1, k - 1, True)],
-        (True, True): [(1, k - 1, 1, False), (-1, k - 1, 1, True)],
-        (False, True): [(1, k - 1, 1, True), (1, 1, k - 1, True),
-                        (-1, k - 1, 1, False), (-1, 1, k - 1, False)],
-    }.get((r_bar, s_bar), [])
-    values = [res.value for res in double_directs(
-        [DoubleIndex(k - s, s, r_bar, s_bar) for s in range(2, k)]
-        + [DoubleIndex(i, j, i_bar, True) for _, i, j, i_bar in rhs_sums], n_max)]
+    indices, signs = _sum_formula_sums(k, which)
+    values = [res.value for res in double_directs(indices, n_max)]
     lhs = ZERO
     for value in values[:k - 2]:
         lhs = lhs + value
-    rhs = zeta_reg(k, r_bar).finite
-    for (sign, *_), value in zip(rhs_sums, values[k - 2:]):
+    rhs = zeta_reg(k, SUM_FORMULAS[which][0]).finite
+    for sign, value in zip(signs, values[k - 2:]):
         rhs = rhs + value if sign > 0 else rhs - value
     return lhs - rhs

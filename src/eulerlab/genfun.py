@@ -15,10 +15,10 @@ from typing import NamedTuple, Tuple
 
 from .hpreal import DomainError, binom
 from .zeta_core import ZetaPoly, zeta_reg
-from .euler_sums import DEFAULT_N_MAX, DoubleIndex, double_direct
+from .euler_sums import DEFAULT_N_MAX, DoubleIndex, double_directs
 
-__all__ = ["HomogPoly", "build", "substitute", "RelationResidual", "RELATIONS",
-           "verify_relations"]
+__all__ = ["HomogPoly", "build", "direct_indices", "substitute", "RelationResidual",
+           "RELATIONS", "verify_relations"]
 
 Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -53,39 +53,46 @@ class HomogPoly:
         return HomogPoly(self.weight, tuple(-c for c in self.coeffs))
 
 
-def _direct(r: int, s: int, r_bar: bool, s_bar: bool, n_max: int) -> ZetaPoly:
-    return ZetaPoly.of(double_direct(DoubleIndex(r, s, r_bar, s_bar), n_max).value)
+# name -> (r, s) -> the double sum that coefficient c_{r,s} takes directly
+_DIRECT = {
+    "G1": lambda r, s: DoubleIndex(r, s, True, False) if s != 1 else DoubleIndex(1, r, False, True),
+    "G2": lambda r, s: DoubleIndex(r, s, False, True),
+    "G3": lambda r, s: DoubleIndex(r, s, True, True),
+}
 
 
-def _g1(r: int, s: int, n_max: int) -> ZetaPoly:
-    """zeta(r-bar, s); the divergent slot s = 1 uses the stuffle regularization
-    zeta(r-bar, 1) = zeta(r-bar) T - zeta(1, r-bar) - zeta(r+1-bar), which is
-    the one genuinely T-carrying coefficient in the whole family."""
-    if s != 1:
-        return _direct(r, s, True, False, n_max)
-    return zeta_reg(r, True) * zeta_reg(1) - _direct(1, r, False, True, n_max) - zeta_reg(r + 1, True)
+def direct_indices(k: int, names=tuple(_DIRECT)) -> list:
+    """The double sums that the coefficients of weight k of the named functions take directly."""
+    return [_DIRECT[name](r, k - r) for name in names if name in _DIRECT for r in range(1, k)]
 
 
-# name -> coefficient c_{r,s} of x^(r-1) y^(s-1), from direct evaluators only
+# name -> coefficient c_{r,s} of x^(r-1) y^(s-1), given the value d of its
+# direct double sum (G1, G2, G3).  G1 is zeta(r-bar, s); its divergent slot
+# s = 1 uses the stuffle regularization zeta(r-bar, 1) = zeta(r-bar) T
+# - zeta(1, r-bar) - zeta(r+1-bar), the one genuinely T-carrying coefficient
+# in the whole family.
 _COEFFS = {
-    "F1": lambda r, s, n_max: zeta_reg(r, True) * zeta_reg(s, False),
-    "F2": lambda r, s, n_max: zeta_reg(r, True) * zeta_reg(s, True),
-    "G1": _g1,
-    "G2": lambda r, s, n_max: _direct(r, s, False, True, n_max),
-    "G3": lambda r, s, n_max: _direct(r, s, True, True, n_max),
-    "T1": lambda r, s, n_max: zeta_reg(r + s),
-    "T2": lambda r, s, n_max: zeta_reg(r + s, True),
+    "F1": lambda r, s, d: zeta_reg(r, True) * zeta_reg(s, False),
+    "F2": lambda r, s, d: zeta_reg(r, True) * zeta_reg(s, True),
+    "G1": lambda r, s, d: (ZetaPoly.of(d) if s != 1
+                           else zeta_reg(r, True) * zeta_reg(1) - d - zeta_reg(r + 1, True)),
+    "G2": lambda r, s, d: ZetaPoly.of(d),
+    "G3": lambda r, s, d: ZetaPoly.of(d),
+    "T1": lambda r, s, d: zeta_reg(r + s),
+    "T2": lambda r, s, d: zeta_reg(r + s, True),
 }
 
 
 def build(name: str, k: int, n_max: int = DEFAULT_N_MAX) -> HomogPoly:
-    """Generating function of weight k with coefficients from direct evaluators."""
+    """Generating function of weight k with coefficients from direct evaluators,
+    its direct sums taken as one batch (double_directs)."""
     if not 3 <= k <= 15:
         raise DomainError("generating functions supported for 3 <= k <= 15")
     if name not in _COEFFS:
         raise DomainError(f"unknown generating function {name!r}")
     coeff = _COEFFS[name]
-    return HomogPoly(weight=k, coeffs=tuple(coeff(r, k - r, n_max) for r in range(1, k)))
+    direct = [res.value for res in double_directs(direct_indices(k, [name]), n_max)] or [None] * (k - 1)
+    return HomogPoly(weight=k, coeffs=tuple(coeff(r, k - r, d) for r, d in enumerate(direct, 1)))
 
 
 # ---------------------------------------------------------------------------

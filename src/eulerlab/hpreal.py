@@ -576,6 +576,12 @@ def _quotient(num: int, den: int) -> float:
         raise DomainError("series value outside the double range") from exc
 
 
+@lru_cache(maxsize=None)
+def _levin_weights(k: int) -> tuple:
+    """The weights w_j of levin_sum's order-k transform, j = 0..k (at most 29 orders)."""
+    return tuple(math.comb(k, j) * (j + 1) ** (k - 2) * (-1) ** j for j in range(k + 1))
+
+
 def levin_sum(ratios: Iterable[Tuple[int, int, float]], start: int = 0):
     """sum_n a_n with a_0 = 1 by the Levin u-transform (beta = 1), in exact
     integers.  The n-th triple (A, B, e) of `ratios` gives a_(n+1) = a_n A / B,
@@ -584,12 +590,12 @@ def levin_sum(ratios: Iterable[Tuple[int, int, float]], start: int = 0):
 
     With a_n = P_n / Q_n and S_n = N_n / Q_n, the transform of order k,
     L_k = sum w_j N_(h+j) R_j / sum w_j Q_(h+j) R_j over j = 0..k, with
-    h = start, R_j = P_(h+k) / P_(h+j) and w_j = (-1)^j C(k, j) (j+1)^(k-2),
-    is formed exactly (by Horner's rule in the A's) at k = 8, 12, ...,
-    every max(4, k/8) terms.  Terms before `start` enter only through the
-    exact partial sums, so a head that has not reached the tail's pattern
-    (a sign change, say) does not mislead the transform.  The estimate is the
-    change from the previous transform, plus the input error
+    h = start, R_j = P_(h+k) / P_(h+j) and w_j = (-1)^j C(k, j) (j+1)^(k-2)
+    (cached per order), is formed exactly (by Horner's rule in the A's) at
+    k = 8, 12, ..., every max(4, k/8) terms.  Terms before `start` enter only
+    through the exact partial sums, so a head that has not reached the tail's
+    pattern (a sign change, say) does not mislead the transform.  The
+    estimate is the change from the previous transform, plus the input error
     e cond (sum |a_n| + max |S_(h+j) - L_k|) with
     cond = sum |w_j Q_(h+j) R_j| / |sum w_j Q_(h+j) R_j|, plus a 2^-106 |L_k|
     rounding.  L_k is accepted once the change is within the rounding part
@@ -617,12 +623,11 @@ def levin_sum(ratios: Iterable[Tuple[int, int, float]], start: int = 0):
         if k == check:
             check += max(4, k // 8)
             num = den = cond = 0
-            for j in range(k + 1):
-                w = math.comb(k, j) * (j + 1) ** (k - 2) * (-1) ** j
-                num = num * a_s[j] + w * s_s[j]
-                den = den * a_s[j] + w * q_s[j]
+            for w, a_j, s_j, q_j in zip(_levin_weights(k), a_s, s_s, q_s):
+                num = num * a_j + w * s_j
+                den = den * a_j + w * q_j
                 if eps:
-                    cond = cond * abs(a_s[j]) + abs(w * q_s[j])
+                    cond = cond * abs(a_j) + abs(w * q_j)
             if den:
                 value = _quotient(num, den)
                 inexact = 0.0

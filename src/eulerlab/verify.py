@@ -99,74 +99,83 @@ def _residual_case(cid: str, tol: float, fn: Callable[[], object]) -> Case:
     return (cid, tol, lambda: (fn(), ExtReal(0.0)))
 
 
+def _batched(cases: List[Case], directs: Callable[[], object]) -> List[Case]:
+    """The cases, each running directs() first: the suite's direct sums as one
+    head pass per star value on the first case's call, cached for the rest."""
+    once = lru_cache(None)(directs)
+    return [(cid, tol, lambda fn=fn: (once(), fn())[1]) for cid, tol, fn in cases]
+
+
 # ---------------------------------------------------------------------------
 # Suite builders
 # ---------------------------------------------------------------------------
 
+# (case-id tag, which) of the two products zeta(r; a) zeta(s; b)
+_PRODUCTS = (("mixed", "mixed"), ("alt", "alternating"))
+
+
+def _product_checks(weights) -> list:
+    """(r, s, tag, which) of the stuffle or shuffle checks (mixed ones need s >= 2)."""
+    return [(r, k - r, tag, which) for k in weights for r in range(1, k)
+            for tag, which in _PRODUCTS if k - r >= 2 or tag == "alt"]
+
+
 def _suite_stuffle(n_max: int, fast: bool) -> List[Case]:
-    cases: List[Case] = []
-    for k in (3, 4, 5):
-        for r in range(1, k):
-            s = k - r
-            if s >= 2:
-                cases.append(_residual_case(
-                    f"stuffle-mixed[r={r},s={s}]", 1e-8,
-                    lambda r=r, s=s: es.stuffle_check(r, s, "mixed", n_max).finite))
-            cases.append(_residual_case(
-                f"stuffle-alt[r={r},s={s}]", 1e-8,
-                lambda r=r, s=s: es.stuffle_check(r, s, "alternating", n_max).finite))
-    return cases
+    checks = _product_checks((3, 4, 5))
+    cases = [_residual_case(f"stuffle-{tag}[r={r},s={s}]", 1e-8,
+                            lambda r=r, s=s, which=which: es.stuffle_check(r, s, which, n_max).finite)
+             for r, s, tag, which in checks]
+    return _batched(cases, lambda: es.double_directs(
+        [idx for r, s, _, which in checks for idx in es._stuffle_indices(r, s, which)], n_max))
 
 
 def _suite_shuffle(n_max: int, fast: bool) -> List[Case]:
-    cases: List[Case] = []
-    for k in range(3, 9):
-        for r in range(1, k):
-            s = k - r
-            if s >= 2:
-                cases.append(_residual_case(
-                    f"shuffle-mixed[r={r},s={s}]", 1e-6,
-                    lambda r=r, s=s: es.shuffle_check(r, s, "mixed", n_max)))
-            cases.append(_residual_case(
-                f"shuffle-alt[r={r},s={s}]", 1e-6,
-                lambda r=r, s=s: es.shuffle_check(r, s, "alternating", n_max)))
-    return cases
+    checks = _product_checks(range(3, 9))
+    cases = [_residual_case(f"shuffle-{tag}[r={r},s={s}]", 1e-6,
+                            lambda r=r, s=s, which=which: es.shuffle_check(r, s, which, n_max))
+             for r, s, tag, which in checks]
+    return _batched(cases, lambda: es.double_directs(
+        [idx for r, s, _, which in checks for _, idx in es._shuffle_terms(r, s, which)], n_max))
 
 
 def _suite_sumformulas(n_max: int, fast: bool) -> List[Case]:
-    return [
-        _residual_case(f"sumformula-{which}[k={k}]", 1e-6,
-                       lambda k=k, which=which: es.sum_formula_check(k, which, n_max))
-        for k in range(3, 9)
-        for which in es.SUM_FORMULAS
-    ]
+    checks = [(k, which) for k in range(3, 9) for which in es.SUM_FORMULAS]
+    cases = [_residual_case(f"sumformula-{which}[k={k}]", 1e-6,
+                            lambda k=k, which=which: es.sum_formula_check(k, which, n_max))
+             for k, which in checks]
+    return _batched(cases, lambda: es.double_directs(
+        [idx for check in checks for idx in es._sum_formula_sums(*check)[0]], n_max))
 
 
 def _suite_closedforms(n_max: int, fast: bool) -> List[Case]:
     cases: List[Case] = []
+    direct = []  # the vs-direct indices
     for k in range(3, (11 if fast else 15) + 1, 2):
         for r in range(1, k):
             s = k - r
             for (rb, sb), (name, fn) in es.CLOSED_FORMS.items():
                 idx = es.DoubleIndex(r, s, rb, sb)
                 if idx.convergent:
+                    direct.append(idx)
+
                     def closed_vs_direct(fn=fn, r=r, s=s, idx=idx):
                         return fn(r, s).finite, es.double_direct(idx, n_max).value
                     cases.append((f"closed-{name}-vs-direct[r={r},s={s}]", 1e-6, closed_vs_direct))
                     cases.append(_residual_case(
                         f"closed-{name}-tcoef[r={r},s={s}]", 0.0,
                         lambda fn=fn, r=r, s=s: fn(r, s).tcoef))
-            for tag, which in (("mixed", "mixed"), ("alt", "alternating")):
+            for tag, which in _PRODUCTS:
                 def stuffle_closed(r=r, s=s, which=which):
                     res = es.stuffle_closed_residual(r, s, which)
                     return abs(res.finite) + abs(res.tcoef)
                 cases.append(_residual_case(f"stuffle-closed-{tag}[r={r},s={s}]", 0.0, stuffle_closed))
-    return cases
+    return _batched(cases, lambda: es.double_directs(direct, n_max))
 
 
 def _suite_genfun(n_max: int, fast: bool) -> List[Case]:
     cases: List[Case] = []
-    for k in range(3, 10):
+    weights = range(3, 10)
+    for k in weights:
         for family in genfun.RELATIONS:
             if family == "reduction" and k % 2 == 0:
                 continue
@@ -175,7 +184,8 @@ def _suite_genfun(n_max: int, fast: bool) -> List[Case]:
             for part, tol in (("finite", 1e-6), ("tpart", 0.0)):
                 cases.append(_residual_case(f"genfun-{family}-{part}[k={k}]", tol,
                                             lambda rel=relations, part=part: getattr(rel(), part)))
-    return cases
+    return _batched(cases, lambda: es.double_directs(
+        [idx for k in weights for idx in genfun.direct_indices(k)], n_max))
 
 
 def _rational_grid(seed: int, count: int):
@@ -191,12 +201,9 @@ def _rational_grid(seed: int, count: int):
             return Fraction(num, den)
         a, b, c = pick(), pick(), pick()
         n = rng.randint(0, 6)
-        ok = True
-        for l in (c, 1 + a + b - c - n, c - a - b, 1 + a - b, 1 + a - c):
-            for i in range(n):
-                if l + i == 0:
-                    ok = False
-        if ok:
+        # l + i == 0 for some 0 <= i < n exactly when l is an integer in [1 - n, 0]
+        if not any(l.denominator == 1 and 1 - n <= l.numerator <= 0
+                   for l in (c, 1 + a + b - c - n, c - a - b, 1 + a - b, 1 + a - c)):
             out.append((a, b, c, n))
     return out
 
@@ -323,18 +330,18 @@ def _suite_hyp(n_max: int, fast: bool) -> List[Case]:
 
 def _suite_zagier(n_max: int, fast: bool) -> List[Case]:
     cases: List[Case] = []
+    direct = []  # the H and H* indices and the double sums
     z3 = zeta(3)
     cases.append(("h-closed[0,0]=zeta3", 0.0, lambda: (zg.h_closed(0, 0), z3)))
     cases.append(("hstar-closed[0,0]=zeta3", 0.0, lambda: (zg.hstar_closed(0, 0), z3)))
     for total in range((4 if fast else 5) + 1):
         for a in range(total + 1):
             b = total - a
-            cases.append((f"h-closed-vs-direct[{a},{b}]", 1e-15,
-                          lambda a=a, b=b: (zg.h_closed(a, b),
-                                            zg.h_direct(zg.HIndex(a, b, False), n_max).value)))
-            cases.append((f"hstar-closed-vs-direct[{a},{b}]", 1e-15,
-                          lambda a=a, b=b: (zg.hstar_closed(a, b),
-                                            zg.h_direct(zg.HIndex(a, b, True), n_max).value)))
+            for tag, closed, star in (("h", zg.h_closed, False), ("hstar", zg.hstar_closed, True)):
+                direct.append(h := zg.HIndex(a, b, star))
+                cases.append((f"{tag}-closed-vs-direct[{a},{b}]", 1e-15,
+                              lambda a=a, b=b, f=closed, h=h: (f(a, b), zg.h_direct(h, n_max).value)))
+            direct.append(zg._pilehrood_index(a, b))
             cases.append((f"hstar-closed-vs-pilehrood[{a},{b}]", 1e-6,
                           lambda a=a, b=b: (zg.hstar_closed(a, b),
                                             zg.hstar_pilehrood(a, b, n_max))))
@@ -351,10 +358,9 @@ def _suite_zagier(n_max: int, fast: bool) -> List[Case]:
     cases.append(("zeta-from-hstar[0,1]", 0.0,
                   lambda: (zg.zeta_from_hstar(0, 1), z3 / 8)))
     for (r, s) in ((1, 1), (0, 2), (1, 2)):
+        direct.append(idx := es.DoubleIndex(2 * r + 1, 2 * s, False, True))
         cases.append((f"zeta-from-hstar-vs-direct[{r},{s}]", 1e-6,
-                      lambda r=r, s=s: (
-                          zg.zeta_from_hstar(r, s),
-                          es.double_direct(es.DoubleIndex(2 * r + 1, 2 * s, False, True), n_max).value)))
+                      lambda r=r, s=s, i=idx: (zg.zeta_from_hstar(r, s), es.double_direct(i, n_max).value)))
     reflection_points = [
         (Fraction(1, 4), Fraction(1, 3)),
         (Fraction(1, 3), Fraction(1, 4)),
@@ -377,7 +383,7 @@ def _suite_zagier(n_max: int, fast: bool) -> List[Case]:
                   ExtReal.from_fraction(x * x / (1 - x * x)))
         return lhs, -sinc_pi(xv) * acc
     cases.append(("diagonal-route[x=1/4]", 1e-32, diagonal_route))
-    return cases
+    return _batched(cases, lambda: zg.h_directs(direct, n_max))
 
 
 # suite name -> case builder, called as builder(n_max, fast); "all" runs every

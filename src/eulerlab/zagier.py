@@ -20,6 +20,7 @@ from .euler_sums import (
     DEFAULT_N_MAX,
     N_MAX_CAP,
     DoubleIndex,
+    _heads,
     _nested_direct,
     closed_bar_s,
     double_direct,
@@ -30,6 +31,7 @@ __all__ = [
     "HIndex",
     "h_single",
     "h_direct",
+    "h_directs",
     "mzv_direct",
     "h_closed",
     "hstar_closed",
@@ -107,6 +109,20 @@ def h_direct(idx: HIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
     return mzv_direct(idx.exponents, star=idx.star, n_max=n_max)
 
 
+def h_directs(indices: list, n_max: int = DEFAULT_N_MAX) -> list:
+    """[h_direct(idx, n_max) for idx in indices], where a DoubleIndex goes to
+    double_direct instead, so that H, H* and double sums share one head pass
+    per star value (see euler_sums._heads); each value keeps its bits.  The
+    batch runs only if every request is valid; a bad one raises as alone."""
+    doubles = [isinstance(idx, DoubleIndex) for idx in indices]
+    valid = all(idx.convergent if double else idx.a + idx.b <= 8 for idx, double in zip(indices, doubles))
+    if valid and 100 <= n_max <= N_MAX_CAP:
+        for star in (False, True):  # head keys as double_directs and mzv_direct form them
+            _heads([((i.r, i.s), (i.r_bar,)) if double else (i.exponents, (False,) * (i.a + i.b))
+                    for i, double in zip(indices, doubles) if star == (not double and i.star)], star, n_max)
+    return [(double_direct if double else h_direct)(idx, n_max) for idx, double in zip(indices, doubles)]
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -144,12 +160,17 @@ def hstar_closed(a: int, b: int) -> ExtReal:
     return _h(a, b, True).finite
 
 
+def _pilehrood_index(a: int, b: int) -> DoubleIndex:
+    """zeta(2a+1, 2b+2-bar), the double sum of hstar_pilehrood."""
+    return DoubleIndex(2 * a + 1, 2 * b + 2, False, True)
+
+
 def hstar_pilehrood(a: int, b: int, n_max: int = DEFAULT_N_MAX) -> ExtReal:
     """H*(a,b) = -4 zeta(2a+1, 2b+2-bar) - 2 zeta(2a+2b+3-bar), the double sum
     taken directly."""
     if a < 0 or b < 0:
         raise DomainError("indices must be nonnegative")
-    dd = double_direct(DoubleIndex(2 * a + 1, 2 * b + 2, False, True), n_max).value
+    dd = double_direct(_pilehrood_index(a, b), n_max).value
     return -4 * dd - 2 * zeta_bar(2 * a + 2 * b + 3)
 
 

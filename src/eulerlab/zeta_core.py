@@ -72,12 +72,13 @@ def _generator(g: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _monomial(mono: tuple) -> int:
-    """The product of a monomial's generators times 2^_BITS."""
+def _monomial(mono: tuple) -> tuple:
+    """(the power of T in a monomial, the product of its other generators times 2^_BITS)."""
     value = 1 << _BITS
     for g in mono:
-        value = value * _generator(g) >> _BITS
-    return value
+        if g != _T:
+            value = value * _generator(g) >> _BITS
+    return mono.count(_T), value
 
 
 class ZetaPoly:
@@ -115,8 +116,7 @@ class ZetaPoly:
         return ZetaPoly(terms)
 
     def _part(self, t_degree: int) -> ExtReal:
-        parts = [(c, _monomial(tuple(g for g in m if g != _T)))
-                 for m, c in self.terms.items() if m.count(_T) == t_degree]
+        parts = [(c, v) for m, c in self.terms.items() for t, v in (_monomial(m),) if t == t_degree]
         den = math.lcm(*(c.denominator for c, _ in parts))
         num = sum(c.numerator * (den // c.denominator) * v for c, v in parts)
         return from_fixed((2 * num + den) // (2 * den), FIXED_BITS - _BITS)
@@ -141,6 +141,8 @@ class ZetaPoly:
         return ZetaPoly.sum((self, -ZetaPoly.of(other)))
 
     def __mul__(self, other) -> "ZetaPoly":
+        if isinstance(other, (int, Fraction)):
+            return ZetaPoly({m: c * other for m, c in self.terms.items()})
         terms: dict = {}
         for m2, c2 in ZetaPoly.of(other).terms.items():
             for m1, c1 in self.terms.items():

@@ -3,9 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eulerlab import euler_sums
+from eulerlab.euler_sums import _HEADS
 from eulerlab.hpreal import DomainError, ExtReal
 from eulerlab.zeta_core import ZetaPoly, zeta, zeta_bar
-from eulerlab.genfun import HomogPoly, build, substitute, verify_relations
+from eulerlab.genfun import HomogPoly, build, direct_indices, substitute, verify_relations
+from conftest import clear_direct_caches
 
 N = 100_000
 
@@ -32,6 +35,26 @@ def test_g1_divergent_slot_regularization():
     assert abs(float(slot.tcoef - zeta_bar(2))) == 0.0
     f1 = build("F1", 3, N)
     assert abs(float(f1.coeff(2).tcoef - zeta_bar(2))) == 0.0
+
+
+def test_build_takes_its_direct_sums_in_one_head_pass(monkeypatch):
+    # the uncached heads of each pass; F and T take no direct sums
+    passes = []
+    heads = euler_sums._heads
+
+    def counted(keys, star, n_max):
+        todo = {(*key, star, n_max) for key in keys} - _HEADS.keys()
+        passes.extend([len(todo)] if todo else [])
+        return heads(keys, star, n_max)
+
+    monkeypatch.setattr(euler_sums, "_heads", counted)
+    for name in ("F1", "G1", "G2", "G3", "T2"):
+        clear_direct_caches()
+        passes.clear()
+        build(name, 9, N)
+        assert passes == ([8] if name[0] == "G" else []), (name, passes)
+    assert len(direct_indices(9)) == 3 * 8
+    clear_direct_caches()
 
 
 def test_unknown_name_rejected():

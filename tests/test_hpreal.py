@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerlab.hpreal import (
+    LEVIN_CAP,
     DomainError,
     ExtReal,
     bernoulli,
@@ -22,6 +23,7 @@ from eulerlab.hpreal import (
     parse_decimal,
     sinc_pi,
     to_decimal,
+    _levin_weights,
 )
 from conftest import PI_50, LN2_50, approx_abs
 import oracles
@@ -300,3 +302,16 @@ def test_to_decimal_boundaries():
     assert to_decimal(ExtReal(-12345.0), 5) == "-12345"
     assert to_decimal(ExtReal(2.5), 1) == "2"  # half-even
     assert to_decimal(ExtReal(3.5), 1) == "4"
+
+
+def test_levin_weights_match_the_formula_on_the_check_schedule():
+    # levin_sum transforms at orders k = 8, 12, ..., each max(4, k/8) past the last
+    k, orders = 8, []
+    while k <= LEVIN_CAP:
+        orders.append(k)
+        k += max(4, k // 8)
+    assert len(orders) == 29
+    for k in orders:
+        assert _levin_weights(k) == tuple(
+            (-1) ** j * math.factorial(k) // (math.factorial(j) * math.factorial(k - j)) * (j + 1) ** (k - 2)
+            for j in range(k + 1)), k

@@ -7,13 +7,14 @@ import pytest
 
 from eulerlab.hpreal import DomainError, ExtReal, const_pi, sinc_pi
 from eulerlab.zeta_core import zeta, zeta_bar
-from eulerlab.euler_sums import _BLOCK, N_MAX_CAP, DoubleIndex, _nested_tail, double_direct
+from eulerlab.euler_sums import _BLOCK, _HEADS, N_MAX_CAP, DoubleIndex, _nested_tail, double_direct
 from eulerlab.zagier import (
     HIndex,
     eval_F,
     eval_Fstar,
     h_closed,
     h_direct,
+    h_directs,
     h_single,
     hstar_closed,
     hstar_closed_via_double,
@@ -24,6 +25,7 @@ from eulerlab.zagier import (
     zeta_from_hstar,
 )
 from conftest import approx_abs, clear_direct_caches
+from test_euler_sums import SEAM_N
 import oracles
 
 F = Fraction
@@ -116,6 +118,37 @@ def test_nested_direct_meets_closed_forms():
                 for star, closed in ((False, h_closed), (True, hstar_closed)):
                     got = h_direct(HIndex(a, total - a, star), n_max).value
                     assert abs(float(got - closed(a, total - a))) <= 1e-15, (a, star, n_max)
+
+
+def test_h_directs_match_solo_calls_bit_for_bit():
+    # strict and starred H, a depth-9 one, double sums (one shares its head
+    # with H(0,1)) and duplicates, in one call: each result has the bits of
+    # its solo call from cold caches
+    indices = [HIndex(0, 1), HIndex(2, 1, True), HIndex(0, 0, True), HIndex(4, 4), HIndex(4, 4, True),
+               DoubleIndex(3, 2, False, True), DoubleIndex(1, 4, True, True), HIndex(0, 1),
+               HIndex(2, 1, True), DoubleIndex(3, 2, False, True)]
+
+    def bits(res):
+        return res.value.hi, res.value.lo, res.tail_estimate.hi, res.tail_estimate.lo, res.terms_used
+
+    for n_max in SEAM_N:
+        solo = []
+        for idx in indices:
+            clear_direct_caches()
+            solo.append(bits((double_direct if isinstance(idx, DoubleIndex) else h_direct)(idx, n_max)))
+        clear_direct_caches()
+        assert [bits(res) for res in h_directs(indices, n_max)] == solo, n_max
+    clear_direct_caches()
+
+
+def test_h_directs_run_no_batch_with_a_bad_request():
+    # a bad request first: it raises as its solo call would, and no head ran
+    for indices, n_max in (([HIndex(5, 4), HIndex(0, 1)], N), ([DoubleIndex(2, 1), HIndex(0, 1)], N),
+                           ([HIndex(0, 1), HIndex(2, 0, True)], N_MAX_CAP + 1)):
+        clear_direct_caches()
+        with pytest.raises(DomainError):
+            h_directs(indices, n_max)
+        assert not _HEADS
 
 
 def test_mzv_memory_is_bounded():
