@@ -20,7 +20,7 @@ from .zeta_core import zeta, zeta_bar
 from . import euler_sums as es
 from . import hypergeom as hg
 from . import zagier as zg
-from .verify import FAST_N_MAX, SUITES, run_suite
+from .verify import SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("kind", choices=["zeta", "zetabar", "mzv", "hsum", "hyp"])
     p_compute.add_argument("args", nargs="*", help="indices; prefix ~ marks an alternating slot")
     p_compute.add_argument("--digits", type=_digits, default=30)
-    p_compute.add_argument("--n-max", type=int, default=FAST_N_MAX,
+    p_compute.add_argument("--n-max", type=int, default=es.DEFAULT_N_MAX,
                            help="truncation for direct summation routes")
     p_compute.add_argument("--star", action="store_true", help="hsum: star variant")
     p_compute.add_argument("--upper", type=str, default=None, help="hyp: comma-separated upper parameters")
@@ -76,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=list(SUITES))
     speed = p_verify.add_mutually_exclusive_group()
     speed.add_argument("--fast", action="store_true", default=True,
-                       help="n_max = 1e5 and reduced grids (default)")
+                       help="n_max = 1e3 and reduced grids (default)")
     speed.add_argument("--slow", action="store_true",
-                       help="n_max = 1e6 and full grids")
+                       help="n_max = 1e6, cross-checking the tails, and full grids")
     p_verify.add_argument("--json", type=str, default=None, metavar="PATH",
                           help="write the machine-readable report here")
     p_verify.add_argument("--jobs", type=int, default=None,
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("bound", type=int, help="weight (doublesums) or K bound (hsums)")
     p_table.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     p_table.add_argument("--digits", type=_digits, default=30)
-    p_table.add_argument("--n-max", type=int, default=FAST_N_MAX)
+    p_table.add_argument("--n-max", type=int, default=es.DEFAULT_N_MAX)
     p_table.add_argument("--out", type=str, default=None)
     return parser
 

@@ -545,7 +545,12 @@ def ln_gamma_fixed(x: Real) -> int:
         raise DomainError("ln_gamma requires a positive argument")
     if x > 10 ** 4:
         raise DomainError("ln_gamma argument capped at 1e4")
-    x = fixed_rational(x.to_fraction() if isinstance(x, ExtReal) else Fraction(x))
+    return _ln_gamma_exact(fixed_rational(x.to_fraction() if isinstance(x, ExtReal) else Fraction(x)))
+
+
+# Gamma ratios repeat their arguments (Gamma(1), Gamma(2), Gamma(3/2) ...)
+@lru_cache(maxsize=1024)
+def _ln_gamma_exact(x: Fraction) -> int:
     p, q = x.numerator, x.denominator
     prod, s = 1, 0
     while p + s * q < _STIRLING_SHIFT * q:

@@ -30,7 +30,7 @@ __all__ = [
     "SLOW_N_MAX",
 ]
 
-FAST_N_MAX = 100_000
+FAST_N_MAX = 1_000
 SLOW_N_MAX = 1_000_000
 
 # a case function returns (lhs, rhs); residual = |lhs - rhs|

@@ -10,7 +10,6 @@ from fractions import Fraction
 from eulerlab import euler_sums as es
 from eulerlab.cli import main
 from eulerlab.hpreal import parse_decimal, to_decimal
-from eulerlab.verify import FAST_N_MAX
 from conftest import ZETA3_50, clear_direct_caches
 
 
@@ -168,8 +167,9 @@ def test_table_doublesums_even_weight_marks_divergent(capsys):
 
 
 def test_table_doublesums_batch_matches_single_sums(capsys):
-    # an even-weight table runs its direct sums as one batch of head passes;
-    # each row holds what double_direct gives for its index alone
+    # an even-weight table runs its direct sums as one batch of head passes at
+    # the library's default truncation (not verify's); each row holds what
+    # double_direct gives for its index alone
     clear_direct_caches()
     code, out, _ = run_cli(["table", "doublesums", "6", "--digits", "32"], capsys)
     assert code == 0
@@ -178,7 +178,8 @@ def test_table_doublesums_batch_matches_single_sums(capsys):
     for row in rows:
         clear_direct_caches()
         idx = es.DoubleIndex(int(row["r"]), int(row["s"]), row["bar_r"] == "1", row["bar_s"] == "1")
-        assert row["value"] == to_decimal(es.double_direct(idx, FAST_N_MAX).value, 32), row
+        assert row["route"] == "direct[n=100000]", row
+        assert row["value"] == to_decimal(es.double_direct(idx, es.DEFAULT_N_MAX).value, 32), row
 
 
 def test_table_hsums_json(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerlab.hpreal import DomainError, ExtReal, const_pi, ln_dd
+from eulerlab.hpreal import DomainError, ExtReal, _ln_gamma_exact, const_pi, ln_dd, ln_gamma_fixed
 from eulerlab.hypergeom import (
     ConvClass,
     HypSpec,
@@ -176,6 +176,16 @@ def test_ln_gamma_values(frozen):
     assert abs(float(ln_gamma(5) - ln_dd(ExtReal(24.0)))) < 1e-30
     # ln Gamma(1/2) = ln sqrt(pi)
     assert abs(float(ln_gamma(F(1, 2)) - ln_dd(const_pi()) / 2)) < 1e-29
+
+
+def test_ln_gamma_repeat_is_a_cache_hit_with_the_cold_bits():
+    _ln_gamma_exact.cache_clear()
+    first = ln_gamma_fixed(F(7, 3))
+    assert ln_gamma_fixed(F(14, 6)) == first and ln_gamma_fixed(2) == ln_gamma_fixed(F(2))
+    assert _ln_gamma_exact.cache_info().hits == 2 and _ln_gamma_exact.cache_info().misses == 2
+    _ln_gamma_exact.cache_clear()
+    assert ln_gamma_fixed(F(7, 3)) == first
+    assert _ln_gamma_exact.cache_info().misses == 1
 
 
 def test_ln_gamma_functional_equation():

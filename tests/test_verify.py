@@ -8,11 +8,12 @@ from conftest import clear_direct_caches
 
 def test_each_suite_takes_one_head_pass_per_star(monkeypatch):
     # a pass counts when it runs a head not cached yet; the suite of a pass is
-    # the suite of the case running at the time
+    # the suite of the case running at the time; every pass runs at --fast's n_max
     running, passes = [None], []
     heads = euler_sums._heads
 
     def counted(keys, star, n_max):
+        assert n_max == verify.FAST_N_MAX
         if {(*key, star, n_max) for key in keys} - _HEADS.keys():
             passes.append((running[0], star))
         return heads(keys, star, n_max)
