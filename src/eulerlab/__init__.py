@@ -29,12 +29,10 @@ from .euler_sums import (
     closed_form,
     closed_plain,
     double_direct,
-    shuffle_check,
-    stuffle_check,
-    stuffle_closed_residual,
     sum_formula_check,
 )
-from .genfun import RELATIONS, HomogPoly, build, substitute, verify_relations
+from .genfun import (RELATIONS, build, shuffle_check, stuffle_check, stuffle_closed_residual,
+                     substitute, verify_relations)
 from .hypergeom import (
     ConvClass,
     HypSpec,

@@ -1,6 +1,6 @@
 """Double Euler sums: direct evaluation of the four depth-2 series, their
-odd-weight closed forms, stuffle/shuffle consistency checks, and the
-summation formulas.
+odd-weight closed forms, and the summation formulas (the stuffle and shuffle
+checks read genfun's relation table).
 
 Direct summation, for double sums and the nested sums of zagier alike, runs
 one engine: a single O(n_max) pass in cache-sized blocks for a list of sums,
@@ -37,9 +37,6 @@ __all__ = [
     "closed_bar_both",
     "closed_form",
     "CLOSED_FORMS",
-    "stuffle_check",
-    "stuffle_closed_residual",
-    "shuffle_check",
     "sum_formula_check",
     "SUM_FORMULAS",
     "DEFAULT_N_MAX",
@@ -278,11 +275,18 @@ def double_direct(idx: DoubleIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
     return SeriesResult(value=value, terms_used=n_max, tail_estimate=est)
 
 
-def double_directs(indices: list, n_max: int = DEFAULT_N_MAX) -> list:
-    """[double_direct(idx, n_max) for idx in indices], with the head passes not
-    cached yet run as one pass (see _heads); each value keeps its bits."""
+def _prefetch(indices: list, n_max: int) -> None:
+    """Run the head passes of these double sums not cached yet as one pass (see
+    _heads), so that their double_direct calls are cache hits.  The pass runs
+    only if every request is valid; a bad one raises when it is called."""
     if all(idx.convergent for idx in indices) and 100 <= n_max <= N_MAX_CAP:
         _heads([((idx.r, idx.s), (idx.r_bar,)) for idx in indices], False, n_max)
+
+
+def double_directs(indices: list, n_max: int = DEFAULT_N_MAX) -> list:
+    """[double_direct(idx, n_max) for idx in indices], their heads run by
+    _prefetch as one pass; each value keeps its bits."""
+    _prefetch(indices, n_max)
     return [double_direct(idx, n_max) for idx in indices]  # which raises on a bad request
 
 
@@ -364,89 +368,8 @@ def closed_form(idx: DoubleIndex) -> ZetaPoly:
 
 
 # ---------------------------------------------------------------------------
-# Stuffle and shuffle relations of zeta(r; a) zeta(s; b), and summation formulas
+# Summation formulas
 # ---------------------------------------------------------------------------
-
-# which -> bars (a, b) of the product zeta(r; a) zeta(s; b)
-_PRODUCTS = {"mixed": (True, False), "alternating": (True, True)}
-
-
-def _product_bars(which: str):
-    if which not in _PRODUCTS:
-        raise DomainError("which must be 'mixed' or 'alternating'")
-    return _PRODUCTS[which]
-
-
-def _stuffle_indices(r: int, s: int, which: str) -> list:
-    """The double sums D(r, s; a, b) and D(s, r; b, a) of a stuffle relation."""
-    a, b = _product_bars(which)
-    return [DoubleIndex(r, s, a, b), DoubleIndex(s, r, b, a)]
-
-
-def _stuffle(r: int, s: int, which: str, d_rs, d_sr) -> ZetaPoly:
-    """zeta(r; a) zeta(s; b) - D(r, s; a, b) - D(s, r; b, a) - zeta(r+s; a xor b),
-    given the two double sums D of _stuffle_indices as ring elements or constants."""
-    a, b = _product_bars(which)
-    return zeta_reg(r, a) * zeta_reg(s, b) - d_rs - d_sr - zeta_reg(r + s, a != b)
-
-
-def stuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_MAX) -> ZetaPoly:
-    """Residual of a double-stuffle relation with double sums taken directly.
-
-    which = "mixed":        zeta(r-bar) zeta(s) - zeta(r-bar,s) - zeta(s,r-bar)
-                            - zeta(r+s-bar)        (requires s >= 2)
-    which = "alternating":  zeta(r-bar) zeta(s-bar) - zeta(r-bar,s-bar)
-                            - zeta(s-bar,r-bar) - zeta(r+s)   (r, s >= 1)
-    """
-    if not _product_bars(which)[1] and s < 2:
-        raise DomainError("the product relation with an unbarred factor needs s >= 2")
-    d_rs, d_sr = double_directs(_stuffle_indices(r, s, which), n_max)
-    return _stuffle(r, s, which, d_rs.value, d_sr.value)
-
-
-def stuffle_closed_residual(r: int, s: int, which: str = "mixed") -> ZetaPoly:
-    """Residual of a stuffle relation with every double sum from its closed form.
-
-    No direct sums are involved, so the residual is exactly 0; in the mixed
-    relation at s = 1 both sides carry a T-part, which cancels too.
-    """
-    return _stuffle(r, s, which, *map(closed_form, _stuffle_indices(r, s, which)))
-
-
-def _shuffle_terms(r: int, s: int, which: str) -> list:
-    """(coefficient, double sum) pairs of a shuffle relation's right side (see shuffle_check)."""
-    a, b = _product_bars(which)
-    if not b and s < 2:
-        raise DomainError("the mixed shuffle relation is numeric only for s >= 2")
-    k, x = r + s, a != b
-    terms = []
-    for j in range(1, k):
-        c_a, c_b = binom(j - 1, r - 1), binom(j - 1, s - 1)
-        # equal bars multiply the same double sum: add the coefficients first
-        pairs = [(c_a + c_b, a)] if a == b else [(c_a, a), (c_b, b)]
-        terms += [(c, DoubleIndex(k - j, j, x, bar)) for c, bar in pairs if c]
-    return terms
-
-
-def shuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_MAX) -> ExtReal:
-    """Residual of a double-shuffle relation, all double sums taken directly.
-
-    With x = a xor b:
-      zeta(r; a) zeta(s; b) = sum_j C(j-1,r-1) zeta(k-j, j; x, a)
-                            + sum_j C(j-1,s-1) zeta(k-j, j; x, b)
-    which = "mixed" (a, b = bar, no bar; r >= 1, s >= 2, k = r+s):
-      zeta(r-bar) zeta(s) = sum_j C(j-1,r-1) zeta(k-j-bar, j-bar)
-                          + sum_j C(j-1,s-1) zeta(k-j-bar, j)
-    which = "alternating" (both bars; r, s >= 1):
-      zeta(r-bar) zeta(s-bar) = sum_j [C(j-1,r-1)+C(j-1,s-1)] zeta(k-j, j-bar)
-    """
-    terms = _shuffle_terms(r, s, which)
-    a, b = _product_bars(which)
-    total = zeta_reg(r, a).finite * zeta_reg(s, b).finite
-    for (c, _), res in zip(terms, double_directs([idx for _, idx in terms], n_max)):
-        total = total - c * res.value
-    return total
-
 
 # pattern name -> (r_bar, s_bar) of the double sums a summation formula adds up
 SUM_FORMULAS = {name: bars for bars, (name, _) in CLOSED_FORMS.items()}

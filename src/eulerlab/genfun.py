@@ -1,127 +1,109 @@
-"""Homogeneous bivariate generating functions over the regularized zeta ring
-and the three families of relations among them.
+"""Homogeneous bivariate generating functions over the regularized zeta ring,
+the three families of relations among them, and the stuffle and shuffle
+checks of one product, read off those relations coefficient by coefficient.
 
 For a fixed weight k, each generating function is the homogeneous polynomial
-sum_{r+s=k} c_{r,s} x^(r-1) y^(s-1), stored as the coefficient array indexed
-by r = 1..k-1.  Coefficients are ZetaPoly ring elements: products of single
-zeta values, and double sums that always come from the direct summation
-evaluators (as constants), never from the closed forms under test, so the
-relation checks here are independent of the closed-form code paths.
+sum_{r+s=k} c_{r,s} x^(r-1) y^(s-1), stored as the tuple of its coefficients
+indexed by r = 1..k-1.  Coefficients are ZetaPoly ring elements: products of
+single zeta values, and double sums from the direct summation evaluators (as
+constants), so the relation checks are independent of the closed forms under
+test, which only stuffle_closed_residual reads.  A substitution (x, y) ->
+(a x + b y, c x + d y) is an integer matrix acting on the coefficients.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Tuple
 
-from .hpreal import DomainError, binom
+from .hpreal import DomainError, ExtReal, binom
 from .zeta_core import ZetaPoly, zeta_reg
-from .euler_sums import DEFAULT_N_MAX, DoubleIndex, double_directs
+from .euler_sums import _WEIGHT_CAP, DEFAULT_N_MAX, DoubleIndex, closed_form, double_directs
 
-__all__ = ["HomogPoly", "build", "direct_indices", "substitute", "RelationResidual",
-           "RELATIONS", "verify_relations"]
+__all__ = ["build", "direct_indices", "substitute", "RelationResidual", "RELATIONS",
+           "verify_relations", "stuffle_check", "stuffle_closed_residual", "shuffle_check"]
 
 Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
-
-@dataclass(frozen=True)
-class HomogPoly:
-    """Homogeneous polynomial of degree k-2; coeffs[r-1] multiplies x^(r-1) y^(k-r-1)."""
-
-    weight: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.weight - 1:
-            raise DomainError("coefficient array must have length k-1")
-
-    def coeff(self, r: int) -> ZetaPoly:
-        """Coefficient of x^(r-1) y^(k-r-1), r in 1..k-1."""
-        return self.coeffs[r - 1]
-
-    def _pairs(self, other: "HomogPoly"):
-        if self.weight != other.weight:
-            raise DomainError("weights differ")
-        return zip(self.coeffs, other.coeffs)
-
-    def __add__(self, other: "HomogPoly") -> "HomogPoly":
-        return HomogPoly(self.weight, tuple(a + b for a, b in self._pairs(other)))
-
-    def __sub__(self, other: "HomogPoly") -> "HomogPoly":
-        return HomogPoly(self.weight, tuple(a - b for a, b in self._pairs(other)))
-
-    def __neg__(self) -> "HomogPoly":
-        return HomogPoly(self.weight, tuple(-c for c in self.coeffs))
-
-
-# name -> (r, s) -> the double sum that coefficient c_{r,s} takes directly
-_DIRECT = {
-    "G1": lambda r, s: DoubleIndex(r, s, True, False) if s != 1 else DoubleIndex(1, r, False, True),
-    "G2": lambda r, s: DoubleIndex(r, s, False, True),
-    "G3": lambda r, s: DoubleIndex(r, s, True, True),
+# name -> c_{r,s} as a product of single zeta values
+_PRODUCTS = {
+    "F1": lambda r, s: zeta_reg(r, True) * zeta_reg(s),
+    "F2": lambda r, s: zeta_reg(r, True) * zeta_reg(s, True),
+    "T1": lambda r, s: zeta_reg(r + s),
+    "T2": lambda r, s: zeta_reg(r + s, True),
 }
+# name -> bars (r_bar, s_bar) of the double sum zeta(r, s) that is c_{r,s}
+_DOUBLES = {"G1": (True, False), "G2": (False, True), "G3": (True, True)}
 
 
-def direct_indices(k: int, names=tuple(_DIRECT)) -> list:
-    """The double sums that the coefficients of weight k of the named functions take directly."""
-    return [_DIRECT[name](r, k - r) for name in names if name in _DIRECT for r in range(1, k)]
+def direct_indices(k: int, names=tuple(_DOUBLES)) -> list:
+    """The double sums that the coefficients of weight k of the named functions
+    take directly; G1's divergent slot s = 1 takes zeta(1, r-bar) (see _coefficients)."""
+    return [DoubleIndex(1, r, False, True) if name == "G1" and r == k - 1
+            else DoubleIndex(r, k - r, *_DOUBLES[name])
+            for name in names if name in _DOUBLES for r in range(1, k)]
 
 
-# name -> coefficient c_{r,s} of x^(r-1) y^(s-1), given the value d of its
-# direct double sum (G1, G2, G3).  G1 is zeta(r-bar, s); its divergent slot
-# s = 1 uses the stuffle regularization zeta(r-bar, 1) = zeta(r-bar) T
-# - zeta(1, r-bar) - zeta(r+1-bar), the one genuinely T-carrying coefficient
-# in the whole family.
-_COEFFS = {
-    "F1": lambda r, s, d: zeta_reg(r, True) * zeta_reg(s, False),
-    "F2": lambda r, s, d: zeta_reg(r, True) * zeta_reg(s, True),
-    "G1": lambda r, s, d: (ZetaPoly.of(d) if s != 1
-                           else zeta_reg(r, True) * zeta_reg(1) - d - zeta_reg(r + 1, True)),
-    "G2": lambda r, s, d: ZetaPoly.of(d),
-    "G3": lambda r, s, d: ZetaPoly.of(d),
-    "T1": lambda r, s, d: zeta_reg(r + s),
-    "T2": lambda r, s, d: zeta_reg(r + s, True),
-}
+@lru_cache(maxsize=256)
+def _coefficients(name: str, k: int, n_max) -> tuple:
+    """(c_{1,k-1}, ..., c_{k-1,1}) of a generating function, its double sums
+    taken directly at n_max as one batch, or from their closed forms if n_max
+    is None.  G1's divergent slot s = 1 is the stuffle regularization
+    zeta(r-bar) T - zeta(1, r-bar) - zeta(r+1-bar), the one T-carrying
+    coefficient of the family; its closed form carries it by itself."""
+    if name in _PRODUCTS:
+        return tuple(_PRODUCTS[name](r, k - r) for r in range(1, k))
+    if n_max is None:
+        return tuple(closed_form(DoubleIndex(r, k - r, *_DOUBLES[name])) for r in range(1, k))
+    direct = [res.value for res in double_directs(direct_indices(k, [name]), n_max)]
+    return tuple(zeta_reg(r, True) * zeta_reg(1) - d - zeta_reg(r + 1, True) if name == "G1" and r == k - 1
+                 else ZetaPoly.of(d) for r, d in enumerate(direct, 1))
 
 
-def build(name: str, k: int, n_max: int = DEFAULT_N_MAX) -> HomogPoly:
-    """Generating function of weight k with coefficients from direct evaluators,
-    its direct sums taken as one batch (double_directs)."""
-    if not 3 <= k <= 15:
-        raise DomainError("generating functions supported for 3 <= k <= 15")
-    if name not in _COEFFS:
+def _check_weight(k: int) -> None:
+    if not 3 <= k <= _WEIGHT_CAP:
+        raise DomainError(f"generating functions supported for 3 <= k <= {_WEIGHT_CAP}")
+
+
+def build(name: str, k: int, n_max: int = DEFAULT_N_MAX) -> tuple:
+    """Coefficients of generating function `name` at weight k, indexed by
+    r = 1..k-1, its direct sums taken as one batch at n_max (cached)."""
+    _check_weight(k)
+    if name not in _PRODUCTS and name not in _DOUBLES:
         raise DomainError(f"unknown generating function {name!r}")
-    coeff = _COEFFS[name]
-    direct = [res.value for res in double_directs(direct_indices(k, [name]), n_max)] or [None] * (k - 1)
-    return HomogPoly(weight=k, coeffs=tuple(coeff(r, k - r, d) for r, d in enumerate(direct, 1)))
+    return _coefficients(name, k, n_max)
 
 
 # ---------------------------------------------------------------------------
 # Linear substitution (x, y) -> (a x + b y, c x + d y)
 # ---------------------------------------------------------------------------
 
-def substitute(p: HomogPoly, mat: Matrix) -> HomogPoly:
-    """Coefficientwise binomial expansion of p(a x + b y, c x + d y).
-
-    Matrix entries are restricted to {-1, 0, 1}: the relations only ever use
-    sign flips, swaps and the shear (x, x+y) and its relatives.  The
-    combinatorics are exact integers; ring elements are combined linearly.
-    """
+@lru_cache(maxsize=1024)
+def _matrix(k: int, mat: Matrix) -> tuple:
+    """Rows u = 0..k-2 of the integer matrix of p -> p(a x + b y, c x + d y)
+    at weight k: entry [u][r-1] is the coefficient of x^u y^(k-2-u) in
+    (a x + b y)^(r-1) (c x + d y)^(k-r-1)."""
     (a, b), (c, d) = mat
-    for entry in (a, b, c, d):
-        if entry not in (-1, 0, 1):
-            raise DomainError("substitution matrix entries must be in {-1, 0, 1}")
-    k = p.weight
-    terms: list = [[] for _ in range(k - 1)]  # terms[u]: the parts of x^u
+    rows = [[0] * (k - 1) for _ in range(k - 1)]
     for r in range(1, k):
         s = k - r
-        coeff = p.coeffs[r - 1]
         for i in range(r):  # (a x + b y)^(r-1) term i
-            w1 = binom(r - 1, i) * a ** i * b ** (r - 1 - i)
+            w = binom(r - 1, i) * a ** i * b ** (r - 1 - i)
             for j in range(s):  # (c x + d y)^(s-1) term j
-                w = w1 * binom(s - 1, j) * c ** j * d ** (s - 1 - j)
-                if w:
-                    terms[i + j].append(coeff * w)
-    return HomogPoly(weight=k, coeffs=tuple(ZetaPoly.sum(parts) for parts in terms))
+                rows[i + j][r - 1] += w * binom(s - 1, j) * c ** j * d ** (s - 1 - j)
+    return tuple(map(tuple, rows))
+
+
+def substitute(coeffs: tuple, mat: Matrix) -> tuple:
+    """Coefficients of p(a x + b y, c x + d y), given those of p: _matrix
+    applied to them, one exact ring sum per coefficient.
+
+    Matrix entries are restricted to {-1, 0, 1}: the relations only ever use
+    sign flips, swaps and the shear (x, x+y) and its relatives.
+    """
+    if any(entry not in (-1, 0, 1) for row in mat for entry in row):
+        raise DomainError("substitution matrix entries must be in {-1, 0, 1}")
+    rows = _matrix(len(coeffs) + 1, mat)
+    return tuple(ZetaPoly.sum(w * c for w, c in zip(row, coeffs) if w) for row in rows)
 
 
 class RelationResidual(NamedTuple):
@@ -172,30 +154,88 @@ RELATIONS = {
 }
 
 
-def verify_relations(family: str, k: int, n_max: int = DEFAULT_N_MAX) -> RelationResidual:
-    """Max residual of LHS - RHS over the relations of one RELATIONS family.
+@lru_cache(maxsize=256)
+def _residuals(family: str, k: int, n_max) -> tuple:
+    """Per relation of a RELATIONS family, the coefficients of LHS - RHS at
+    weight k, with the double sums as in _coefficients (closed forms if n_max
+    is None).  Each relation folds into one integer matrix per named
+    function, so each coefficient is one exact ring sum."""
+    out = []
+    for lhs, rhs in RELATIONS[family]:
+        folded: dict = {}  # name -> the summed matrices of its terms
+        for side, terms in ((1, lhs), (-1, rhs)):
+            for sign, name, mat in terms:
+                rows = folded.setdefault(name, [[0] * (k - 1) for _ in range(k - 1)])
+                for acc, row in zip(rows, _matrix(k, mat)):
+                    for i, w in enumerate(row):
+                        acc[i] += side * sign * w
+        out.append(tuple(ZetaPoly.sum(w * c for name, rows in folded.items()
+                                      for w, c in zip(rows[u], _coefficients(name, k, n_max)) if w)
+                         for u in range(k - 1)))
+    return tuple(out)
 
-    Each side is summed left to right; every named polynomial is built once.
-    """
+
+def verify_relations(family: str, k: int, n_max: int = DEFAULT_N_MAX) -> RelationResidual:
+    """Max residual of LHS - RHS over the relations of one RELATIONS family."""
     if family not in RELATIONS:
         raise DomainError(f"unknown relation family {family!r}")
     if family == "reduction" and k % 2 == 0:
         raise DomainError("the antisymmetrized relations need odd weight")
-    built = {}
+    _check_weight(k)
+    parts = [c for coeffs in _residuals(family, k, n_max) for c in coeffs]
+    return RelationResidual(max(abs(float(c.finite)) for c in parts), max(abs(float(c.tcoef)) for c in parts))
 
-    def side(terms) -> HomogPoly:
-        total = None
-        for sign, name, mat in terms:
-            if name not in built:
-                built[name] = build(name, k, n_max)
-            term = built[name] if mat == _ID else substitute(built[name], mat)
-            term = term if sign > 0 else -term
-            total = term if total is None else total + term
-        return total
 
-    finite = tpart = 0.0
-    for lhs, rhs in RELATIONS[family]:
-        for c in (side(lhs) - side(rhs)).coeffs:
-            finite = max(finite, abs(float(c.finite)))
-            tpart = max(tpart, abs(float(c.tcoef)))
-    return RelationResidual(finite, tpart)
+# ---------------------------------------------------------------------------
+# Stuffle and shuffle relations of one product zeta(r; a) zeta(s; b)
+# ---------------------------------------------------------------------------
+
+# which -> the relation of the stuffle or shuffle family with that product as
+# its left side's coefficients: F1 (zeta(r-bar) zeta(s)) or F2 (zeta(r-bar) zeta(s-bar))
+_WHICH = {"mixed": 0, "alternating": 1}
+
+
+def _residual(family: str, r: int, s: int, which: str, n_max) -> ZetaPoly:
+    """Coefficient r - 1 (of x^(r-1) y^(s-1)) of LHS - RHS of the family's
+    relation for `which`, from the residuals of the whole weight r + s."""
+    if which not in _WHICH:
+        raise DomainError("which must be 'mixed' or 'alternating'")
+    if which == "mixed" and s < 2 and n_max is not None:
+        raise DomainError("the relations with an unbarred factor zeta(s) need s >= 2")
+    DoubleIndex(r, s)  # r, s >= 1 and the weight cap
+    return _residuals(family, r + s, n_max)[_WHICH[which]][r - 1]
+
+
+def stuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_MAX) -> ZetaPoly:
+    """Residual of a double-stuffle relation with double sums taken directly.
+
+    which = "mixed":        zeta(r-bar) zeta(s) - zeta(r-bar,s) - zeta(s,r-bar)
+                            - zeta(r+s-bar)        (requires s >= 2)
+    which = "alternating":  zeta(r-bar) zeta(s-bar) - zeta(r-bar,s-bar)
+                            - zeta(s-bar,r-bar) - zeta(r+s)   (r, s >= 1)
+    """
+    return _residual("stuffle", r, s, which, n_max)
+
+
+def stuffle_closed_residual(r: int, s: int, which: str = "mixed") -> ZetaPoly:
+    """Residual of a stuffle relation with every double sum from its closed form.
+
+    No direct sums are involved, so the residual is exactly 0; in the mixed
+    relation at s = 1 both sides carry a T-part, which cancels too.
+    """
+    return _residual("stuffle", r, s, which, None)
+
+
+def shuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_MAX) -> ExtReal:
+    """Residual of a double-shuffle relation, all double sums taken directly.
+
+    With x = a xor b:
+      zeta(r; a) zeta(s; b) = sum_j C(j-1,r-1) zeta(k-j, j; x, a)
+                            + sum_j C(j-1,s-1) zeta(k-j, j; x, b)
+    which = "mixed" (a, b = bar, no bar; r >= 1, s >= 2, k = r+s):
+      zeta(r-bar) zeta(s) = sum_j C(j-1,r-1) zeta(k-j-bar, j-bar)
+                          + sum_j C(j-1,s-1) zeta(k-j-bar, j)
+    which = "alternating" (both bars; r, s >= 1):
+      zeta(r-bar) zeta(s-bar) = sum_j [C(j-1,r-1)+C(j-1,s-1)] zeta(k-j, j-bar)
+    """
+    return _residual("shuffle", r, s, which, n_max).finite

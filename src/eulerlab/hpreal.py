@@ -6,7 +6,7 @@ canonical form (|lo| <= ulp(hi)/2), giving roughly 31-32 significant decimal
 digits.  All operations here are pure; values are immutable after
 construction, so everything in this module is safe to share across threads.
 
-Hot loops (exp, ln, log-gamma, Bernoulli polynomials, sinc) run in fixed
+Hot loops (exp, ln, log-gamma, sinc) run in fixed
 point: an int N stands for N * 2^-FIXED_BITS.  ExtReal stays the public value
 type; `to_fixed` and `from_fixed` convert at the boundary.  pi and ln 2 are
 exact rational series, rounded once to ExtReal and once to fixed point.
@@ -29,7 +29,6 @@ __all__ = [
     "const_gamma_f64",
     "bernoulli",
     "bernoulli_first",
-    "bernoulli_poly",
     "em_coefficient",
     "binom",
     "exp_dd",
@@ -384,7 +383,7 @@ def _bernoulli_list(n: int) -> tuple:
 
 
 def bernoulli_first(n: int) -> Fraction:
-    """B_n with B_1 = -1/2 (internal: Stirling series, Bernoulli polynomials)."""
+    """B_n with B_1 = -1/2."""
     if n < 0 or n > _BERNOULLI_CAP:
         raise DomainError(f"Bernoulli index {n} outside [0, {_BERNOULLI_CAP}]")
     return _bernoulli_list(_BERNOULLI_CAP)[n]
@@ -401,11 +400,6 @@ def bernoulli(n: int) -> Fraction:
 def em_coefficient(j: int) -> Fraction:
     """kappa_j = B_2j / (2j)!, the j-th Euler-Maclaurin coefficient."""
     return bernoulli(2 * j) / math.factorial(2 * j)
-
-
-def bernoulli_poly(m: int, a: Real) -> ExtReal:
-    """Bernoulli polynomial B_m(a), evaluated in fixed point."""
-    return from_fixed(bernoulli_fixed(m, to_fixed(ExtReal.from_real(a))))
 
 
 _BINOM_CAP = 64
@@ -518,20 +512,6 @@ def ln_fixed(n: int, k: int = 0) -> int:
 
 
 _HALF_LN_2PI = ln_fixed(2 * _PI_FIXED) >> 1
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_row(m: int) -> tuple:
-    return tuple(to_fixed(math.comb(m, i) * bernoulli_first(i)) for i in range(m + 1))
-
-
-def bernoulli_fixed(m: int, x: int) -> int:
-    """B_m(x) = sum C(m,i) B_i x^(m-i) for fixed-point x, by Horner's rule with
-    the exact coefficients rounded once."""
-    acc = 0
-    for c in _bernoulli_row(m):
-        acc = (acc * x >> FIXED_BITS) + c
-    return acc
 
 
 _STIRLING_SHIFT = 20

@@ -121,21 +121,21 @@ def _product_checks(weights) -> list:
 
 
 def _suite_stuffle(n_max: int, fast: bool) -> List[Case]:
-    checks = _product_checks((3, 4, 5))
+    weights = (3, 4, 5)
     cases = [_residual_case(f"stuffle-{tag}[r={r},s={s}]", 1e-8,
-                            lambda r=r, s=s, which=which: es.stuffle_check(r, s, which, n_max).finite)
-             for r, s, tag, which in checks]
-    return _batched(cases, lambda: es.double_directs(
-        [idx for r, s, _, which in checks for idx in es._stuffle_indices(r, s, which)], n_max))
+                            lambda r=r, s=s, which=which: genfun.stuffle_check(r, s, which, n_max).finite)
+             for r, s, tag, which in _product_checks(weights)]
+    return _batched(cases, lambda: es._prefetch(
+        [idx for k in weights for idx in genfun.direct_indices(k)], n_max))
 
 
 def _suite_shuffle(n_max: int, fast: bool) -> List[Case]:
-    checks = _product_checks(range(3, 9))
+    weights = range(3, 9)
     cases = [_residual_case(f"shuffle-{tag}[r={r},s={s}]", 1e-6,
-                            lambda r=r, s=s, which=which: es.shuffle_check(r, s, which, n_max))
-             for r, s, tag, which in checks]
-    return _batched(cases, lambda: es.double_directs(
-        [idx for r, s, _, which in checks for _, idx in es._shuffle_terms(r, s, which)], n_max))
+                            lambda r=r, s=s, which=which: genfun.shuffle_check(r, s, which, n_max))
+             for r, s, tag, which in _product_checks(weights)]
+    return _batched(cases, lambda: es._prefetch(
+        [idx for k in weights for idx in genfun.direct_indices(k)], n_max))
 
 
 def _suite_sumformulas(n_max: int, fast: bool) -> List[Case]:
@@ -143,7 +143,7 @@ def _suite_sumformulas(n_max: int, fast: bool) -> List[Case]:
     cases = [_residual_case(f"sumformula-{which}[k={k}]", 1e-6,
                             lambda k=k, which=which: es.sum_formula_check(k, which, n_max))
              for k, which in checks]
-    return _batched(cases, lambda: es.double_directs(
+    return _batched(cases, lambda: es._prefetch(
         [idx for check in checks for idx in es._sum_formula_sums(*check)[0]], n_max))
 
 
@@ -166,10 +166,10 @@ def _suite_closedforms(n_max: int, fast: bool) -> List[Case]:
                         lambda fn=fn, r=r, s=s: fn(r, s).tcoef))
             for tag, which in _PRODUCTS:
                 def stuffle_closed(r=r, s=s, which=which):
-                    res = es.stuffle_closed_residual(r, s, which)
+                    res = genfun.stuffle_closed_residual(r, s, which)
                     return abs(res.finite) + abs(res.tcoef)
                 cases.append(_residual_case(f"stuffle-closed-{tag}[r={r},s={s}]", 0.0, stuffle_closed))
-    return _batched(cases, lambda: es.double_directs(direct, n_max))
+    return _batched(cases, lambda: es._prefetch(direct, n_max))
 
 
 def _suite_genfun(n_max: int, fast: bool) -> List[Case]:
@@ -184,7 +184,7 @@ def _suite_genfun(n_max: int, fast: bool) -> List[Case]:
             for part, tol in (("finite", 1e-6), ("tpart", 0.0)):
                 cases.append(_residual_case(f"genfun-{family}-{part}[k={k}]", tol,
                                             lambda rel=relations, part=part: getattr(rel(), part)))
-    return _batched(cases, lambda: es.double_directs(
+    return _batched(cases, lambda: es._prefetch(
         [idx for k in weights for idx in genfun.direct_indices(k)], n_max))
 
 
@@ -383,7 +383,7 @@ def _suite_zagier(n_max: int, fast: bool) -> List[Case]:
                   ExtReal.from_fraction(x * x / (1 - x * x)))
         return lhs, -sinc_pi(xv) * acc
     cases.append(("diagonal-route[x=1/4]", 1e-32, diagonal_route))
-    return _batched(cases, lambda: zg.h_directs(direct, n_max))
+    return _batched(cases, lambda: zg._prefetch(direct, n_max))
 
 
 # suite name -> case builder, called as builder(n_max, fast); "all" runs every

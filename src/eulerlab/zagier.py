@@ -31,7 +31,6 @@ __all__ = [
     "HIndex",
     "h_single",
     "h_direct",
-    "h_directs",
     "mzv_direct",
     "h_closed",
     "hstar_closed",
@@ -109,18 +108,18 @@ def h_direct(idx: HIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
     return mzv_direct(idx.exponents, star=idx.star, n_max=n_max)
 
 
-def h_directs(indices: list, n_max: int = DEFAULT_N_MAX) -> list:
-    """[h_direct(idx, n_max) for idx in indices], where a DoubleIndex goes to
-    double_direct instead, so that H, H* and double sums share one head pass
-    per star value (see euler_sums._heads); each value keeps its bits.  The
-    batch runs only if every request is valid; a bad one raises as alone."""
+def _prefetch(indices: list, n_max: int) -> None:
+    """Run the head passes of these H and H* (HIndex) and double sums
+    (DoubleIndex) not cached yet as one pass per star value (see
+    euler_sums._heads), so that their h_direct and double_direct calls are
+    cache hits.  The passes run only if every request is valid; a bad one
+    raises when it is called."""
     doubles = [isinstance(idx, DoubleIndex) for idx in indices]
     valid = all(idx.convergent if double else idx.a + idx.b <= 8 for idx, double in zip(indices, doubles))
     if valid and 100 <= n_max <= N_MAX_CAP:
-        for star in (False, True):  # head keys as double_directs and mzv_direct form them
+        for star in (False, True):  # head keys as double_direct and mzv_direct form them
             _heads([((i.r, i.s), (i.r_bar,)) if double else (i.exponents, (False,) * (i.a + i.b))
                     for i, double in zip(indices, doubles) if star == (not double and i.star)], star, n_max)
-    return [(double_direct if double else h_direct)(idx, n_max) for idx, double in zip(indices, doubles)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +189,8 @@ def sum_identities(k: int) -> Tuple[ExtReal, ExtReal]:
     sum_{a+b=K-1} H(a,b)  = sum_r (-1)^(r-1) H(K-r) zeta(2r+1)
     sum_{a+b=K-1} H*(a,b) = sum_r H*(K-r) zeta(2r+1)
     """
-    if not 1 <= k <= 6:
-        raise DomainError("sum identities verified for 1 <= K <= 6")
+    if k < 1:
+        raise DomainError("sum identities require K >= 1")
     res_h = ZetaPoly.sum([_h(a, k - 1 - a, False) for a in range(k)] + [
         (-1) ** r * _h_single(k - r, False) * zeta_reg(2 * r + 1) for r in range(1, k + 1)])
     res_hs = ZetaPoly.sum([_h(a, k - 1 - a, True) for a in range(k)] + [
@@ -207,8 +206,8 @@ def _weighted_hstar(k: int, r: Optional[int] = None) -> ZetaPoly:
 
 def zeta_bar_odd_from_hstar(k: int) -> ExtReal:
     """zeta(2K+1-bar) = -(1/2K) sum_{a+b=K-1} (1 + delta_{a,0}/2) H*(a,b)."""
-    if not 1 <= k <= 6:
-        raise DomainError("verified for 1 <= K <= 6")
+    if k < 1:
+        raise DomainError("requires K >= 1")
     return (_weighted_hstar(k) * Fraction(-1, 2 * k)).finite
 
 
@@ -218,8 +217,6 @@ def zeta_from_hstar(r: int, s: int) -> ExtReal:
     if r < 0 or s < 1:
         raise DomainError("requires r >= 0 and s >= 1")
     k = r + s
-    if k > 6:
-        raise DomainError("verified for K <= 6")
     return (_weighted_hstar(k, r) * Fraction(1, 4 * k)).finite
 
 

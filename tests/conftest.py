@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from eulerlab import genfun
 from eulerlab.euler_sums import _HEADS, _nested_direct
 from eulerlab.hpreal import ExtReal, parse_decimal
 
@@ -40,7 +41,10 @@ def approx_abs(value, reference, tol: float) -> bool:
 
 
 def clear_direct_caches() -> None:
-    """Empty both direct-sum caches, so the next direct request runs its head
-    pass and is not a cache hit on either level."""
+    """Empty both direct-sum caches and genfun's, which hold direct sums, so
+    the next direct request runs its head pass and is not a cache hit on any
+    level."""
     _nested_direct.cache_clear()
     _HEADS.clear()
+    genfun._coefficients.cache_clear()
+    genfun._residuals.cache_clear()

@@ -8,6 +8,10 @@ averaging) for the double sums, Pascal's triangle for binomials, the stdlib
 rationals (Bernoulli numbers by the Akiyama-Tanigawa table) for Euler's
 constant and zeta(k), and closed forms in exact rationals for hypergeometric
 sums, for Euler's odd-weight double sums and for Zagier's H(a,b) / H*(a,b).
+The stuffle and shuffle relations of one product are the paper's displayed
+coefficient formulas as ring expressions over the library's ZetaPoly, written
+term by term, apart from the generating-function table that genfun reads
+them from; their double sums are supplied by the caller.
 """
 from __future__ import annotations
 
@@ -15,6 +19,8 @@ import math
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
+
+from eulerlab.zeta_core import ZetaPoly, zeta_reg
 
 _DEC60 = Context(prec=60)
 
@@ -289,3 +295,29 @@ def zagier_h(a: int, b: int, star: bool) -> Fraction:
         else:
             total += 2 * (-1) ** r * (pascal_binom(2 * r, 2 * a + 2) * z + c_bar * zbar) * h_single(n)
     return total
+
+
+# which -> bars (a, b) of the product zeta(r; a) zeta(s; b)
+PRODUCT_BARS = {"mixed": (True, False), "alternating": (True, True)}
+
+
+def product_stuffle(r: int, s: int, which: str, double) -> ZetaPoly:
+    """zeta(r; a) zeta(s; b) - D(r, s; a, b) - D(s, r; b, a) - zeta(r+s; a xor b),
+    where double(r, s, r_bar, s_bar) gives the double sum D."""
+    a, b = PRODUCT_BARS[which]
+    return (zeta_reg(r, a) * zeta_reg(s, b) - double(r, s, a, b) - double(s, r, b, a)
+            - zeta_reg(r + s, a != b))
+
+
+def product_shuffle(r: int, s: int, which: str, double) -> ZetaPoly:
+    """zeta(r; a) zeta(s; b) - sum_{j<k} [C(j-1, r-1) D(k-j, j; x, a)
+    + C(j-1, s-1) D(k-j, j; x, b)], k = r+s, x = a xor b, where
+    double(r, s, r_bar, s_bar) gives the double sum D."""
+    a, b = PRODUCT_BARS[which]
+    k, x = r + s, a != b
+    terms = [zeta_reg(r, a) * zeta_reg(s, b)]
+    for j in range(1, k):
+        for c, bar in ((pascal_binom(j - 1, r - 1), a), (pascal_binom(j - 1, s - 1), b)):
+            if c:
+                terms.append(ZetaPoly.of(double(k - j, j, x, bar)) * -c)
+    return ZetaPoly.sum(terms)

@@ -63,7 +63,7 @@ def test_criterion_2_stuffle_closed_consistency():
         for r in range(1, k):
             s = k - r
             for which in ("mixed", "alternating"):
-                res = es.stuffle_closed_residual(r, s, which)
+                res = genfun.stuffle_closed_residual(r, s, which)
                 m = max(abs(float(res.finite)), abs(float(res.tcoef)))
                 worst = max(worst, m)
                 assert m <= 1e-24, (k, r, s, which, m)

@@ -30,11 +30,9 @@ from eulerlab.euler_sums import (
     closed_plain,
     double_direct,
     double_directs,
-    shuffle_check,
-    stuffle_check,
-    stuffle_closed_residual,
     sum_formula_check,
 )
+from eulerlab.genfun import shuffle_check, stuffle_check, stuffle_closed_residual
 from conftest import approx_abs, clear_direct_caches
 import oracles
 from eulerlab import euler_sums

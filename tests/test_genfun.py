@@ -7,34 +7,37 @@ from eulerlab import euler_sums
 from eulerlab.euler_sums import _HEADS
 from eulerlab.hpreal import DomainError, ExtReal
 from eulerlab.zeta_core import ZetaPoly, zeta, zeta_bar
-from eulerlab.genfun import HomogPoly, build, direct_indices, substitute, verify_relations
+from eulerlab import genfun
+from eulerlab.genfun import build, direct_indices, substitute, verify_relations
+from eulerlab.euler_sums import DoubleIndex, double_direct
 from conftest import clear_direct_caches
+import oracles
 
 N = 100_000
 
 
 def test_build_geometric_slices():
     p = build("T1", 3, N)
-    assert all(abs(float(c.finite - zeta(3))) == 0.0 for c in p.coeffs)
+    assert all(abs(float(c.finite - zeta(3))) == 0.0 for c in p)
     q = build("T2", 4, N)
-    assert all(abs(float(c.finite - zeta_bar(4))) == 0.0 for c in q.coeffs)
+    assert all(abs(float(c.finite - zeta_bar(4))) == 0.0 for c in q)
 
 
 def test_f2_palindromic_g1_not():
     f2 = build("F2", 5, N)
     for r in range(1, 5):
-        assert abs(float(f2.coeff(r).finite - f2.coeff(5 - r).finite)) < 1e-28
+        assert abs(float(f2[r - 1].finite - f2[4 - r].finite)) < 1e-28
     g1 = build("G1", 5, N)
-    asym = max(abs(float(g1.coeff(r).finite - g1.coeff(5 - r).finite)) for r in (1, 2))
+    asym = max(abs(float(g1[r - 1].finite - g1[4 - r].finite)) for r in (1, 2))
     assert asym > 1e-3  # genuinely not symmetric
 
 
 def test_g1_divergent_slot_regularization():
     g1 = build("G1", 3, N)
-    slot = g1.coeff(2)  # s = 1
+    slot = g1[1]  # r = 2, s = 1
     assert abs(float(slot.tcoef - zeta_bar(2))) == 0.0
     f1 = build("F1", 3, N)
-    assert abs(float(f1.coeff(2).tcoef - zeta_bar(2))) == 0.0
+    assert abs(float(f1[1].tcoef - zeta_bar(2))) == 0.0
 
 
 def test_build_takes_its_direct_sums_in_one_head_pass(monkeypatch):
@@ -68,12 +71,12 @@ def test_unknown_name_rejected():
 # substitution
 # ---------------------------------------------------------------------------
 
-def _brute_substitute(p: HomogPoly, mat):
+def _brute_substitute(p: tuple, mat):
     """Dictionary-based polynomial expansion, no binomial shortcuts."""
     (a, b), (c, d) = mat
-    k = p.weight
+    k = len(p) + 1
     out = [Fraction(0)] * (k - 1)
-    coeffs = [c_.finite.to_fraction() for c_ in p.coeffs]
+    coeffs = [c_.finite.to_fraction() for c_ in p]
     for r in range(1, k):
         # expand (a x + b y)^(r-1) (c x + d y)^(k-r-1) by repeated multiplication
         poly = {(0, 0): Fraction(1)}
@@ -102,11 +105,10 @@ def _random_poly(k, seed):
     import random
 
     rng = random.Random(seed)
-    coeffs = tuple(
+    return tuple(
         ZetaPoly.of(ExtReal(Fraction(rng.randint(-20, 20), rng.choice((1, 2, 4)))))
         for _ in range(k - 1)
     )
-    return HomogPoly(weight=k, coeffs=coeffs)
 
 
 _MATRICES = [
@@ -122,15 +124,15 @@ def test_substitute_matches_brute_expansion(k, seed, mat):
     got = substitute(p, mat)
     want = _brute_substitute(p, mat)
     for u in range(k - 1):
-        assert got.coeffs[u].finite.to_fraction() == want[u]
+        assert got[u].finite.to_fraction() == want[u]
 
 
 def test_substitute_identity_and_involution():
     p = _random_poly(6, 42)
     same = substitute(p, ((1, 0), (0, 1)))
-    assert all(float((a - b).finite) == 0.0 for a, b in zip(p.coeffs, same.coeffs))
+    assert same == p
     twice = substitute(substitute(p, ((-1, 0), (0, -1))), ((-1, 0), (0, -1)))
-    assert all(float((a - b).finite) == 0.0 for a, b in zip(p.coeffs, twice.coeffs))
+    assert twice == p
 
 
 def test_substitute_shear_top_coefficient():
@@ -138,7 +140,7 @@ def test_substitute_shear_top_coefficient():
     for k in (3, 5, 8):
         p = build("T1", k, N)
         q = substitute(p, ((1, 0), (1, 1)))
-        assert abs(float(q.coeff(k - 1).finite - zeta(k) * (k - 1))) < 1e-27
+        assert abs(float(q[k - 2].finite - zeta(k) * (k - 1))) < 1e-27
 
 
 def test_substitute_composition():
@@ -151,8 +153,7 @@ def test_substitute_composition():
     )
     a = substitute(substitute(p, m1), m2)
     b = substitute(p, composed)
-    for u, v in zip(a.coeffs, b.coeffs):
-        assert float((u - v).finite) == 0.0
+    assert a == b
 
 
 def test_substitute_rejects_large_entries():
@@ -161,26 +162,22 @@ def test_substitute_rejects_large_entries():
         substitute(p, ((2, 0), (0, 1)))
 
 
-def test_poly_ring_ops_check_weight_and_family():
-    p, q = _random_poly(5, 1), _random_poly(5, 2)
-    for u, a, b in zip((p - q).coeffs, p.coeffs, (-q).coeffs):
-        assert u.finite.to_fraction() == (a + b).finite.to_fraction()
-    with pytest.raises(DomainError):
-        p + _random_poly(6, 1)
-    with pytest.raises(DomainError):
-        p - _random_poly(4, 1)
+def test_verify_relations_rejects_unknown_families_and_weights():
     with pytest.raises(DomainError):
         verify_relations("duality", 5, N)
+    for k in (2, 41):
+        with pytest.raises(DomainError):
+            verify_relations("stuffle", k, N)
+    with pytest.raises(DomainError):
+        build("F1", 41, N)
 
 
 def test_substitute_linearity():
     p, q = _random_poly(5, 1), _random_poly(5, 2)
     mat = ((1, -1), (0, 1))
-    summed = HomogPoly(5, tuple(a + b for a, b in zip(p.coeffs, q.coeffs)))
-    lhs = substitute(summed, mat)
+    summed = tuple(a + b for a, b in zip(p, q))
     rhs_p, rhs_q = substitute(p, mat), substitute(q, mat)
-    for u, v, w in zip(lhs.coeffs, rhs_p.coeffs, rhs_q.coeffs):
-        assert float((u - (v + w)).finite) == 0.0
+    assert substitute(summed, mat) == tuple(v + w for v, w in zip(rhs_p, rhs_q))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +207,47 @@ def test_reduction_relations_odd_weights():
 def test_antisymmetrized_g1_doubles_odd_slots():
     # for odd weight, G1(x,y) - G1(-x,-y) = 2 G1(x,y) coefficientwise
     g1 = build("G1", 5, N)
-    anti = g1 - substitute(g1, ((-1, 0), (0, -1)))
-    for a, b in zip(anti.coeffs, g1.coeffs):
+    anti = [a - b for a, b in zip(g1, substitute(g1, ((-1, 0), (0, -1))))]
+    for a, b in zip(anti, g1):
         assert abs(float(a.finite - 2 * b.finite)) < 1e-28
         assert abs(float(a.tcoef - 2 * b.tcoef)) < 1e-28
+
+
+def test_product_checks_equal_the_displayed_formulas():
+    # every stuffle and shuffle residual the checks read off the relation
+    # table equals the paper's formula for that product, exactly in the ring
+    def double(r, s, r_bar, s_bar):
+        return double_direct(DoubleIndex(r, s, r_bar, s_bar), 100).value
+
+    for k in range(2, 13):
+        for r in range(1, k):
+            s = k - r
+            for which, rel in (("mixed", 0), ("alternating", 1)):
+                if which == "mixed" and s < 2:
+                    continue
+                stuffle = oracles.product_stuffle(r, s, which, double)
+                assert genfun.stuffle_check(r, s, which, 100) == stuffle, (r, s, which)
+                assert genfun._residuals("stuffle", k, 100)[rel][r - 1] == stuffle
+                shuffle = oracles.product_shuffle(r, s, which, double)
+                assert genfun._residuals("shuffle", k, 100)[rel][r - 1] == shuffle, (r, s, which)
+                assert genfun.shuffle_check(r, s, which, 100) == shuffle.finite
+
+
+def test_product_checks_keep_their_domain_errors():
+    for check in (genfun.stuffle_check, genfun.shuffle_check):
+        with pytest.raises(DomainError):
+            check(3, 1, "mixed", N)  # an unbarred zeta(1)
+        with pytest.raises(DomainError):
+            check(2, 2, "both", N)
+        for r, s in ((0, 3), (3, 0), (20, 21)):
+            with pytest.raises(DomainError):
+                check(r, s, "alternating", N)
+    with pytest.raises(DomainError):
+        genfun.stuffle_closed_residual(2, 2)  # even weight: no closed forms
+    assert genfun.stuffle_closed_residual(4, 1) == 0  # mixed at s = 1: the T-parts cancel
+
+
+def test_build_reaches_the_double_sum_weight_cap_and_is_cached():
+    g2 = build("G2", 40, 100)
+    assert len(g2) == 39 and build("G2", 40, 100) is g2
+    assert g2[0] == ZetaPoly.of(double_direct(DoubleIndex(1, 39, False, True), 100).value)

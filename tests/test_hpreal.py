@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerlab.hpreal import (
+    FIXED_BITS,
     LEVIN_CAP,
     DomainError,
     ExtReal,
     bernoulli,
     bernoulli_first,
-    bernoulli_poly,
     binom,
     const_gamma_f64,
     const_ln2,
     const_pi,
     exp_dd,
+    from_fixed,
     ln_dd,
     machin_pi_fraction,
     atanh_ln2_fraction,
@@ -234,14 +235,10 @@ def test_bernoulli_domain_errors():
             bernoulli(bad)
 
 
-def test_bernoulli_poly_and_fixed_point_boundary():
-    # B_3(x) = x^3 - 3x^2/2 + x/2
-    for x in (Fraction(1, 3), Fraction(-7, 4), Fraction(5)):
-        exact = x ** 3 - Fraction(3, 2) * x ** 2 + x / 2
-        assert approx_abs(bernoulli_poly(3, x), exact, BOUND * max(abs(exact), 1))
-    # the fixed-point boundary rejects values a double cannot hold
+def test_fixed_point_boundary_rejects_values_beyond_the_double_range():
+    assert float(from_fixed(1 << (FIXED_BITS + 1000))) == 2.0 ** 1000
     with pytest.raises(DomainError):
-        bernoulli_poly(12, 1e308)  # ~1e3696
+        from_fixed(1 << (FIXED_BITS + 1100))  # 2^1100
     with pytest.raises(DomainError):
         ln_dd(ExtReal(1e300) * 1e300)  # an overflowed, infinite ExtReal
 

@@ -7,14 +7,14 @@ import pytest
 
 from eulerlab.hpreal import DomainError, ExtReal, const_pi, sinc_pi
 from eulerlab.zeta_core import zeta, zeta_bar
-from eulerlab.euler_sums import _BLOCK, _HEADS, N_MAX_CAP, DoubleIndex, _nested_tail, double_direct
+from eulerlab.euler_sums import _BLOCK, _HEADS, N_MAX_CAP, DoubleIndex, _nested_tail, closed_bar_s, double_direct
 from eulerlab.zagier import (
     HIndex,
     eval_F,
     eval_Fstar,
     h_closed,
+    _prefetch,
     h_direct,
-    h_directs,
     h_single,
     hstar_closed,
     hstar_closed_via_double,
@@ -122,8 +122,8 @@ def test_nested_direct_meets_closed_forms():
 
 def test_h_directs_match_solo_calls_bit_for_bit():
     # strict and starred H, a depth-9 one, double sums (one shares its head
-    # with H(0,1)) and duplicates, in one call: each result has the bits of
-    # its solo call from cold caches
+    # with H(0,1)) and duplicates, in one prefetch: each call after it has
+    # the bits of its solo call from cold caches
     indices = [HIndex(0, 1), HIndex(2, 1, True), HIndex(0, 0, True), HIndex(4, 4), HIndex(4, 4, True),
                DoubleIndex(3, 2, False, True), DoubleIndex(1, 4, True, True), HIndex(0, 1),
                HIndex(2, 1, True), DoubleIndex(3, 2, False, True)]
@@ -137,18 +137,23 @@ def test_h_directs_match_solo_calls_bit_for_bit():
             clear_direct_caches()
             solo.append(bits((double_direct if isinstance(idx, DoubleIndex) else h_direct)(idx, n_max)))
         clear_direct_caches()
-        assert [bits(res) for res in h_directs(indices, n_max)] == solo, n_max
+        _prefetch(indices, n_max)
+        heads = dict(_HEADS)
+        batched = [bits((double_direct if isinstance(idx, DoubleIndex) else h_direct)(idx, n_max))
+                   for idx in indices]
+        assert batched == solo and _HEADS == heads, n_max  # the calls ran no head
     clear_direct_caches()
 
 
 def test_h_directs_run_no_batch_with_a_bad_request():
-    # a bad request first: it raises as its solo call would, and no head ran
+    # a bad request first: no head runs, and it raises when it is called
     for indices, n_max in (([HIndex(5, 4), HIndex(0, 1)], N), ([DoubleIndex(2, 1), HIndex(0, 1)], N),
                            ([HIndex(0, 1), HIndex(2, 0, True)], N_MAX_CAP + 1)):
         clear_direct_caches()
-        with pytest.raises(DomainError):
-            h_directs(indices, n_max)
+        _prefetch(indices, n_max)
         assert not _HEADS
+        with pytest.raises(DomainError):
+            (double_direct if isinstance(indices[0], DoubleIndex) else h_direct)(indices[0], n_max)
 
 
 def test_mzv_memory_is_bounded():
@@ -197,19 +202,23 @@ def test_pilehrood_weight3(frozen):
 
 
 def test_sum_identities():
-    for k in range(1, 7):
-        rh, rhs = sum_identities(k)
-        assert abs(float(rh)) <= 1e-24, k
-        assert abs(float(rhs)) <= 1e-24, k
-    with pytest.raises(DomainError):
-        sum_identities(7)
+    # both sum rules are exactly 0 in the ring, up to _h's cap K = 20
+    for k in range(1, 21):
+        assert sum_identities(k) == (0, 0), k
+    for k in (0, 21):
+        with pytest.raises(DomainError):
+            sum_identities(k)
 
 
 def test_zeta_bar_odd_from_hstar():
     # K = 1 collapses to -(3/4) zeta(3)
     assert abs(float(zeta_bar_odd_from_hstar(1) + Fraction(3, 4) * zeta(3))) < 1e-30
-    for k in range(1, 7):
-        assert abs(float(zeta_bar_odd_from_hstar(k) - zeta_bar(2 * k + 1))) <= 1e-24
+    for k in range(1, 21):  # the same exact ring element, rounded once
+        got, want = zeta_bar_odd_from_hstar(k), zeta_bar(2 * k + 1)
+        assert (got.hi, got.lo) == (want.hi, want.lo), k
+    for k in (0, 21):
+        with pytest.raises(DomainError):
+            zeta_bar_odd_from_hstar(k)
 
 
 def test_zeta_from_hstar(frozen):
@@ -217,8 +226,14 @@ def test_zeta_from_hstar(frozen):
     for (r, s) in ((1, 1), (0, 2)):
         direct = double_direct(DoubleIndex(2 * r + 1, 2 * s, False, True), N).value
         assert abs(float(zeta_from_hstar(r, s) - direct)) < 1e-6
-    with pytest.raises(DomainError):
-        zeta_from_hstar(1, 0)
+    # zeta(2r+1, 2s-bar) from H* is its closed form, up to the closed forms' weight 39
+    for k in range(1, 20):
+        for r in range(k):
+            got, want = zeta_from_hstar(r, k - r), closed_bar_s(2 * r + 1, 2 * (k - r)).finite
+            assert (got.hi, got.lo) == (want.hi, want.lo), (r, k - r)
+    for r, s in ((1, 0), (-1, 2), (0, 21), (20, 1)):
+        with pytest.raises(DomainError):
+            zeta_from_hstar(r, s)
 
 
 # ---------------------------------------------------------------------------
