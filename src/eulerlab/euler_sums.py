@@ -315,15 +315,15 @@ def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> ZetaPoly:
         raise DomainError(f"closed forms hold for odd weight only, got k = {k}")
     if k > 39:
         raise DomainError("closed forms capped at weight 39")
-    parts = [zeta_reg(k, x) * Fraction(-1, 2)]
+    pairs = [(Fraction(-1, 2), zeta_reg(k, x))]
     if s % 2 == 0:
-        parts.append(_product(r, r_bar, s, s_bar))
+        pairs.append((1, _product(r, r_bar, s, s_bar)))
     sgn = -1 if r % 2 else 1
     for l in range((k - 1) // 2 + 1):
         for c, bar in ((binom(k - 2 * l - 1, r - 1), r_bar), (binom(k - 2 * l - 1, s - 1), s_bar)):
             if c:
-                parts.append(_product(k - 2 * l, bar, 2 * l, x) * (sgn * c))
-    return ZetaPoly.sum(parts)
+                pairs.append((sgn * c, _product(k - 2 * l, bar, 2 * l, x)))
+    return ZetaPoly.combination(pairs)
 
 
 @lru_cache(maxsize=None)

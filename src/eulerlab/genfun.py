@@ -103,7 +103,7 @@ def substitute(coeffs: tuple, mat: Matrix) -> tuple:
     if any(entry not in (-1, 0, 1) for row in mat for entry in row):
         raise DomainError("substitution matrix entries must be in {-1, 0, 1}")
     rows = _matrix(len(coeffs) + 1, mat)
-    return tuple(ZetaPoly.sum(w * c for w, c in zip(row, coeffs) if w) for row in rows)
+    return tuple(ZetaPoly.combination(zip(row, coeffs)) for row in rows)
 
 
 class RelationResidual(NamedTuple):
@@ -169,8 +169,8 @@ def _residuals(family: str, k: int, n_max) -> tuple:
                 for acc, row in zip(rows, _matrix(k, mat)):
                     for i, w in enumerate(row):
                         acc[i] += side * sign * w
-        out.append(tuple(ZetaPoly.sum(w * c for name, rows in folded.items()
-                                      for w, c in zip(rows[u], _coefficients(name, k, n_max)) if w)
+        out.append(tuple(ZetaPoly.combination(pair for name, rows in folded.items()
+                                              for pair in zip(rows[u], _coefficients(name, k, n_max)))
                          for u in range(k - 1)))
     return tuple(out)
 

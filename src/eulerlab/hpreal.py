@@ -256,45 +256,49 @@ def parse_decimal(text: str) -> Fraction:
     return value * Fraction(10) ** exp
 
 
-def to_decimal(x: Union[ExtReal, float, Fraction], digits: int = 30) -> str:
+def to_decimal(x: Union[ExtReal, float, int, Fraction], digits: int = 30) -> str:
     """Round x to `digits` significant decimal digits (half-even), exactly.
 
     Fixed-point form for moderate exponents, scientific otherwise; output is
-    a pure decimal string, deterministic across platforms.
+    a pure decimal string, deterministic across platforms.  x becomes one
+    integer ratio num / den: ints and Fractions as they are, an ExtReal's hi
+    and lo (or a float) over their common power of two.
     """
     if digits < 1:
         raise DomainError("digits must be >= 1")
-    if isinstance(x, Fraction):
-        f = x
+    if isinstance(x, (int, Fraction)):
+        num, den = x.numerator, x.denominator
     elif not math.isfinite(float(x)):
         raise DomainError(f"cannot print the non-finite value {x!r}")
-    elif isinstance(x, ExtReal):
-        f = x.to_fraction()
     else:
-        f = Fraction(float(x))
-    if f == 0:
+        hi, lo = (x.hi, x.lo) if isinstance(x, ExtReal) else (float(x), 0.0)
+        num, den = hi.as_integer_ratio()
+        n_lo, d_lo = lo.as_integer_ratio()  # den and d_lo are powers of two
+        num, den = (num * (d_lo // den) + n_lo, d_lo) if d_lo > den else (num + n_lo * (den // d_lo), den)
+    if num == 0:
         return "0." + "0" * (digits - 1) if digits > 1 else "0"
-    sign = "-" if f < 0 else ""
-    f = -f if f < 0 else f
-    num, den = f.numerator, f.denominator
-    e10 = len(str(num)) - len(str(den))
-    while 10 ** max(e10, 0) * den > num * 10 ** max(-e10, 0):
-        e10 -= 1
-    while 10 ** max(e10 + 1, 0) * den <= num * 10 ** max(-(e10 + 1), 0):
-        e10 += 1
-    shift = digits - 1 - e10
-    if shift >= 0:
-        q, r = divmod(num * 10 ** shift, den)
-        d = den
-    else:
-        d = den * 10 ** (-shift)
-        q, r = divmod(num, d)
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    # e10 = floor(log10(num / den)): estimated from the logs, then corrected
+    # until q, the digits - 1 - e10 shifted quotient, has exactly `digits` digits
+    top = 10 ** digits
+    e10 = math.floor(math.log10(num) - math.log10(den))
+    while True:
+        shift = digits - 1 - e10
+        d = den if shift >= 0 else den * 10 ** -shift
+        q, r = divmod(num * 10 ** shift if shift >= 0 else num, d)
+        if q >= top:
+            e10 += 1
+        elif 10 * q < top:
+            e10 -= 1
+        else:
+            break
     if 2 * r > d or (2 * r == d and q % 2 == 1):
         q += 1
-    if q >= 10 ** digits:
+    if q == top:
         q //= 10
         e10 += 1
-    ds = str(q).rjust(digits, "0")
+    ds = str(q)
     if -5 <= e10 < digits:
         if e10 >= 0:
             ip, fp = ds[: e10 + 1], ds[e10 + 1:]

@@ -134,13 +134,13 @@ def _h(a: int, b: int, star: bool) -> ZetaPoly:
     k = a + b + 1
     if k > 20:
         raise DomainError("closed forms capped at K = 20")
-    parts = []
+    pairs = []
     for r in range(1, k + 1):
         c_plain = (binom(2 * r, 2 * a) - (r == a)) if star else binom(2 * r, 2 * a + 2)
         sign = -2 if star or r % 2 else 2
-        parts.append(_zeta_times_h(2 * r + 1, False, k - r, star) * (sign * c_plain))
-        parts.append(_zeta_times_h(2 * r + 1, True, k - r, star) * (sign * binom(2 * r, 2 * b + 1)))
-    return ZetaPoly.sum(parts)
+        pairs.append((sign * c_plain, _zeta_times_h(2 * r + 1, False, k - r, star)))
+        pairs.append((sign * binom(2 * r, 2 * b + 1), _zeta_times_h(2 * r + 1, True, k - r, star)))
+    return ZetaPoly.combination(pairs)
 
 
 @lru_cache(maxsize=None)
@@ -191,24 +191,24 @@ def sum_identities(k: int) -> Tuple[ExtReal, ExtReal]:
     """
     if k < 1:
         raise DomainError("sum identities require K >= 1")
-    res_h = ZetaPoly.sum([_h(a, k - 1 - a, False) for a in range(k)] + [
-        (-1) ** r * _h_single(k - r, False) * zeta_reg(2 * r + 1) for r in range(1, k + 1)])
-    res_hs = ZetaPoly.sum([_h(a, k - 1 - a, True) for a in range(k)] + [
-        -_h_single(k - r, True) * zeta_reg(2 * r + 1) for r in range(1, k + 1)])
+    res_h = ZetaPoly.combination([(1, _h(a, k - 1 - a, False)) for a in range(k)] + [
+        ((-1) ** r, _zeta_times_h(2 * r + 1, False, k - r, False)) for r in range(1, k + 1)])
+    res_hs = ZetaPoly.combination([(1, _h(a, k - 1 - a, True)) for a in range(k)] + [
+        (-1, _zeta_times_h(2 * r + 1, False, k - r, True)) for r in range(1, k + 1)])
     return res_h.finite, res_hs.finite
 
 
-def _weighted_hstar(k: int, r: Optional[int] = None) -> ZetaPoly:
-    """sum_{a+b=K-1} (1 + delta_{a,0}/2 - K delta_{a,r}) H*(a,b)."""
-    return ZetaPoly.sum((1 + (Fraction(1, 2) if a == 0 else 0) - (k if a == r else 0))
-                        * _h(a, k - 1 - a, True) for a in range(k))
+def _weighted_hstar(k: int, scale: Fraction, r: Optional[int] = None) -> ZetaPoly:
+    """scale * sum_{a+b=K-1} (1 + delta_{a,0}/2 - K delta_{a,r}) H*(a,b)."""
+    return ZetaPoly.combination((scale * (1 + (Fraction(1, 2) if a == 0 else 0) - (k if a == r else 0)),
+                                 _h(a, k - 1 - a, True)) for a in range(k))
 
 
 def zeta_bar_odd_from_hstar(k: int) -> ExtReal:
     """zeta(2K+1-bar) = -(1/2K) sum_{a+b=K-1} (1 + delta_{a,0}/2) H*(a,b)."""
     if k < 1:
         raise DomainError("requires K >= 1")
-    return (_weighted_hstar(k) * Fraction(-1, 2 * k)).finite
+    return _weighted_hstar(k, Fraction(-1, 2 * k)).finite
 
 
 def zeta_from_hstar(r: int, s: int) -> ExtReal:
@@ -217,7 +217,7 @@ def zeta_from_hstar(r: int, s: int) -> ExtReal:
     if r < 0 or s < 1:
         raise DomainError("requires r >= 0 and s >= 1")
     k = r + s
-    return (_weighted_hstar(k, r) * Fraction(1, 4 * k)).finite
+    return _weighted_hstar(k, Fraction(1, 4 * k), r).finite
 
 
 # ---------------------------------------------------------------------------

@@ -107,13 +107,33 @@ class ZetaPoly:
         return ZetaPoly({(): x.to_fraction() if isinstance(x, ExtReal) else Fraction(x)})
 
     @staticmethod
-    def sum(elements) -> "ZetaPoly":
-        """The sum of ring elements and constants, collected in one pass."""
-        terms: dict = {}
-        for e in elements:
+    def combination(pairs) -> "ZetaPoly":
+        """sum w * e over (weight, element) pairs, the weights ints or
+        Fractions and the elements ring elements or constants, collected in
+        one pass: each monomial adds integer numerators over a common
+        denominator, and becomes one Fraction at the end."""
+        acc: dict = {}  # monomial -> [numerator, denominator]
+        for w, e in pairs:
+            if not w:
+                continue
+            wn, wd = w.numerator, w.denominator
             for m, c in ZetaPoly.of(e).terms.items():
-                terms[m] = terms.get(m, 0) + c
-        return ZetaPoly(terms)
+                n, d = wn * c.numerator, wd * c.denominator
+                slot = acc.get(m)
+                if slot is None:
+                    acc[m] = [n, d]
+                elif slot[1] == d:
+                    slot[0] += n
+                else:
+                    den = math.lcm(slot[1], d)
+                    slot[0] = slot[0] * (den // slot[1]) + n * (den // d)
+                    slot[1] = den
+        return ZetaPoly({m: Fraction(n, d) for m, (n, d) in acc.items() if n})
+
+    @staticmethod
+    def sum(elements) -> "ZetaPoly":
+        """The sum of ring elements and constants: combination with weight 1."""
+        return ZetaPoly.combination((1, e) for e in elements)
 
     def _part(self, t_degree: int) -> ExtReal:
         parts = [(c, v) for m, c in self.terms.items() for t, v in (_monomial(m),) if t == t_degree]
@@ -138,11 +158,11 @@ class ZetaPoly:
         return self * -1
 
     def __sub__(self, other) -> "ZetaPoly":
-        return ZetaPoly.sum((self, -ZetaPoly.of(other)))
+        return ZetaPoly.combination(((1, self), (-1, other)))
 
     def __mul__(self, other) -> "ZetaPoly":
         if isinstance(other, (int, Fraction)):
-            return ZetaPoly({m: c * other for m, c in self.terms.items()})
+            return ZetaPoly.combination(((other, self),))
         terms: dict = {}
         for m2, c2 in ZetaPoly.of(other).terms.items():
             for m1, c1 in self.terms.items():
@@ -189,10 +209,12 @@ def zeta_bar(k: int) -> ExtReal:
     return ZetaPoly(_single(k, True)).finite
 
 
+@lru_cache(maxsize=None)
 def zeta_reg(k: int, bar: bool = False) -> ZetaPoly:
     """Regularized zeta(k), or zeta(k-bar) if bar, for k in [0, 60]: -1/2 at
     k = 0, T or -ln 2 at k = 1, else an element whose finite part is zeta(k)
-    or zeta_bar(k) from their caches, so it is rounded only once."""
+    or zeta_bar(k) from their caches, so it is rounded only once; one shared
+    element per (k, bar)."""
     if not 0 <= k <= WEIGHT_CAP:
         raise DomainError(f"zeta weight must be in [0, {WEIGHT_CAP}]")
     if k == 0:

@@ -7,7 +7,8 @@ averaging) for the double sums, Pascal's triangle for binomials, the stdlib
 `decimal` module at 60 digits for exp and ln, Euler-Maclaurin in exact
 rationals (Bernoulli numbers by the Akiyama-Tanigawa table) for Euler's
 constant and zeta(k), and closed forms in exact rationals for hypergeometric
-sums, for Euler's odd-weight double sums and for Zagier's H(a,b) / H*(a,b).
+sums, for Euler's odd-weight double sums and for Zagier's H(a,b) / H*(a,b),
+and decimal printing by way of one normalised Fraction.
 The stuffle and shuffle relations of one product are the paper's displayed
 coefficient formulas as ring expressions over the library's ZetaPoly, written
 term by term, apart from the generating-function table that genfun reads
@@ -211,6 +212,49 @@ def sinc_pi(y: Fraction, digits: int = 45) -> Fraction:
         total += -term if n % 2 else term
         n += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# Decimal printing in Fractions
+# ---------------------------------------------------------------------------
+
+def to_decimal(x, digits: int) -> str:
+    """x rounded half-even to `digits` significant digits, by way of one
+    normalised Fraction (ints exactly, an ExtReal as Fraction(hi) +
+    Fraction(lo), a float exactly): the decimal exponent from the digit
+    counts of numerator and denominator, corrected by exact comparisons,
+    then one division.  Fixed-point form for exponents in [-5, digits),
+    scientific otherwise."""
+    f = x.to_fraction() if hasattr(x, "to_fraction") else Fraction(x)
+    if f == 0:
+        return "0." + "0" * (digits - 1) if digits > 1 else "0"
+    sign = "-" if f < 0 else ""
+    f = abs(f)
+    num, den = f.numerator, f.denominator
+    e10 = len(str(num)) - len(str(den))
+    while 10 ** max(e10, 0) * den > num * 10 ** max(-e10, 0):
+        e10 -= 1
+    while 10 ** max(e10 + 1, 0) * den <= num * 10 ** max(-(e10 + 1), 0):
+        e10 += 1
+    shift = digits - 1 - e10
+    if shift >= 0:
+        q, r = divmod(num * 10 ** shift, den)
+        d = den
+    else:
+        d = den * 10 ** (-shift)
+        q, r = divmod(num, d)
+    if 2 * r > d or (2 * r == d and q % 2 == 1):
+        q += 1
+    if q >= 10 ** digits:
+        q //= 10
+        e10 += 1
+    ds = str(q).rjust(digits, "0")
+    if -5 <= e10 < digits:
+        if e10 >= 0:
+            ip, fp = ds[: e10 + 1], ds[e10 + 1:]
+            return sign + (ip + "." + fp if fp else ip)
+        return sign + "0." + "0" * (-e10 - 1) + ds
+    return sign + ds[0] + "." + ds[1:] + f"e{e10:+03d}"
 
 
 # ---------------------------------------------------------------------------

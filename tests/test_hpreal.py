@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eulerlab.hpreal import (
     FIXED_BITS,
@@ -299,6 +299,40 @@ def test_to_decimal_boundaries():
     assert to_decimal(ExtReal(-12345.0), 5) == "-12345"
     assert to_decimal(ExtReal(2.5), 1) == "2"  # half-even
     assert to_decimal(ExtReal(3.5), 1) == "4"
+
+
+def test_to_decimal_takes_ints_exactly():
+    assert to_decimal(10 ** 20 + 1, 30) == "100000000000000000001.000000000"  # not through float
+    assert to_decimal(10 ** 400, 5) == "1.0000e+400"  # no OverflowError
+    assert to_decimal(-(10 ** 400) - 5 * 10 ** 395, 5) == "-1.0000e+400"  # a tie, to even
+    assert to_decimal(0, 3) == "0.00"
+
+
+def _ext_reals():
+    """ExtReal (hi, lo) pairs over the whole exponent range, subnormals included."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.builds(lambda hi, f, k: ExtReal(hi, hi * f * 2.0 ** -k) if math.isfinite(hi + hi * f * 2.0 ** -k)
+                     else ExtReal(hi), finite, st.floats(-1.0, 1.0), st.integers(53, 60))
+
+
+def _decimal_ties():
+    """Exact half-even ties at `digits`: (q + 1/2) 10^e with q of `digits` digits."""
+    return st.integers(1, 32).flatmap(lambda d: st.tuples(
+        st.builds(lambda q, e: Fraction(2 * q + 1, 2) * Fraction(10) ** e,
+                  st.integers(10 ** (d - 1), 10 ** d - 1), st.integers(-40, 40)), st.just(d)))
+
+
+@given(st.one_of(st.tuples(st.one_of(_ext_reals(), st.floats(allow_nan=False, allow_infinity=False),
+                                     st.fractions(), st.integers()), st.integers(1, 32)),
+                 _decimal_ties()))
+@example((Fraction(5, 2), 1))
+@example((0.125, 2))
+@example((ExtReal(-0.0), 1))
+@example((ExtReal(5e-324), 32))
+@settings(max_examples=600, deadline=None)
+def test_to_decimal_matches_the_fraction_oracle(case):
+    x, digits = case
+    assert to_decimal(x, digits) == oracles.to_decimal(x, digits)
 
 
 def test_levin_weights_match_the_formula_on_the_check_schedule():

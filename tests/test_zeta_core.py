@@ -1,7 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eulerlab import euler_sums, zagier
 from eulerlab.hpreal import DomainError, ExtReal
 from eulerlab.zeta_core import (
     ZetaPoly,
@@ -161,3 +164,72 @@ def test_zetapoly_ring_axioms():
         assert abs(float((a + b).finite - a.finite - b.finite)) <= 1e-30 * scale
     # foreign objects are unequal rather than an error
     assert zero != None and zeta_reg(3) != "zeta(3)" and zeta_reg(0) == Fraction(-1, 2)
+
+
+# monomials to draw ring elements from: 1, pi^2, ln 2, T, zeta(3), zeta(5), T zeta(3), ...
+_MONOMIALS = sorted({m for k in range(6) for bar in (False, True) if (k, bar) != (1, False)
+                     for m in zeta_reg(k, bar).terms}
+                    | set((zeta_reg(1) * zeta_reg(3)).terms) | set((zeta_reg(2) * zeta_reg(5)).terms))
+_RATIONALS = st.builds(Fraction, st.integers(-500, 500), st.integers(1, 60))
+_ELEMENTS = st.one_of(
+    st.dictionaries(st.sampled_from(_MONOMIALS), _RATIONALS, max_size=5).map(ZetaPoly),
+    st.integers(-10 ** 20, 10 ** 20),
+    _RATIONALS,
+    st.floats(-1e6, 1e6).map(ExtReal),
+)
+_WEIGHTS = st.one_of(st.integers(-30, 30), _RATIONALS)
+
+
+@given(st.lists(st.tuples(_WEIGHTS, _ELEMENTS), max_size=8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_combination_equals_an_explicit_fraction_sum(pairs, data):
+    expected: dict = {}
+    for w, e in pairs:
+        terms = e.terms if isinstance(e, ZetaPoly) else {
+            (): e.to_fraction() if isinstance(e, ExtReal) else Fraction(e)}
+        for m, c in terms.items():
+            expected[m] = expected.get(m, 0) + Fraction(w) * c
+    got = ZetaPoly.combination(pairs)
+    assert dict(got.terms) == {m: c for m, c in expected.items() if c}
+    assert all(c for c in got.terms.values())
+    assert ZetaPoly.sum(e for _, e in pairs) == ZetaPoly.combination((1, e) for _, e in pairs)
+    # a last pair that cancels one monomial drops it from the terms
+    live = sorted(got.terms)
+    if live:
+        m = data.draw(st.sampled_from(live))
+        cancelled = ZetaPoly.combination(pairs + [(-got.terms[m], ZetaPoly({m: Fraction(1)}))])
+        assert m not in cancelled.terms
+        assert dict(cancelled.terms) == {n: c for n, c in got.terms.items() if n != m}
+
+
+def test_combination_of_nothing_is_zero():
+    assert ZetaPoly.combination([]) == ZetaPoly() and not ZetaPoly.combination([]).terms
+    assert ZetaPoly.sum([]) == ZetaPoly()
+    assert not ZetaPoly.combination([(0, zeta_reg(3)), (5, 0), (Fraction(1, 3), ZetaPoly())]).terms
+
+
+def _ring_digest() -> str:
+    """sha256 over the odd-weight closed forms zeta(r, s) with bars, r+s <= 39
+    (1520 of them), and H(a, b), H*(a, b) for K = a+b+1 <= 20: each element's
+    sorted terms and the bits of its finite part and T-coefficient."""
+    h = hashlib.sha256()
+
+    def feed(key, e):
+        terms = sorted((m, c.numerator, c.denominator) for m, c in e.terms.items())
+        bits = [x.hex() for v in (e.finite, e.tcoef) for x in (v.hi, v.lo)]
+        h.update(repr((key, terms, bits)).encode())
+
+    for k in range(3, 40, 2):
+        for r in range(1, k):
+            for bars in euler_sums.CLOSED_FORMS:
+                feed((r, k - r) + bars, euler_sums._closed(r, k - r, *bars))
+    for total in range(20):
+        for a in range(total + 1):
+            for star in (False, True):
+                feed((a, total - a, star), zagier._h(a, total - a, star))
+    return h.hexdigest()
+
+
+def test_closed_forms_keep_their_bits():
+    # recorded before ZetaPoly.combination replaced the per-term scalar products
+    assert _ring_digest() == "58782b6de4a991ca703a2110621095b0dd82d5db9d8d2685d75773a2dc7e66cc"
