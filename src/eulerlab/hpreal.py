@@ -571,11 +571,10 @@ def _levin_weights(k: int) -> tuple:
     return tuple(math.comb(k, j) * (j + 1) ** (k - 2) * (-1) ** j for j in range(k + 1))
 
 
-def levin_sum(ratios: Iterable[Tuple[int, int, float]], start: int = 0):
+def levin_sum(ratios: Iterable[Tuple[int, int]], start: int = 0):
     """sum_n a_n with a_0 = 1 by the Levin u-transform (beta = 1), in exact
-    integers.  The n-th triple (A, B, e) of `ratios` gives a_(n+1) = a_n A / B,
-    e bounding the relative error of the terms so far (0 for exact terms); a
-    zero A ends the series at its exact partial sum.
+    integers.  The n-th pair (A, B) of `ratios` gives a_(n+1) = a_n A / B, the
+    terms exact; a zero A ends the series at its exact partial sum.
 
     With a_n = P_n / Q_n and S_n = N_n / Q_n, the transform of order k,
     L_k = sum w_j N_(h+j) R_j / sum w_j Q_(h+j) R_j over j = 0..k, with
@@ -584,18 +583,15 @@ def levin_sum(ratios: Iterable[Tuple[int, int, float]], start: int = 0):
     k = 8, 12, ..., every max(4, k/8) terms.  Terms before `start` enter only
     through the exact partial sums, so a head that has not reached the tail's
     pattern (a sign change, say) does not mislead the transform.  The
-    estimate is the change from the previous transform, plus the input error
-    e cond (sum |a_n| + max |S_(h+j) - L_k|) with
-    cond = sum |w_j Q_(h+j) R_j| / |sum w_j Q_(h+j) R_j|, plus a 2^-106 |L_k|
+    estimate is the change from the previous transform plus a 2^-106 |L_k|
     rounding.  L_k is accepted once the change is within the rounding part
-    (compared exactly) or below the input error; past LEVIN_CAP terms or
-    LEVIN_BITS bits, DomainError.  Returns (L_k as a Fraction, its
-    estimate, the number of terms).
+    (compared exactly); past LEVIN_CAP terms or LEVIN_BITS bits, DomainError.
+    Returns (L_k as a Fraction, its estimate, the number of terms).
     """
     p = q = s = 1
     a_s, q_s, s_s = [1], [1], [1]
-    abs_sum, prev, check = 1.0, None, 8
-    for n, (a, b, eps) in enumerate(ratios, 1):
+    prev, check = None, 8
+    for n, (a, b) in enumerate(ratios, 1):
         if a == 0:
             return Fraction(s, q), 0.0, n
         p, q = p * a, q * b
@@ -606,29 +602,20 @@ def levin_sum(ratios: Iterable[Tuple[int, int, float]], start: int = 0):
             a_s.append(a)
             q_s.append(q)
             s_s.append(s)
-        if eps:
-            abs_sum += abs(_quotient(p, q))
         k = n - start
         if k == check:
             check += max(4, k // 8)
-            num = den = cond = 0
+            num = den = 0
             for w, a_j, s_j, q_j in zip(_levin_weights(k), a_s, s_s, q_s):
                 num = num * a_j + w * s_j
                 den = den * a_j + w * q_j
-                if eps:
-                    cond = cond * abs(a_j) + abs(w * q_j)
             if den:
                 value = _quotient(num, den)
-                inexact = 0.0
-                if eps:
-                    cond = _quotient(cond, abs(den))
-                    dev = max(abs(_quotient(sj, qj) - value) for sj, qj in zip(s_s, q_s))
-                    inexact = eps * cond * (abs_sum + dev)
                 if prev is not None:
                     diff = num * prev[1] - prev[0] * den
                     change = abs(_quotient(diff, den * prev[1]))
-                    if abs(diff) << 106 <= abs(num * prev[1]) or change < inexact:
-                        return Fraction(num, den), change + inexact + abs(value) * 2.0 ** -106, n
+                    if abs(diff) << 106 <= abs(num * prev[1]):
+                        return Fraction(num, den), change + abs(value) * 2.0 ** -106, n
                 prev = num, den
         if n >= LEVIN_CAP or s.bit_length() + q.bit_length() > LEVIN_BITS:
             raise DomainError(f"the series has not settled within {LEVIN_CAP} terms "

@@ -6,8 +6,9 @@ Terminating series are summed in exact rationals (the Pfaff-Saalschutz sum
 and the Pochhammer-ratio expansion that follows from it are checked to
 *exactly* zero).  Convergent series at +1 (algebraic decay) and at -1
 (alternating) alike go through hpreal.levin_sum, the Levin u-transform on
-the exact terms, rounded once to ExtReal; so do the outer levels of the
-Andrews-limit nested sums.  Pochhammer symbols are exact rationals.
+the exact terms, rounded once to ExtReal.  So does the s-fold sum on the
+right of the Andrews limit, as one series of exact diagonals (the terms with
+k_1+...+k_s = n, summed for each n).  Pochhammer symbols are exact rationals.
 """
 from __future__ import annotations
 
@@ -213,8 +214,7 @@ def evaluate(spec: HypSpec) -> SeriesResult:
         )
     upper, lower = _fixed_params(spec)
     start = max([0] + [math.floor(-p) + 1 for p in (*upper, *lower) if p < 0])
-    ratios = ((a, b, 0.0) for a, b in _ratios(upper, lower, spec.argument))
-    total, est, n = levin_sum(ratios, start)
+    total, est, n = levin_sum(_ratios(upper, lower, spec.argument), start)
     return SeriesResult(value=ExtReal.from_fraction(total), terms_used=n, tail_estimate=ExtReal(est))
 
 
@@ -324,55 +324,37 @@ def check_dougall_limit(a: Param, b: Param, c: Param) -> ExtReal:
     return abs(lhs - rhs)
 
 
-def _poch_ratio(nums, dens, n: int) -> ExtReal:
-    """prod (nums_i)_n / prod (dens_j)_n as an exact integer ratio, rounded once.
-
-    An upper parameter 1 adds (1)_n = n!, which cancels the n! in the ratios.
-    """
-    num = den = 1
-    for a, b in itertools.islice(_ratios((*nums, Fraction(1)), dens, 1), n):
-        num *= a
-        den *= b
-    return ExtReal.from_fraction(Fraction(num, den))
-
-
-def _nested_product_sum(a: Fraction, bs, cs, level: int, offset: int):
-    """sum over k_level..k_s of the telescoped Pochhammer product (RHS of the
-    multi-sum identity), with k_1+...+k_{level-1} = offset already fixed, and
-    a bound on its relative error.  The innermost level is a 3F2 at +1; an
-    outer level is a Levin sum whose terms are exact rationals: the Pochhammer
-    factor times the ExtReal value of the next level at offset + k."""
-    s = len(bs) - 1
-    b_lo, c_lo = 1 + a - bs[level - 1], 1 + a - cs[level - 1]
-    b_hi, c_hi = bs[level], cs[level]
-    rising = 1 + a - bs[level - 1] - cs[level - 1]
-    pre = _poch_ratio((b_hi, c_hi), (b_lo, c_lo), offset)
-    if level == s:
-        inner = evaluate(HypSpec.of([rising, b_hi + offset, c_hi + offset],
-                                    [b_lo + offset, c_lo + offset], 1))
-        return pre * inner.value, float(inner.tail_estimate) / abs(float(inner.value)) + 2.0 ** -104
-    first, first_err = _nested_product_sum(a, bs, cs, level + 1, offset)
-
-    def ratios():
-        v, worst = first, 0.0
-        for k in itertools.count():
-            kk = offset + k
-            w, err = _nested_product_sum(a, bs, cs, level + 1, kk + 1)
-            r = ((rising + k) * (b_hi + kk) * (c_hi + kk) * w.to_fraction()
-                 / ((k + 1) * (b_lo + kk) * (c_lo + kk) * v.to_fraction()))
-            v, worst = w, max(worst, err)
-            yield r.numerator, r.denominator, worst + first_err
-
-    total, est, _ = levin_sum(ratios())
-    value = pre * first * ExtReal.from_fraction(total)
-    return value, est / abs(float(total)) + first_err + 2.0 ** -104
+def _diagonals(a: Fraction, bs, cs):
+    """D(n) = sum over k_1+...+k_s = n of prod_l (rho_l)_(k_l) / k_l! G_l(k_1+...+k_l),
+    n = 0, 1, ..., in exact rationals: the s-fold sum on the right of the
+    Andrews limit taken along its diagonals, with rho_l = 1+a-b_(l-1)-c_(l-1)
+    and G_l(n) = (b_l)_n (c_l)_n / ((1+a-b_(l-1))_n (1+a-c_(l-1))_n).  Level
+    l's diagonals f_l(n) = G_l(n) sum_j f_(l-1)(j) (rho_l)_(n-j) / (n-j)! are
+    the convolution of level l-1's with the rising factor, so D(n) = f_s(n).
+    The upper parameter 1 in G_l's ratios cancels their n!."""
+    levels = [(_ratios([1 + a - b0 - c0], [], 1), [Fraction(1)],
+               _ratios([b1, c1, 1], [1 + a - b0, 1 + a - c0], 1), [Fraction(1)], [])
+              for b0, c0, b1, c1 in zip(bs, cs, bs[1:], cs[1:])]
+    for n in itertools.count():
+        prev = [1]  # level 0: 1 at n = 0, then 0
+        for rho_ratios, rising, g_ratios, g, f in levels:
+            if n:
+                num, den = next(rho_ratios)
+                rising.append(rising[-1] * num / den)
+                num, den = next(g_ratios)
+                g.append(g[-1] * num / den)
+            f.append(g[-1] * sum(x * y for x, y in zip(prev, reversed(rising))))
+            prev = f
+        yield prev[-1]
 
 
 def check_andrews_limit(s: int, a: Param, bs: Sequence[Param], cs: Sequence[Param]) -> ExtReal:
     """Residual of the 2s+4 F 2s+3 (-1) summation with s-fold nested-sum RHS.
 
     bs and cs hold the s+1 numerator-parameter pairs; the verification grid
-    keeps the left side's convergence margin strictly positive.
+    keeps the left side's convergence margin strictly positive.  The right
+    side is a gamma ratio times, for s >= 1, one Levin sum of the ratios of
+    the exact diagonals D(n+1) / D(n) (_diagonals).
     """
     if s < 0 or len(bs) != s + 1 or len(cs) != s + 1:
         raise DomainError("need s+1 parameters in each of bs and cs")
@@ -389,8 +371,11 @@ def check_andrews_limit(s: int, a: Param, bs: Sequence[Param], cs: Sequence[Para
         raise DomainError("left-hand side not convergent on this parameter set")
     lhs = evaluate(spec).value
     pre = gamma_ratio([1 + a - bs[s], 1 + a - cs[s]], [1 + a, 1 + a - bs[s] - cs[s]])
-    rhs = pre * _nested_product_sum(a, bs, cs, 1, 0)[0] if s else pre
-    return abs(lhs - rhs)
+    if not s:
+        return abs(lhs - pre)
+    ratios = (d1 / d0 for d0, d1 in itertools.pairwise(_diagonals(a, bs, cs)))
+    total, _, _ = levin_sum((r.numerator, r.denominator) for r in ratios)
+    return abs(lhs - pre * ExtReal.from_fraction(total))
 
 
 def _core_series(x: Fraction, y: Fraction) -> ExtReal:

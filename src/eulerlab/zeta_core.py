@@ -231,5 +231,5 @@ def zeta_bar_direct(k: int) -> SeriesResult:
     its exact terms, independent of the reflection formula."""
     if k < 1 or k > WEIGHT_CAP:
         raise DomainError(f"zeta_bar_direct requires 1 <= k <= {WEIGHT_CAP}")
-    total, est, n = levin_sum((-(m ** k), (m + 1) ** k, 0.0) for m in itertools.count(1))
+    total, est, n = levin_sum((-(m ** k), (m + 1) ** k) for m in itertools.count(1))
     return SeriesResult(value=-ExtReal.from_fraction(total), terms_used=n, tail_estimate=ExtReal(est))

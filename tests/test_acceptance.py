@@ -166,7 +166,7 @@ def test_criterion_6_hypergeometric():
                (F(3, 2), (F(1, 3), F(1, 4)), (F(1, 5), F(1, 6))),
                (F(1, 2), (F(1, 8), F(1, 8)), (F(1, 8), F(1, 8)))]
     worst_s1 = max(float(hg.check_andrews_limit(1, a, bs, cs)) for a, bs, cs in s1_sets)
-    assert worst_s1 <= 1e-10
+    assert worst_s1 <= 1e-30
 
     s2_sets = [(F(1), (F(1, 5),) * 3, (F(1, 5),) * 3),
                (F(1), (F(1, 6), F(1, 5), F(1, 4)), (F(1, 6), F(1, 5), F(1, 4))),
@@ -174,7 +174,7 @@ def test_criterion_6_hypergeometric():
                (F(3, 2), (F(1, 5), F(1, 6), F(1, 7)), (F(1, 5), F(1, 6), F(1, 7))),
                (F(1, 2), (F(1, 10),) * 3, (F(1, 10),) * 3)]
     worst_s2 = max(float(hg.check_andrews_limit(2, a, bs, cs)) for a, bs, cs in s2_sets)
-    assert worst_s2 <= 1e-8
+    assert worst_s2 <= 1e-30
 
     elapsed = time.monotonic() - start
     assert elapsed <= 60.0

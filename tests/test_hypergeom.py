@@ -10,6 +10,7 @@ from eulerlab.hpreal import DomainError, ExtReal, _ln_gamma_exact, const_pi, ln_
 from eulerlab.hypergeom import (
     ConvClass,
     HypSpec,
+    _diagonals,
     check_andrews_limit,
     check_dougall_limit,
     check_gauss,
@@ -295,10 +296,36 @@ def test_andrews_limit_s1():
     assert float(res) <= 1e-30
 
 
-@pytest.mark.slow
 def test_andrews_limit_s2():
     res = check_andrews_limit(2, 1, [F(1, 5)] * 3, [F(1, 5)] * 3)
-    assert float(res) <= 1e-20
+    assert float(res) <= 1e-30
+
+
+@pytest.mark.parametrize("s, a, bs, cs", [
+    *[(3, a, [b] * 4, [b] * 4)
+      for a, b in ((F(1), F(1, 5)), (F(2), F(1, 5)), (F(3, 2), F(1, 5)), (F(1, 2), F(1, 10)))],
+    *[(4, a, [F(1, 5)] * 5, [F(1, 5)] * 5) for a in (F(1), F(2))],
+    (2, F(1), [F(1, 5), F(-1, 2), F(1, 5)], [F(1, 5)] * 3),  # a negative parameter
+])
+def test_andrews_limit_higher_s(s, a, bs, cs):
+    assert float(check_andrews_limit(s, a, bs, cs)) <= 1e-30
+
+
+def test_andrews_diagonals_match_the_double_sum():
+    # D(n) = sum_{k1+k2=n} (rho_1)_k1/k1! G_1(k1) (rho_2)_k2/k2! G_2(n), term by term
+    a, bs, cs = F(3, 2), [F(1, 5), F(1, 6), F(1, 7)], [F(1, 4), F(-1, 3), F(2, 7)]
+
+    def g(l, n):
+        return (pochhammer(bs[l], n) * pochhammer(cs[l], n)
+                / (pochhammer(1 + a - bs[l - 1], n) * pochhammer(1 + a - cs[l - 1], n)))
+
+    def rising(l, k):
+        return pochhammer(1 + a - bs[l - 1] - cs[l - 1], k) / math.factorial(k)
+
+    diagonals = list(itertools.islice(_diagonals(a, bs, cs), 11))
+    for n, d in enumerate(diagonals):
+        assert d == sum(rising(1, k1) * g(1, k1) * rising(2, n - k1) * g(2, n)
+                        for k1 in range(n + 1)), n
 
 
 def test_andrews_limit_validation():

@@ -32,7 +32,8 @@ LOCKED = {
     "hyp": {
         "saalschutz": 0.0, "poch-ratio": 0.0,
         "gauss": 1e-18, "kummer": 1e-18, "dougall-limit": 1e-18,
-        "andrews-limit-s1": 1e-10, "andrews-limit-s2": 1e-8,
+        "andrews-limit-s1": 1e-30, "andrews-limit-s2": 1e-30,
+        "andrews-limit-s3": 1e-30,
         "odd-zeta-series": 1e-32,
     },
     "zagier": {
