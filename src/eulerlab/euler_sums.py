@@ -16,6 +16,7 @@ elements of the ZetaPoly ring, so the identities among them cancel exactly.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hpreal import DomainError, ExtReal, ZERO, binom, const_gamma_f64, em_coefficient
+from .hpreal import DomainError, ExtReal, ZERO, binom, const_gamma_f64, em_remainder
 from .zeta_core import SeriesResult, ZetaPoly, zeta, zeta_bar, zeta_reg
 
 __all__ = [
@@ -93,19 +94,11 @@ _INNER_ORDER = 2
 @lru_cache(maxsize=1024)
 def _expansion(q: float, alt: bool, order: int) -> tuple:
     """(c, p) pairs with sum_{m>=x} sigma(m) m^-q ~ sigma(x) (I + sum_i c_i x^-p_i),
-    sigma(m) = (-1)^m if alt else 1.
-
-    Euler-Maclaurin (I = x^(1-q)/(q-1)) or Boole (I = 0, alt): the half term
-    (1/2, q), then `order` corrections kappa_j (q)_(2j-1) x^-(q+2j-1) with
-    kappa_j = B_2j/(2j)!, times 4^j - 1 for Boole.
-    """
-    pairs = [(0.5, q)]
-    rising = q  # (q)_(2j-1)
-    for j in range(1, order + 1):
-        kappa = em_coefficient(j) * (4 ** j - 1 if alt else 1)
-        pairs.append((rising * kappa.numerator / kappa.denominator, q + 2 * j - 1))
-        rising = rising * (q + 2 * j - 1) * (q + 2 * j)
-    return tuple(pairs)
+    sigma(m) = (-1)^m if alt else 1: hpreal.em_remainder's half term and
+    first `order` corrections, in floats (I = x^(1-q)/(q-1), or 0 if alt);
+    an integral q enters as an int, which keeps the exact terms cheap."""
+    pairs = itertools.islice(em_remainder(int(q) if q == int(q) else Fraction(q), alt), order + 1)
+    return tuple((float(c), float(p)) for c, p in pairs)
 
 
 def _tail(q: float, n: float, alt: bool) -> float:

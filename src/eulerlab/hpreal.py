@@ -9,13 +9,14 @@ construction, so everything in this module is safe to share across threads.
 Hot loops (exp, ln, log-gamma, sinc) run in fixed
 point: an int N stands for N * 2^-FIXED_BITS.  ExtReal stays the public value
 type; `to_fixed` and `from_fixed` convert at the boundary.  pi and ln 2 are
-exact rational series, rounded once to ExtReal and once to fixed point.
+one integer series at 2^-320, rounded to ExtReal and shifted to fixed point.
 Slowly convergent and alternating series (hypergeometric sums at +1 and -1,
 the direct alternating zeta series) go through one accelerator,
 `levin_sum`, the Levin u-transform in exact integers.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -311,46 +312,28 @@ def to_decimal(x: Union[ExtReal, float, int, Fraction], digits: int = 30) -> str
 # Constants
 # ---------------------------------------------------------------------------
 
-def machin_pi_fraction(digits: int = 45) -> Fraction:
-    """pi via Machin's formula in exact rational arithmetic.
+@lru_cache(maxsize=None)
+def pi_ln2_fixed(bits: int) -> tuple:
+    """(pi, ln 2) times 2^bits, each within one unit: Machin's
+    pi = 16 atan(1/5) - 4 atan(1/239) and ln 2 = 2 atanh(1/3), summed in ints
+    with 16 guard bits until the power q^-(2k+1) is 0; each floored term errs
+    by under three guard units, so their sum stays far below one unit."""
+    one = 1 << (bits + 16)
 
-    pi/4 = 4 atan(1/5) - atan(1/239); each arctangent series is truncated
-    once the next term drops below 10**-(digits+5), and the alternating-series
-    bound makes the result correct to `digits` digits.
-    """
-    bound = Fraction(1, 10 ** (digits + 5))
-
-    def atan_inv(q: int) -> Fraction:
-        total = Fraction(0)
-        k = 0
-        while True:
-            term = Fraction(1, (2 * k + 1) * q ** (2 * k + 1))
-            if term < bound:
-                break
-            total += -term if k % 2 else term
-            k += 1
+    def arc(q: int, alternating: bool) -> int:  # atan(1/q) or atanh(1/q), times one
+        total, power, k = 0, one // q, 1
+        while power:
+            total += -(power // k) if alternating and k % 4 == 3 else power // k
+            power //= q * q
+            k += 2
         return total
 
-    return 16 * atan_inv(5) - 4 * atan_inv(239)
+    return (16 * arc(5, True) - 4 * arc(239, True)) >> 16, 2 * arc(3, False) >> 16
 
 
-def atanh_ln2_fraction(digits: int = 45) -> Fraction:
-    """ln 2 = 2 atanh(1/3) in exact rational arithmetic, truncated with bound."""
-    bound = Fraction(1, 10 ** (digits + 5))
-    total = Fraction(0)
-    k = 0
-    while True:
-        term = Fraction(2, (2 * k + 1) * 3 ** (2 * k + 1))
-        if term < bound:
-            break
-        total += term
-        k += 1
-    return total
-
-
-# 62 digits: within 1e-67, below the fixed-point unit 2^-200
-_PI_ORACLE, _LN2_ORACLE = machin_pi_fraction(62), atanh_ln2_fraction(62)
-_PI, _LN2 = ExtReal.from_fraction(_PI_ORACLE), ExtReal.from_fraction(_LN2_ORACLE)
+# pi and ln 2 at 2^-320, the scale of zeta_core's ring: every other copy (the
+# ExtReals here, the fixed-point kernel's) is read from these
+_PI, _LN2 = (ExtReal.from_fraction(Fraction(v, 1 << 320)) for v in pi_ln2_fixed(320))
 
 
 def const_pi() -> ExtReal:
@@ -404,6 +387,19 @@ def bernoulli(n: int) -> Fraction:
 def em_coefficient(j: int) -> Fraction:
     """kappa_j = B_2j / (2j)!, the j-th Euler-Maclaurin coefficient."""
     return bernoulli(2 * j) / math.factorial(2 * j)
+
+
+def em_remainder(q, alt: bool = False):
+    """The exact (c, p) pairs of sum_{m>=x} sigma(m) m^-q ~ sigma(x) (I + sum c x^-p)
+    for an int or Fraction q, sigma(m) = (-1)^m if alt else 1: Euler-Maclaurin
+    (I = x^(1-q)/(q-1)) or Boole (I = 0, alt).  The half term (1/2, q), then
+    kappa_j (q)_(2j-1) x^-(q+2j-1), times 4^j - 1 for Boole, j = 1, 2, ...,
+    until em_coefficient's cap at j = 30."""
+    yield Fraction(1, 2), q
+    rising = q  # (q)_(2j-1)
+    for j in itertools.count(1):
+        yield em_coefficient(j) * (rising * (4 ** j - 1) if alt else rising), q + 2 * j - 1
+        rising *= (q + 2 * j - 1) * (q + 2 * j)
 
 
 _BINOM_CAP = 64
@@ -482,7 +478,7 @@ def fixed_div(a: int, b: int) -> int:
     return (a << FIXED_BITS) // b
 
 
-_PI_FIXED, _LN2_FIXED = to_fixed(_PI_ORACLE), to_fixed(_LN2_ORACLE)
+_PI_FIXED, _LN2_FIXED = (v >> 320 - FIXED_BITS for v in pi_ln2_fixed(320))
 
 
 def exp_fixed(x: int):

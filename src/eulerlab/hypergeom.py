@@ -309,7 +309,8 @@ def check_kummer_type(a: Param, b: Param) -> ExtReal:
 
 
 def check_dougall_limit(a: Param, b: Param, c: Param) -> ExtReal:
-    """Residual of the well-poised 4F3(-1) summation (Dougall limiting case)."""
+    """Residual of the well-poised 4F3(-1) summation (Dougall limiting case):
+    the Andrews limit at s = 0, after its own domain checks."""
     a, b, c = _frac(a), _frac(b), _frac(c)
     for v in (a / 2, 1 + a - b, 1 + a - c):
         if _is_nonpositive_int(v):
@@ -318,10 +319,7 @@ def check_dougall_limit(a: Param, b: Param, c: Param) -> ExtReal:
         raise DomainError("requires 2 + a - 2b - 2c > 0")
     if 1 + a <= 0 or 1 + a - b <= 0 or 1 + a - c <= 0 or 1 + a - b - c <= 0:
         raise DomainError("gamma arguments must stay positive")
-    spec = HypSpec.of([a, 1 + a / 2, b, c], [a / 2, 1 + a - b, 1 + a - c], -1)
-    lhs = evaluate(spec).value
-    rhs = gamma_ratio([1 + a - b, 1 + a - c], [1 + a, 1 + a - b - c])
-    return abs(lhs - rhs)
+    return check_andrews_limit(0, a, (b,), (c,))
 
 
 def _diagonals(a: Fraction, bs, cs):

@@ -48,7 +48,8 @@ _DIRECT_DEPTH_CAP = 9
 
 @dataclass(frozen=True)
 class HIndex:
-    """Index (a, b, star) of H(a,b) or H*(a,b); direct evaluation needs a+b <= 8."""
+    """Index (a, b, star) of H(a,b) or H*(a,b); direct evaluation needs depth
+    a+b+1 <= _DIRECT_DEPTH_CAP."""
 
     a: int
     b: int
@@ -102,9 +103,9 @@ def mzv_direct(exponents: Sequence[int], star: bool = False,
 
 
 def h_direct(idx: HIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
-    """H(a,b) or H*(a,b) by direct nested summation; depth a+b+1 <= 9."""
-    if idx.a + idx.b > 8:
-        raise DomainError("direct evaluation capped at a+b <= 8")
+    """H(a,b) or H*(a,b) by direct nested summation; depth a+b+1 <= _DIRECT_DEPTH_CAP."""
+    if idx.a + idx.b >= _DIRECT_DEPTH_CAP:
+        raise DomainError(f"direct evaluation capped at a+b <= {_DIRECT_DEPTH_CAP - 1}")
     return mzv_direct(idx.exponents, star=idx.star, n_max=n_max)
 
 
@@ -115,7 +116,8 @@ def _prefetch(indices: list, n_max: int) -> None:
     cache hits.  The passes run only if every request is valid; a bad one
     raises when it is called."""
     doubles = [isinstance(idx, DoubleIndex) for idx in indices]
-    valid = all(idx.convergent if double else idx.a + idx.b <= 8 for idx, double in zip(indices, doubles))
+    valid = all(idx.convergent if double else idx.a + idx.b < _DIRECT_DEPTH_CAP
+                for idx, double in zip(indices, doubles))
     if valid and 100 <= n_max <= N_MAX_CAP:
         for star in (False, True):  # head keys as double_direct and mzv_direct form them
             _heads([((i.r, i.s), (i.r_bar,)) if double else (i.exponents, (False,) * (i.a + i.b))

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .hpreal import (FIXED_BITS, DomainError, ExtReal, atanh_ln2_fraction, bernoulli,
-                     em_coefficient, from_fixed, levin_sum, machin_pi_fraction)
+from .hpreal import (FIXED_BITS, DomainError, ExtReal, bernoulli, em_remainder, from_fixed,
+                     levin_sum, pi_ln2_fixed)
 
 __all__ = ["WEIGHT_CAP", "ZetaPoly", "SeriesResult", "zeta", "zeta_bar", "zeta_reg",
            "zeta_bar_direct"]
@@ -53,22 +53,19 @@ _PI, _LN2, _T = -1, 0, 1
 
 @lru_cache(maxsize=None)
 def _generator(g: int) -> int:
-    """The generator g times 2^_BITS: pi and ln 2 from 100-digit rationals,
+    """The generator g times 2^_BITS: pi and ln 2 from hpreal.pi_ln2_fixed,
     zeta(w) by Euler-Maclaurin at N = 2^8 (so N^-w is a shift) with 16 guard
-    bits, sum_{m<N} m^-w + N^(1-w)/(w-1) + N^-w/2 + sum_j kappa_j (w)_(2j-1)
-    N^(1-w-2j), up to the first correction below the unit (25 of them at w = 3)."""
+    bits, sum_{m<N} m^-w + N^(1-w)/(w-1) plus hpreal.em_remainder's terms
+    c N^-p, up to the first below the unit (25 corrections at w = 3)."""
     if g in (_PI, _LN2):
-        return math.floor((machin_pi_fraction if g == _PI else atanh_ln2_fraction)(100) * (1 << _BITS))
+        return pi_ln2_fixed(_BITS)[g == _LN2]
     one = 1 << (_BITS + 16)
-    total = sum(one // m ** g for m in range(1, 256)) + (one >> 8 * g - 8) // (g - 1) + (one >> 8 * g + 1)
-    rising = g  # (w)_(2j-1)
-    for j in itertools.count(1):
-        kappa = em_coefficient(j)
-        term = (one * rising * kappa.numerator // kappa.denominator) >> 8 * (g + 2 * j - 1)
+    total = sum(one // m ** g for m in range(1, 256)) + (one >> 8 * g - 8) // (g - 1)
+    for c, p in em_remainder(g):
+        term = one * c.numerator // c.denominator >> 8 * p
         if term in (0, -1):
             return total >> 16
         total += term
-        rising *= (g + 2 * j - 1) * (g + 2 * j)
 
 
 @lru_cache(maxsize=None)

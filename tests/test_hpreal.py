@@ -19,12 +19,13 @@ from eulerlab.hpreal import (
     exp_dd,
     from_fixed,
     ln_dd,
-    machin_pi_fraction,
-    atanh_ln2_fraction,
     parse_decimal,
     sinc_pi,
     to_decimal,
     _levin_weights,
+    _LN2_FIXED,
+    _PI_FIXED,
+    pi_ln2_fixed,
 )
 from conftest import PI_50, LN2_50, approx_abs
 import oracles
@@ -133,9 +134,7 @@ def test_pi_against_independent_oracles(frozen):
     assert abs(machin - second) < Fraction(1, 10 ** 44)
     assert abs(frozen["pi"] - machin) < Fraction(1, 10 ** 45)
     assert approx_abs(const_pi(), machin, Fraction(1, 10 ** 31))
-    # the in-package series agrees with the independent re-implementation,
-    # and const_pi is its double-double split
-    assert abs(machin_pi_fraction() - machin) < Fraction(1, 10 ** 44)
+    # const_pi is the double-double split of the independent series
     assert const_pi() == ExtReal.from_fraction(oracles.machin_pi(62))
 
 
@@ -143,8 +142,20 @@ def test_ln2_against_series_oracle(frozen):
     oracle = oracles.atanh_ln2()
     assert abs(frozen["ln2"] - oracle) < Fraction(1, 10 ** 45)
     assert approx_abs(const_ln2(), oracle, Fraction(1, 10 ** 31))
-    assert abs(atanh_ln2_fraction() - oracle) < Fraction(1, 10 ** 44)
     assert const_ln2() == ExtReal.from_fraction(oracles.atanh_ln2(62))
+
+
+@pytest.mark.parametrize("bits", [200, 320, 400])
+def test_pi_ln2_fixed_within_one_unit_of_the_oracles(bits):
+    pi, ln2 = pi_ln2_fixed(bits)
+    assert abs(pi - oracles.machin_pi(130) * 2 ** bits) <= 1
+    assert abs(ln2 - oracles.atanh_ln2(130) * 2 ** bits) <= 1
+
+
+def test_fixed_point_constants_are_the_routine_values():
+    # the kernel's pi and ln 2 are the 320-bit values shifted to FIXED_BITS
+    pi, ln2 = pi_ln2_fixed(320)
+    assert (_PI_FIXED, _LN2_FIXED) == (pi >> 320 - FIXED_BITS, ln2 >> 320 - FIXED_BITS)
 
 
 def test_gamma_literal_is_correctly_rounded(frozen):

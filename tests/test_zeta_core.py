@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerlab import euler_sums, zagier
-from eulerlab.hpreal import DomainError, ExtReal
+from eulerlab.hpreal import DomainError, ExtReal, pi_ln2_fixed
 from eulerlab.zeta_core import (
+    _BITS,
+    _LN2,
+    _PI,
     ZetaPoly,
+    _generator,
     zeta,
     zeta_bar,
     zeta_bar_direct,
@@ -32,6 +36,10 @@ def test_zeta3_against_apery_oracle(frozen):
 def test_zeta_at_60_dominated_tail():
     excess = zeta(60).to_fraction() - 1 - Fraction(2) ** -60
     assert 0 < excess < Fraction(3) ** -60 * Fraction(11, 10)
+
+
+def test_ring_pi_and_ln2_are_the_routine_values():
+    assert (_generator(_PI), _generator(_LN2)) == pi_ln2_fixed(_BITS)
 
 
 def test_zeta_monotone_decreasing():
