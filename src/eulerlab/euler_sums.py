@@ -3,16 +3,19 @@ odd-weight closed forms, and the summation formulas (the stuffle and shuffle
 checks read genfun's relation table).
 
 Direct summation, for double sums and the nested sums of zagier alike, runs
-one engine: a single O(n_max) pass in cache-sized blocks for a list of sums,
-computing each power m^-e once per block and carrying one prefix sum per
-inner level from block to block, in float64 with an exact run accumulator
-that keeps even and odd m apart: one pass serves both signs of the outer slot,
-each sum rounded once.  Its tail is built level by level from remainder
-expansions (Euler-Maclaurin for smooth sums, Boole for alternating ones)
-generated from the Bernoulli numbers, for every bar pattern and depth; runs
-from n_max = 1e3 (verify --fast; --slow takes 1e6 to cross-check the tails)
-land within ~2e-16 absolute.  Closed forms are exact
-elements of the ZetaPoly ring, so the identities among them cancel exactly.
+one engine: a single pass of at most n_max terms in cache-sized blocks for a
+list of sums, computing each power m^-e once per block and carrying one
+prefix sum per inner level from block to block, in float64 with an exact run
+accumulator that keeps even and odd m apart: one pass serves both signs of
+the outer slot, each sum rounded once.  A sum leaves the pass, level by
+level, once the rest of its terms cannot change a bit of its result, so a
+steep sum such as zeta(19, 19) stops after its first block.  Its tail is
+built level by level from remainder expansions (Euler-Maclaurin for smooth
+sums, Boole for alternating ones) generated from the Bernoulli numbers, for
+every bar pattern and depth; runs from n_max = 1e3 (verify --fast; --slow
+takes 1e6 to cross-check the tails) land within ~2e-16 absolute.  Closed
+forms are exact elements of the ZetaPoly ring, so the identities among them
+cancel exactly.
 """
 from __future__ import annotations
 
@@ -199,17 +202,67 @@ def _nested_tail(exps: tuple, bars: tuple, star: bool, n_max: int, carry: list) 
     return tail, abs(first_omitted) + noise
 
 
+def _settled(odd: int, even: int, b: float) -> bool:
+    """Whether even + odd and even - odd (units of 2^-1074) each keep their
+    rounding to a double when terms adding up to at most b in absolute value
+    join them: rounding is monotone, so the two ends of each range decide."""
+    num, den = b.as_integer_ratio()  # a double is a whole number of units
+    units, one = (num << 1074) // den, 1 << 1074
+    return all((x - units) / one == (x + units) / one for x in (even + odd, even - odd))
+
+
+def _settled_levels(exps: tuple, head: list, done: int, m0: int, n_max: int) -> int:
+    """How many levels of a head, from the innermost, its terms at m0 <= m <=
+    n_max can no longer change, `done` of them known from the last check.
+    Each level's terms are its powers times P, the final carry of the level
+    inside it (1 for the innermost).  An inner level is settled once every
+    such term is below half the gap from its carry to the neighbouring
+    doubles, so that the sequential cumsum cannot move it; the outermost
+    once its remaining terms cannot change the rounding of even + odd or of
+    even - odd."""
+    odd, even, carry = head
+    while done < len(exps):
+        e, p = exps[done], abs(carry[done - 1]) if done else 1.0
+        # pow and the product err by a few units in the last place while every
+        # power and term up to n_max is a normal double, so each term from m0
+        # on is below bound
+        if float(n_max) ** -e * min(1.0, p) < 2.0 ** -1020:
+            break
+        bound = float(m0) ** -e * p * (1.0 + 2.0 ** -30)
+        if done < len(carry):
+            c = carry[done]
+            if not bound < min(c - math.nextafter(c, -math.inf), math.nextafter(c, math.inf) - c) / 2:
+                break
+        else:
+            # the rest is at most |P| (m0^-s + int_m0^n_max x^-s dx), the
+            # integral from log1p and expm1 of ln(n_max / m0), which stay
+            # accurate for n_max near m0
+            log = math.log1p((n_max - m0) / m0)
+            rest = bound * (1.0 + m0 * (log if e == 1 else -math.expm1((1 - e) * log) / (e - 1)))
+            if not _settled(odd, even, rest):
+                break
+        done += 1
+    return done
+
+
 # (exps, inner_bars, star, n_max) -> its head, for the heads run (at most 4096)
 _HEADS: dict = {}
 
 
 def _heads(keys: list, star: bool, n_max: int) -> list:
     """[(odd, even, carry)] for each key (exps, inner_bars), inner to outer: the
-    exact sums (units of 2^-1074) over odd and even m <= n_max of the outermost
+    sums (units of 2^-1074) over odd and even m <= n_max of the outermost
     level's terms, without the sign of its slot, and each inner level's prefix
-    sum at n_max.  The keys not cached run in one blocked pass, which carries
-    one prefix sum per inner level from block to block and computes each power
-    m^-e once per block, for every level of every key that uses it."""
+    sum at n_max.  odd and even are exact up to a remainder that cannot change
+    the rounding of even + odd or of even - odd, so a caller may round those
+    two, and nothing else.  The keys not cached run in one blocked pass, which
+    carries one prefix sum per inner level from block to block and computes
+    each power m^-e once per block, for every level of every key that uses it.
+    After each block but the last, _settled_levels decides per key which of
+    its levels the rest of its terms can no longer change: a settled inner
+    level's prefix sum is its carry (the next level's terms are the same
+    products, with no cumsum), and a key whose levels are all settled leaves
+    the pass."""
     if len(_HEADS) + len(keys) > 4096:
         _HEADS.clear()
     full = [(*key, star, n_max) for key in keys]
@@ -217,24 +270,37 @@ def _heads(keys: list, star: bool, n_max: int) -> list:
     todo = sorted(dict.fromkeys(key for key in full if key not in _HEADS), key=lambda key: sorted(key[0]))
     last = {e: i for i, (exps, *_) in enumerate(todo) for e in exps}
     heads = [[0, 0, [0.0] * (len(exps) - 1)] for exps, *_ in todo]  # odd, even, P_j at start - 1
-    for start in range(1, n_max + 1, _BLOCK) if todo else ():
+    settled = [0] * len(todo)  # levels per key that the rest of its terms cannot change
+    live = list(range(len(todo)))
+    for start in range(1, n_max + 1, _BLOCK):
+        if not live:
+            break
         m = np.arange(start, min(start + _BLOCK, n_max + 1), dtype=np.float64)
         powers = {}
-        for i, ((exps, inner_bars, *_), acc) in enumerate(zip(todo, heads)):
-            prev, carry = None, acc[2]  # P_0 = 1, so the first level's terms are its powers
+        for i in live:
+            (exps, inner_bars, *_), acc = todo[i], heads[i]
+            prev, carry = None, acc[2]  # P_(j-1) over the block, None while it is P_0 = 1
             for j, e in enumerate(exps):
+                if j < settled[i]:
+                    prev = carry[j]  # a settled prefix sum is its carry at every m
+                    continue
                 if e not in powers:
                     powers[e] = m ** float(-e)
-                # starred sums take the previous level at m, strict ones at m - 1
-                terms = powers[e] if prev is None else powers[e] * (prev[1:] if star else prev[:-1])
+                terms = powers[e] if prev is None else powers[e] * prev
                 if j < len(carry):
-                    prev = np.concatenate(([carry[j]], terms))  # P_j from start - 1 on
+                    prefix = np.concatenate(([carry[j]], terms))  # P_j from start - 1 on
                     if inner_bars[j]:
-                        prev[1::2] *= -1.0  # odd m, behind the carry
-                    carry[j] = float(np.cumsum(prev, out=prev)[-1])
+                        prefix[1::2] *= -1.0  # odd m, behind the carry
+                    carry[j] = float(np.cumsum(prefix, out=prefix)[-1])
+                    # starred sums take the previous level at m, strict ones at m - 1
+                    prev = prefix[1:] if star else prefix[:-1]
                 else:
                     _add_runs(acc, terms)
             powers = {e: p for e, p in powers.items() if last[e] > i}
+        if start + _BLOCK <= n_max:
+            for i in live:
+                settled[i] = _settled_levels(todo[i][0], heads[i], settled[i], start + _BLOCK, n_max)
+            live = [i for i in live if settled[i] < len(todo[i][0])]
     _HEADS.update((key, (odd, even, tuple(carry))) for key, (odd, even, carry) in zip(todo, heads))
     return [_HEADS[key] for key in full]
 
@@ -250,6 +316,13 @@ def _nested_direct(exps: tuple, bars: tuple, star: bool, n_max: int):
     return ExtReal(head + tail), ExtReal(est)
 
 
+def _valid_n_max(n_max) -> bool:
+    """Whether n_max is a truncation direct sums accept: an int (not a bool),
+    100 <= n_max <= N_MAX_CAP.  A float would reach range() or, once an equal
+    int has run, a cache hit reporting terms_used as that float."""
+    return isinstance(n_max, int) and not isinstance(n_max, bool) and 100 <= n_max <= N_MAX_CAP
+
+
 def double_direct(idx: DoubleIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
     """Direct single-pass evaluation of a double Euler sum truncated at n_max:
     the depth-2 case of _nested_direct, whose head pass zeta(r, s) and
@@ -262,8 +335,8 @@ def double_direct(idx: DoubleIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
             f"{idx} diverges (unbarred outer exponent 1); "
             "use the regularized closed forms (closed_plain / closed_bar_r)"
         )
-    if not 100 <= n_max <= N_MAX_CAP:
-        raise DomainError(f"double_direct requires 100 <= n_max <= {N_MAX_CAP}")
+    if not _valid_n_max(n_max):
+        raise DomainError(f"double_direct requires an int n_max, 100 <= n_max <= {N_MAX_CAP}")
     value, est = _nested_direct((idx.r, idx.s), (idx.r_bar, idx.s_bar), False, n_max)
     return SeriesResult(value=value, terms_used=n_max, tail_estimate=est)
 
@@ -272,7 +345,7 @@ def _prefetch(indices: list, n_max: int) -> None:
     """Run the head passes of these double sums not cached yet as one pass (see
     _heads), so that their double_direct calls are cache hits.  The pass runs
     only if every request is valid; a bad one raises when it is called."""
-    if all(idx.convergent for idx in indices) and 100 <= n_max <= N_MAX_CAP:
+    if all(idx.convergent for idx in indices) and _valid_n_max(n_max):
         _heads([((idx.r, idx.s), (idx.r_bar,)) for idx in indices], False, n_max)
 
 

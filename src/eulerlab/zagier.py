@@ -22,6 +22,7 @@ from .euler_sums import (
     DoubleIndex,
     _heads,
     _nested_direct,
+    _valid_n_max,
     closed_bar_s,
     double_direct,
 )
@@ -96,8 +97,8 @@ def mzv_direct(exponents: Sequence[int], star: bool = False,
         raise DomainError(f"direct summation supports depth 1..{_DIRECT_DEPTH_CAP}")
     if any(e < 2 for e in exps):
         raise DomainError("direct nested summation requires all exponents >= 2")
-    if not 100 <= n_max <= N_MAX_CAP:
-        raise DomainError(f"mzv_direct requires 100 <= n_max <= {N_MAX_CAP}")
+    if not _valid_n_max(n_max):
+        raise DomainError(f"mzv_direct requires an int n_max, 100 <= n_max <= {N_MAX_CAP}")
     value, est = _nested_direct(exps, (False,) * d, star, n_max)
     return SeriesResult(value=value, terms_used=n_max, tail_estimate=est)
 
@@ -118,7 +119,7 @@ def _prefetch(indices: list, n_max: int) -> None:
     doubles = [isinstance(idx, DoubleIndex) for idx in indices]
     valid = all(idx.convergent if double else idx.a + idx.b < _DIRECT_DEPTH_CAP
                 for idx, double in zip(indices, doubles))
-    if valid and 100 <= n_max <= N_MAX_CAP:
+    if valid and _valid_n_max(n_max):
         for star in (False, True):  # head keys as double_direct and mzv_direct form them
             _heads([((i.r, i.s), (i.r_bar,)) if double else (i.exponents, (False,) * (i.a + i.b))
                     for i, double in zip(indices, doubles) if star == (not double and i.star)], star, n_max)

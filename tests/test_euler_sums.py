@@ -21,6 +21,7 @@ from eulerlab.euler_sums import (
     _heads,
     _nested_direct,
     _expansion,
+    _settled,
     _log_tail,
     _tail,
     closed_bar_both,
@@ -35,7 +36,8 @@ from eulerlab.euler_sums import (
 from eulerlab.genfun import shuffle_check, stuffle_check, stuffle_closed_residual
 from conftest import approx_abs, clear_direct_caches
 import oracles
-from eulerlab import euler_sums
+from eulerlab import euler_sums, zagier
+from eulerlab.zagier import HIndex, mzv_direct
 
 N = 100_000
 
@@ -190,11 +192,17 @@ def _whole_array_direct(r, s, r_bar, s_bar, n_max):
 
 
 def test_blocked_direct_sum_matches_whole_array_reference():
-    for r, s in ((1, 2), (1, 5), (2, 3), (3, 4), (7, 12)):
+    # the last four settle early: (19, 19) whole after the first block and
+    # (3, 35) past m = 2.6e5; the inner levels of (35, 3) and (37, 1-bar)
+    # after the first block, their outer levels then summed to n_max as
+    # powers times the settled carry
+    settling = [(r, s, 10 ** 6) for r, s in ((19, 19), (3, 35), (35, 3), (37, 1))]
+    for r, s, deep in [(1, 2, N), (1, 5, N), (2, 3, N), (3, 4, N), (7, 12, N), *settling]:
         for r_bar in (False, True):
             for s_bar in (False, True):
-                for n_max in SEAM_N:
-                    res = double_direct(DoubleIndex(r, s, r_bar, s_bar), n_max)
+                idx = DoubleIndex(r, s, r_bar, s_bar)
+                for n_max in dict.fromkeys((*SEAM_N, deep)) if idx.convergent else ():
+                    res = double_direct(idx, n_max)
                     value, est = _whole_array_direct(r, s, r_bar, s_bar, n_max)
                     got = (res.value.hi, res.value.lo, res.tail_estimate.hi, res.tail_estimate.lo)
                     assert got == (value.hi, value.lo, est.hi, est.lo), (r, s, r_bar, s_bar, n_max)
@@ -244,6 +252,35 @@ def test_outer_sign_siblings_share_one_head_pass(monkeypatch):
             blocks.clear()
             assert [bits(*request) for request in requests] == alone, (exps, inner_bars, star, n_max)
             assert sum(blocks) == n_max  # the outermost level's terms went in once
+
+
+def test_settled_heads_leave_the_pass(monkeypatch):
+    # zeta(19, 19) at 1e6 settles after its first block, so only that block's
+    # outer terms reach the accumulator; zeta(1, 2), whose inner level is the
+    # harmonic sum, never settles and feeds every term
+    blocks = []
+    monkeypatch.setattr(euler_sums, "_add_runs", lambda acc, x: (blocks.append(len(x)), _add_runs(acc, x)))
+    for idx, fed in ((DoubleIndex(19, 19), _BLOCK), (DoubleIndex(1, 2), 10 ** 6)):
+        clear_direct_caches()
+        blocks.clear()
+        double_direct(idx, 10 ** 6)
+        assert sum(blocks) == fed, (idx, len(blocks))
+    clear_direct_caches()
+
+
+def test_settle_predicate_refuses_a_halfway_point():
+    # in units of 2^-1074: half is 1 + 2^-53, halfway between the doubles 1
+    # and 1 + 2^-52.  A head does not settle while a bound b on its remaining
+    # terms reaches a halfway point from even + odd or from even - odd, and
+    # one unit is enough on the point itself; 3 + 2^-53 and -1 + 2^-53 sit far
+    # from any halfway point
+    unit, one = 2.0 ** -1074, 1 << 1074
+    half = one + (one >> 53)
+    assert _settled(0, one, unit) and _settled(0, one, 1000 * unit)
+    assert not _settled(0, half, unit) and not _settled(half, 0, unit)
+    for x in (half - 5, half + 5):
+        for odd, even in ((0, x), (x, 0), (one, x + one), (one, x - one)):
+            assert not _settled(odd, even, 6 * unit) and _settled(odd, even, 4 * unit), (odd, even)
 
 
 # keys (exps, inner_bars) and star of one batch: depth 2 with both inner bars
@@ -425,3 +462,24 @@ def test_double_index_validation():
         double_direct(DoubleIndex(1, 2), 50)
     with pytest.raises(DomainError):
         double_direct(DoubleIndex(2, 2), N_MAX_CAP + 1)  # rejected before any allocation
+
+
+def test_non_int_n_max_is_rejected_in_either_call_order():
+    # a float equal to a cached int n_max must not be a cache hit reporting
+    # terms_used = 100000.0: any n_max that is not an int is a DomainError,
+    # whether or not the int ran first, and a prefetch skips it
+    idx = DoubleIndex(2, 3)
+    for int_first in (False, True):
+        clear_direct_caches()
+        if int_first:
+            assert double_direct(idx, N).terms_used == N and mzv_direct((2, 3), n_max=N).terms_used == N
+        heads = dict(_HEADS)
+        for n_max in (float(N), 1000.0, True, np.int64(N)):
+            with pytest.raises(DomainError):
+                double_direct(idx, n_max)
+            with pytest.raises(DomainError):
+                mzv_direct((2, 3), n_max=n_max)
+            euler_sums._prefetch([idx], n_max)
+            zagier._prefetch([idx, HIndex(0, 1)], n_max)
+            assert _HEADS == heads, n_max
+    clear_direct_caches()

@@ -7,7 +7,7 @@ import pytest
 
 from eulerlab.hpreal import DomainError, ExtReal, const_pi, sinc_pi
 from eulerlab.zeta_core import zeta, zeta_bar
-from eulerlab.euler_sums import _BLOCK, _HEADS, N_MAX_CAP, DoubleIndex, _nested_tail, closed_bar_s, double_direct
+from eulerlab.euler_sums import _HEADS, N_MAX_CAP, DoubleIndex, _nested_tail, closed_bar_s, double_direct
 from eulerlab.zagier import (
     HIndex,
     eval_F,
@@ -95,9 +95,13 @@ def _whole_array_mzv(exps, star, n_max):
 
 
 def test_blocked_mzv_matches_whole_array_reference():
-    for exps in ((3,), (2, 3, 2), (2, 2, 2, 3, 2, 4, 2, 2, 5)):
+    # the last two settle early: every level of (6,) * 9 after the first
+    # block (the outermost strict one after the fifth), every level of
+    # (3, 5, 7) past m = 2e5, once m^-3 is below half an ulp of its carry
+    for exps, deep in (((3,), N), ((2, 3, 2), N), ((2, 2, 2, 3, 2, 4, 2, 2, 5), N), ((6,) * 9, N),
+                       ((3, 5, 7), 10 ** 6)):
         for star in (False, True):
-            for n_max in (100, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, N):
+            for n_max in dict.fromkeys((*SEAM_N, deep)):
                 res = mzv_direct(exps, star, n_max)
                 value, est = _whole_array_mzv(exps, star, n_max)
                 got = (res.value.hi, res.value.lo, res.tail_estimate.hi, res.tail_estimate.lo)
