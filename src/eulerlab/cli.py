@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from .hpreal import DomainError, ExtReal, to_decimal
@@ -270,11 +271,18 @@ def _cmd_table(ns) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses from call to call, built at the first call:
+    parsing keeps no state in it, and building it costs more than a cached
+    table."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
         # parse_known_args lets positionals follow flags (compute hsum --star 0 0)
-        ns, extra = parser.parse_known_args(argv)
+        ns, extra = _parser().parse_known_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if extra:

@@ -3,13 +3,17 @@ odd-weight closed forms, and the summation formulas (the stuffle and shuffle
 checks read genfun's relation table).
 
 Direct summation, for double sums and the nested sums of zagier alike, runs
-one engine: a single pass of at most n_max terms in cache-sized blocks for a
-list of sums, computing each power m^-e once per block and carrying one
-prefix sum per inner level from block to block, in float64 with an exact run
-accumulator that keeps even and odd m apart: one pass serves both signs of
-the outer slot, each sum rounded once.  A sum leaves the pass, level by
-level, once the rest of its terms cannot change a bit of its result, so a
-steep sum such as zeta(19, 19) stops after its first block.  Its tail is
+one engine: a single pass of at most n_max terms for a list of sums, in
+blocks that grow from 2^10 to 2^13 terms, computing each power m^-e once per
+block and carrying one prefix sum per inner level from block to block, in
+float64 with an exact run accumulator that keeps even and odd m apart: one
+pass serves both signs of the outer slot, each sum rounded once.  Each level
+of a sum stops once the rest of its terms cannot change a bit of its result,
+the outer level on its own bound while inner ones may run on, so a steep sum
+such as zeta(19, 19) stops after its first 2^10 terms.  Inner prefix sums at
+n_max are kept, so a sum whose outer level settles early, such as
+zeta(1, 37), leaves the pass there once another sum at that n_max has run
+its inner harmonic sum.  Its tail is
 built level by level from remainder expansions (Euler-Maclaurin for smooth
 sums, Boole for alternating ones) generated from the Bernoulli numbers, for
 every bar pattern and depth; runs from n_max = 1e3 (verify --fast; --slow
@@ -126,9 +130,12 @@ def _log_tail(s: float, n: float, alt: bool) -> float:
     return -t if alt and int(n) % 2 == 0 else t
 
 
-# Direct sums walk m = 1..n_max in blocks of _BLOCK terms, so memory stays
-# O(block) and each block stays in cache.  The block length is even: every
-# block starts at an odd m, where (-1)^m is -1 on the block's even positions.
+# Direct sums walk m = 1..n_max in blocks of _FIRST_BLOCK terms, then twice
+# as many each time up to _BLOCK, so memory stays O(block), each block stays
+# in cache, and a steep sum that settles early pays for few terms.  Every
+# block length is even: each block starts at an odd m, where (-1)^m is -1 on
+# the block's even positions.
+_FIRST_BLOCK = 1 << 10
 _BLOCK = 1 << 13
 
 
@@ -208,45 +215,63 @@ def _settled(odd: int, even: int, b: float) -> bool:
     join them: rounding is monotone, so the two ends of each range decide."""
     num, den = b.as_integer_ratio()  # a double is a whole number of units
     units, one = (num << 1074) // den, 1 << 1074
+    # a quick refusal that gives the same answer: below 2^(L + 1) units no
+    # rounding cell is 2^(L - 51) wide, so a range of 2 units >= 2^(L - 51)
+    # around even +- odd never fits in one
+    if units.bit_length() > max(max(abs(even), abs(odd)).bit_length() - 52, 0):
+        return False
     return all((x - units) / one == (x + units) / one for x in (even + odd, even - odd))
 
 
-def _settled_levels(exps: tuple, head: list, done: int, m0: int, n_max: int) -> int:
-    """How many levels of a head, from the innermost, its terms at m0 <= m <=
-    n_max can no longer change, `done` of them known from the last check.
-    Each level's terms are its powers times P, the final carry of the level
-    inside it (1 for the innermost).  An inner level is settled once every
-    such term is below half the gap from its carry to the neighbouring
-    doubles, so that the sequential cumsum cannot move it; the outermost
-    once its remaining terms cannot change the rounding of even + odd or of
-    even - odd."""
-    odd, even, carry = head
-    while done < len(exps):
-        e, p = exps[done], abs(carry[done - 1]) if done else 1.0
-        # pow and the product err by a few units in the last place while every
-        # power and term up to n_max is a normal double, so each term from m0
-        # on is below bound
-        if float(n_max) ** -e * min(1.0, p) < 2.0 ** -1020:
+# pow and the product err by a few units in the last place while a power is a
+# normal double, and a sequential cumsum over n terms grows a prefix sum by at
+# most (1 + 2^-53)^n, below 1 + 2^-29.6 at N_MAX_CAP: every bound on the
+# terms of a level or on its prefix sum takes this margin
+_MARGIN = 1.0 + 2.0 ** -20
+
+
+def _settled_levels(exps: tuple, head: list, state: tuple, m0: int, n_max: int) -> tuple:
+    """(inner levels settled, from the innermost; whether the outer level is)
+    for a head that has summed m < m0, `state` the last check's.  Level j's
+    terms are its powers m^-e_j times P_(j-1), the prefix sum of the level
+    inside it (1 for the innermost), and over m0 - 1 <= m <= n_max
+    |P_j| <= B_j = |carry_j| + B_(j-1) rest(e_j), B_(-1) = 1, with
+    rest(e) = m0^-e + int_m0^n_max x^-e dx >= sum_(m0 <= m <= n_max) m^-e, or
+    B_j = |carry_j| once level j is settled.  An inner level is settled once
+    every level inside it is and each of its terms is below half the gap from
+    its carry to the neighbouring doubles, so that the sequential cumsum
+    cannot move it.  The outer level is settled once the rest of its terms,
+    at most B_(d-2) rest(e_(d-1)), cannot change the rounding of even + odd
+    or of even - odd, whether or not the inner levels still run.  Each bound
+    takes _MARGIN, and adds 2^-1075 per term for a product that falls below
+    the normal range, where it errs by that much in absolute value."""
+    (odd, even, carry), (done, outer) = head, state
+    # ln(n_max / m0) from log1p, so that rest stays accurate for n_max near m0
+    log, tiny = math.log1p((n_max - m0) / m0), math.ulp(0.0)
+    bound = 1.0
+    for j, e in enumerate(exps):
+        # once the outer level is settled only the innermost unsettled level
+        # is left to decide, and a power that may leave the normal range
+        # decides nothing
+        if outer and j > done or float(n_max) ** -e < 2.0 ** -1020:
             break
-        bound = float(m0) ** -e * p * (1.0 + 2.0 ** -30)
-        if done < len(carry):
-            c = carry[done]
-            if not bound < min(c - math.nextafter(c, -math.inf), math.nextafter(c, math.inf) - c) / 2:
-                break
-        else:
-            # the rest is at most |P| (m0^-s + int_m0^n_max x^-s dx), the
-            # integral from log1p and expm1 of ln(n_max / m0), which stay
-            # accurate for n_max near m0
-            log = math.log1p((n_max - m0) / m0)
-            rest = bound * (1.0 + m0 * (log if e == 1 else -math.expm1((1 - e) * log) / (e - 1)))
-            if not _settled(odd, even, rest):
-                break
-        done += 1
-    return done
+        term = float(m0) ** -e * bound * _MARGIN
+        rest = term * (1.0 + m0 * (log if e == 1 else -math.expm1((1 - e) * log) / (e - 1))) + n_max * tiny
+        if j == len(carry):
+            outer = outer or _settled(odd, even, rest)
+            break
+        c = carry[j]
+        if j == done and term + tiny < min(c - math.nextafter(c, -math.inf), math.nextafter(c, math.inf) - c) / 2:
+            done += 1
+        bound = abs(c) if j < done else (abs(c) + rest) * _MARGIN
+    return done, outer
 
 
 # (exps, inner_bars, star, n_max) -> its head, for the heads run (at most 4096)
 _HEADS: dict = {}
+# (exps[:j + 1], inner_bars[:j + 1], star, n_max) -> inner level j's prefix
+# sum at n_max, from the heads run; emptied with _HEADS
+_PREFIXES: dict = {}
 
 
 def _heads(keys: list, star: bool, n_max: int) -> list:
@@ -258,30 +283,36 @@ def _heads(keys: list, star: bool, n_max: int) -> list:
     two, and nothing else.  The keys not cached run in one blocked pass, which
     carries one prefix sum per inner level from block to block and computes
     each power m^-e once per block, for every level of every key that uses it.
-    After each block but the last, _settled_levels decides per key which of
-    its levels the rest of its terms can no longer change: a settled inner
-    level's prefix sum is its carry (the next level's terms are the same
-    products, with no cumsum), and a key whose levels are all settled leaves
-    the pass."""
+    Blocks grow from _FIRST_BLOCK to _BLOCK, doubling.  After each block but
+    the last, _settled_levels decides per key which of its levels the rest of
+    its terms can no longer change: a settled inner level's prefix sum is its
+    carry (the next level's terms are the same products, with no cumsum), and
+    a settled outer level adds no more terms while its inner levels run on.
+    A key leaves the pass once all its levels are settled, or once its outer
+    level is and the prefix sums of its unsettled inner levels are in
+    _PREFIXES, which the pass fills at its end."""
     if len(_HEADS) + len(keys) > 4096:
         _HEADS.clear()
+        _PREFIXES.clear()
     full = [(*key, star, n_max) for key in keys]
     # keys sharing exponents run next to each other, so few powers stay live
     todo = sorted(dict.fromkeys(key for key in full if key not in _HEADS), key=lambda key: sorted(key[0]))
+    nodes = [[(exps[:j + 1], inner_bars[:j + 1], star, n_max) for j in range(len(exps) - 1)]
+             for exps, inner_bars, *_ in todo]
     last = {e: i for i, (exps, *_) in enumerate(todo) for e in exps}
     heads = [[0, 0, [0.0] * (len(exps) - 1)] for exps, *_ in todo]  # odd, even, P_j at start - 1
-    settled = [0] * len(todo)  # levels per key that the rest of its terms cannot change
+    settled = [(0, False)] * len(todo)  # (inner levels, outer level) the rest cannot change
     live = list(range(len(todo)))
-    for start in range(1, n_max + 1, _BLOCK):
-        if not live:
-            break
-        m = np.arange(start, min(start + _BLOCK, n_max + 1), dtype=np.float64)
+    start, size = 1, _FIRST_BLOCK
+    while live and start <= n_max:
+        m = np.arange(start, min(start + size, n_max + 1), dtype=np.float64)
         powers = {}
         for i in live:
             (exps, inner_bars, *_), acc = todo[i], heads[i]
+            done, outer = settled[i]
             prev, carry = None, acc[2]  # P_(j-1) over the block, None while it is P_0 = 1
-            for j, e in enumerate(exps):
-                if j < settled[i]:
+            for j, e in enumerate(exps[:-1] if outer else exps):
+                if j < done:
                     prev = carry[j]  # a settled prefix sum is its carry at every m
                     continue
                 if e not in powers:
@@ -297,11 +328,15 @@ def _heads(keys: list, star: bool, n_max: int) -> list:
                 else:
                     _add_runs(acc, terms)
             powers = {e: p for e, p in powers.items() if last[e] > i}
-        if start + _BLOCK <= n_max:
+        start, size = start + size, min(2 * size, _BLOCK)
+        if start <= n_max:
             for i in live:
-                settled[i] = _settled_levels(todo[i][0], heads[i], settled[i], start + _BLOCK, n_max)
-            live = [i for i in live if settled[i] < len(todo[i][0])]
-    _HEADS.update((key, (odd, even, tuple(carry))) for key, (odd, even, carry) in zip(todo, heads))
+                settled[i] = _settled_levels(todo[i][0], heads[i], settled[i], start, n_max)
+            live = [i for i in live if not settled[i][1]
+                    or not all(node in _PREFIXES for node in nodes[i][settled[i][0]:])]
+    for key, key_nodes, (odd, even, carry) in zip(todo, nodes, heads):
+        # a key that left on _PREFIXES takes its prefix sums from there
+        _HEADS[key] = odd, even, tuple(_PREFIXES.setdefault(node, c) for node, c in zip(key_nodes, carry))
     return [_HEADS[key] for key in full]
 
 

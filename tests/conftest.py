@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from eulerlab import genfun
-from eulerlab.euler_sums import _HEADS, _nested_direct
+from eulerlab.euler_sums import _HEADS, _PREFIXES, _nested_direct
 from eulerlab.hpreal import ExtReal, parse_decimal
 
 # frozen reference digits, cross-validated in test_hpreal against the
@@ -41,10 +41,11 @@ def approx_abs(value, reference, tol: float) -> bool:
 
 
 def clear_direct_caches() -> None:
-    """Empty both direct-sum caches and genfun's, which hold direct sums, so
-    the next direct request runs its head pass and is not a cache hit on any
-    level."""
+    """Empty the direct-sum caches (values, heads and inner prefix sums) and
+    genfun's, which hold direct sums, so the next direct request runs its
+    head pass and is not a cache hit on any level."""
     _nested_direct.cache_clear()
     _HEADS.clear()
+    _PREFIXES.clear()
     genfun._coefficients.cache_clear()
     genfun._residuals.cache_clear()

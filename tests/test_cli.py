@@ -8,7 +8,8 @@ import time
 from fractions import Fraction
 
 from eulerlab import euler_sums as es
-from eulerlab.cli import main
+from eulerlab import cli
+from eulerlab.cli import build_parser, main
 from eulerlab.hpreal import parse_decimal, to_decimal
 from conftest import ZETA3_50, clear_direct_caches
 
@@ -107,6 +108,16 @@ def test_huge_parameter_sizes_stay_fast(capsys):
                             "--lower", "5/3", "--x", "1"], capsys)
     _, third, _ = run_cli(["compute", "hyp", "--upper", "1/3,1/4", "--lower", "5/3", "--x", "1"], capsys)
     assert code == 0 and out == third
+
+
+def test_main_reuses_one_parser(capsys):
+    # build_parser gives a fresh parser each call; main parses every call with
+    # one parser, and a failed parse leaves it as it was
+    assert build_parser() is not build_parser()
+    first = run_cli(["compute", "hsum", "--star", "0", "0"], capsys)
+    assert run_cli(["compute", "zeta", "3", "--digits", "33"], capsys)[0] == 2
+    assert run_cli(["compute", "hsum", "--star", "0", "0"], capsys) == first
+    assert cli._parser() is cli._parser()
 
 
 def test_unknown_suite_exits_2(capsys):

@@ -14,14 +14,17 @@ from eulerlab.euler_sums import (
     SUM_FORMULAS,
     DoubleIndex,
     _BLOCK,
+    _FIRST_BLOCK,
     _HEADS,
     _INNER_ORDER,
+    _PREFIXES,
     _add_runs,
     _closed,
     _heads,
     _nested_direct,
     _expansion,
     _settled,
+    _settled_levels,
     _log_tail,
     _tail,
     closed_bar_both,
@@ -104,9 +107,9 @@ def test_tails_match_partial_sums():
 # blocked direct sums: the exact accumulator and the block seams
 # ---------------------------------------------------------------------------
 
-# lengths around the block: one short block, a full one, one term past it,
-# several blocks with a short tail
-SEAM_N = (100, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, N)
+# lengths around the blocks: one short block, a full first one, one term past
+# it, around a full-length block, several blocks with a short tail
+SEAM_N = (100, _FIRST_BLOCK, _FIRST_BLOCK + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, N)
 
 
 def _blocked_sums(x: np.ndarray) -> tuple:
@@ -192,10 +195,10 @@ def _whole_array_direct(r, s, r_bar, s_bar, n_max):
 
 
 def test_blocked_direct_sum_matches_whole_array_reference():
-    # the last four settle early: (19, 19) whole after the first block and
-    # (3, 35) past m = 2.6e5; the inner levels of (35, 3) and (37, 1-bar)
-    # after the first block, their outer levels then summed to n_max as
-    # powers times the settled carry
+    # the last four settle early: (19, 19) whole after the first block, and
+    # (3, 35)'s outer level too, its inner level past m = 2.1e5; the inner
+    # levels of (35, 3) and (37, 1-bar) after the first block, their outer
+    # levels then summed to n_max as powers times the settled carry
     settling = [(r, s, 10 ** 6) for r, s in ((19, 19), (3, 35), (35, 3), (37, 1))]
     for r, s, deep in [(1, 2, N), (1, 5, N), (2, 3, N), (3, 4, N), (7, 12, N), *settling]:
         for r_bar in (False, True):
@@ -206,6 +209,28 @@ def test_blocked_direct_sum_matches_whole_array_reference():
                     value, est = _whole_array_direct(r, s, r_bar, s_bar, n_max)
                     got = (res.value.hi, res.value.lo, res.tail_estimate.hi, res.tail_estimate.lo)
                     assert got == (value.hi, value.lo, est.hi, est.lo), (r, s, r_bar, s_bar, n_max)
+    # the outer levels of (1, 37), (2, 20) and (3, 9) settle after the first
+    # block while their inner levels run on: from cold caches to n_max (or,
+    # for m^-3 at 1e6, until it settles), and once zeta(1, 3), zeta(2, 4) and
+    # zeta(3, 5) have put those inner prefix sums in _PREFIXES, not at all.
+    # The warm run keeps the prefix sums of every earlier n_max beside them
+    fill = [DoubleIndex(r, r + 2, r_bar) for r in (1, 2, 3) for r_bar in (False, True)]
+    refs = {n_max: {idx: _whole_array_direct(r, s, r_bar, s_bar, n_max)
+                    for r, s in ((1, 37), (2, 20), (3, 9)) for r_bar in (False, True) for s_bar in (False, True)
+                    for idx in [DoubleIndex(r, s, r_bar, s_bar)]}
+            for n_max in (*SEAM_N, 10 ** 6)}
+    for warm in (False, True):
+        clear_direct_caches()
+        for n_max, ref in refs.items():
+            if warm:
+                double_directs(fill, n_max)
+            else:
+                clear_direct_caches()
+            for idx, (value, est) in ref.items():
+                res = double_direct(idx, n_max)
+                got = (res.value.hi, res.value.lo, res.tail_estimate.hi, res.tail_estimate.lo)
+                assert got == (value.hi, value.lo, est.hi, est.lo), (idx, n_max, warm)
+    clear_direct_caches()
 
 
 def _weight_indices(k: int) -> list:
@@ -260,11 +285,32 @@ def test_settled_heads_leave_the_pass(monkeypatch):
     # harmonic sum, never settles and feeds every term
     blocks = []
     monkeypatch.setattr(euler_sums, "_add_runs", lambda acc, x: (blocks.append(len(x)), _add_runs(acc, x)))
-    for idx, fed in ((DoubleIndex(19, 19), _BLOCK), (DoubleIndex(1, 2), 10 ** 6)):
+    for idx, fed in ((DoubleIndex(19, 19), _FIRST_BLOCK), (DoubleIndex(1, 2), 10 ** 6)):
         clear_direct_caches()
         blocks.clear()
         double_direct(idx, 10 ** 6)
         assert sum(blocks) == fed, (idx, len(blocks))
+    clear_direct_caches()
+
+
+def test_settled_outer_levels_leave_on_cached_prefix_sums(monkeypatch):
+    # the outer level of zeta(1, 37) at 1e6 settles after the first block, so
+    # only that block's outer terms reach the accumulator.  From cold caches
+    # its inner level, the harmonic sum, runs on to n_max; once zeta(1, 3) has
+    # put H_(1e6) in _PREFIXES, the key leaves the pass after the first block
+    # and runs no later cumsum
+    blocks, prefixes = [], []
+    cumsum = np.cumsum
+    monkeypatch.setattr(euler_sums, "_add_runs", lambda acc, x: (blocks.append(len(x)), _add_runs(acc, x)))
+    monkeypatch.setattr(np, "cumsum", lambda a, **kw: (prefixes.append(len(a) - 1), cumsum(a, **kw))[1])
+    for warm, summed in ((False, 10 ** 6), (True, _FIRST_BLOCK)):
+        clear_direct_caches()
+        if warm:
+            double_direct(DoubleIndex(1, 3), 10 ** 6)
+        blocks.clear()
+        prefixes.clear()
+        double_direct(DoubleIndex(1, 37), 10 ** 6)
+        assert blocks == [_FIRST_BLOCK] and sum(prefixes) == summed, (warm, len(prefixes))
     clear_direct_caches()
 
 
@@ -281,6 +327,18 @@ def test_settle_predicate_refuses_a_halfway_point():
     for x in (half - 5, half + 5):
         for odd, even in ((0, x), (x, 0), (one, x + one), (one, x - one)):
             assert not _settled(odd, even, 6 * unit) and _settled(odd, even, 4 * unit), (odd, even)
+
+
+def test_outer_bound_covers_the_running_inner_levels():
+    # the outer level may settle while an inner one runs, but its bound takes
+    # the inner prefix sums still to come, not the carries alone: with an
+    # inner carry of 0 and m^-1 summed on from m0 = 1025 to 1e6, the outer
+    # terms m^-2 P_0 add up to about 1e-3 (the bound reads 7e-3), more than
+    # the 1.1e-16 from 1.0 to a halfway point, though far below the 64 from
+    # 2^60 + 64 to one
+    one = 1 << 1074
+    assert _settled_levels((1, 2), [0, one, [0.0]], (0, False), 1025, 10 ** 6) == (0, False)
+    assert _settled_levels((1, 2), [0, (2 ** 60 + 64) * one, [0.0]], (0, False), 1025, 10 ** 6) == (0, True)
 
 
 # keys (exps, inner_bars) and star of one batch: depth 2 with both inner bars
@@ -309,14 +367,16 @@ def test_batched_heads_match_solo_passes_bit_for_bit():
 
 
 def test_head_cache_stays_bounded():
-    # a batch that finds the cache full empties it first and still returns
-    # every head, cached before or not
+    # a batch that finds the cache full empties it and the prefix sums first,
+    # and still returns every head, cached before or not
     clear_direct_caches()
     keys = [((1, 2), (False,)), ((3, 4), (True,))]
     first = _heads(keys[:1], False, 100)[0]
     _HEADS.update(((i,), None) for i in range(4094))
+    _PREFIXES[(5,), (False,), False, 100] = 0.0  # emptied with _HEADS
     assert _heads(keys, False, 100)[0] == first
     assert len(_HEADS) == 2
+    assert set(_PREFIXES) == {((1,), (False,), False, 100), ((3,), (True,), False, 100)}
     clear_direct_caches()
 
 

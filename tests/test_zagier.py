@@ -95,9 +95,10 @@ def _whole_array_mzv(exps, star, n_max):
 
 
 def test_blocked_mzv_matches_whole_array_reference():
-    # the last two settle early: every level of (6,) * 9 after the first
-    # block (the outermost strict one after the fifth), every level of
-    # (3, 5, 7) past m = 2e5, once m^-3 is below half an ulp of its carry
+    # the last two settle early: every level of (6,) * 9 within the first
+    # three blocks (the outermost strict one past m = 4e4); the outer level
+    # of (3, 5, 7) within the first two, its inner ones past m = 2.1e5, once
+    # m^-3 is below half an ulp of its carry
     for exps, deep in (((3,), N), ((2, 3, 2), N), ((2, 2, 2, 3, 2, 4, 2, 2, 5), N), ((6,) * 9, N),
                        ((3, 5, 7), 10 ** 6)):
         for star in (False, True):
