@@ -3,7 +3,11 @@ and exact binomial coefficients.
 
 An ExtReal is the unevaluated sum of two machine doubles (hi, lo) kept in
 canonical form (|lo| <= ulp(hi)/2), giving roughly 31-32 significant decimal
-digits.  All operations here are pure; values are immutable after
+digits.  Its operations are correctly rounded: +, -, *, / and integer **
+take the exact value of their operands, compute the exact result (math.fsum
+over the four parts for + and -, integer ratios for the rest) and round it
+once to the nearest double-double; a result beyond the double range raises
+DomainError.  All operations here are pure; values are immutable after
 construction, so everything in this module is safe to share across threads.
 
 Hot loops (exp, ln, log-gamma, sinc) run in fixed
@@ -44,50 +48,25 @@ class DomainError(ValueError):
     """An argument is outside the domain an operation is specified for."""
 
 
-# ---------------------------------------------------------------------------
-# Error-free transformations
-# ---------------------------------------------------------------------------
-
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
-
-
-def _two_sum(a: float, b: float):
-    """(s, e) with s = fl(a+b) and s + e == a + b exactly."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_two_sum(a: float, b: float):
-    """Like _two_sum but requires |a| >= |b|."""
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a: float, b: float):
-    """(p, e) with p = fl(a*b) and p + e == a * b exactly (Dekker split)."""
-    p = a * b
-    c = _SPLITTER * a
-    ahi = c - (c - a)
-    alo = a - ahi
-    c = _SPLITTER * b
-    bhi = c - (c - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
 Real = Union["ExtReal", int, float, Fraction]
+
+# Largest |n| that ExtReal ** n takes: its exact power of a double-double
+# stays below ~1.1 million bits.
+_POW_CAP = 1 << 10
 
 
 class ExtReal:
-    """Immutable double-double real: value == hi + lo, canonical form."""
+    """Immutable double-double real: value == hi + lo, canonical form.  Every
+    operation returns the double-double nearest its exact result."""
 
     __slots__ = ("hi", "lo")
 
     def __init__(self, hi: float = 0.0, lo: float = 0.0):
-        h, l = _two_sum(float(hi), float(lo))
-        if not math.isfinite(h):
+        h, l = float(hi), float(lo)
+        if not (math.isfinite(h) and math.isfinite(l)):
             raise DomainError(f"ExtReal needs finite parts, got {hi!r}, {lo!r}")
+        if l:
+            h, l = _sum((h, l))
         object.__setattr__(self, "hi", h)
         object.__setattr__(self, "lo", l)
 
@@ -97,25 +76,19 @@ class ExtReal:
     # -- construction -------------------------------------------------------
     @staticmethod
     def from_fraction(f: Fraction) -> "ExtReal":
-        hi = _double(f)
-        lo = float(f - Fraction(hi))
-        return _mk(*_quick_two_sum(hi, lo))
+        return _round(f.numerator, f.denominator)
 
     @staticmethod
     def from_real(x: Real) -> "ExtReal":
         if isinstance(x, ExtReal):
             return x
-        if isinstance(x, Fraction):
-            return ExtReal.from_fraction(x)
-        if isinstance(x, int):
-            if abs(x) <= 1 << 53:
-                return _mk(float(x), 0.0)
-            return ExtReal.from_fraction(Fraction(x))
-        return _mk(float(x), 0.0)
+        if isinstance(x, (int, Fraction)):
+            return _round(x.numerator, x.denominator)
+        return ExtReal(x)
 
     # -- conversions ---------------------------------------------------------
     def to_fraction(self) -> Fraction:
-        return Fraction(self.hi) + Fraction(self.lo)
+        return Fraction(*_ratio(self))
 
     def __float__(self) -> float:
         return self.hi + self.lo
@@ -126,15 +99,10 @@ class ExtReal:
     def __str__(self) -> str:
         return to_decimal(self, 32)
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic: the exact result, rounded once ---------------------------
     def __add__(self, other: Real) -> "ExtReal":
         o = ExtReal.from_real(other)
-        s, e = _two_sum(self.hi, o.hi)
-        t, f = _two_sum(self.lo, o.lo)
-        e += t
-        s, e = _quick_two_sum(s, e)
-        e += f
-        return _mk(*_quick_two_sum(s, e))
+        return _mk(*_sum((self.hi, self.lo, o.hi, o.lo)))
 
     __radd__ = __add__
 
@@ -142,32 +110,24 @@ class ExtReal:
         return _mk(-self.hi, -self.lo)
 
     def __sub__(self, other: Real) -> "ExtReal":
-        return self.__add__(-ExtReal.from_real(other))
+        o = ExtReal.from_real(other)
+        return _mk(*_sum((self.hi, self.lo, -o.hi, -o.lo)))
 
     def __rsub__(self, other: Real) -> "ExtReal":
         return ExtReal.from_real(other).__sub__(self)
 
     def __mul__(self, other: Real) -> "ExtReal":
-        o = ExtReal.from_real(other)
-        p, e = _two_prod(self.hi, o.hi)
-        e += self.hi * o.lo + self.lo * o.hi + self.lo * o.lo
-        return _mk(*_quick_two_sum(p, e))
+        (na, da), (nb, db) = _ratio(self), _ratio(ExtReal.from_real(other))
+        return _round(na * nb, da * db)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Real) -> "ExtReal":
         o = ExtReal.from_real(other)
-        if o.hi == 0.0 and o.lo == 0.0:
+        if not o.hi:  # canonical form: hi == 0 only at zero
             raise DomainError("division by zero")
-        q1 = self.hi / o.hi
-        r = self - o * q1
-        q2 = r.hi / o.hi
-        r = r - o * q2
-        q3 = r.hi / o.hi
-        s, e = _quick_two_sum(q1, q2)
-        t, f = _two_sum(e, q3)
-        s, e = _quick_two_sum(s, t)
-        return _mk(*_quick_two_sum(s, e + f))
+        (na, da), (nb, db) = _ratio(self), _ratio(o)
+        return _round(na * db, da * nb)
 
     def __rtruediv__(self, other: Real) -> "ExtReal":
         return ExtReal.from_real(other).__truediv__(self)
@@ -175,16 +135,14 @@ class ExtReal:
     def __pow__(self, n: int) -> "ExtReal":
         if not isinstance(n, int):
             raise DomainError("only integer powers are supported")
+        if abs(n) > _POW_CAP:
+            raise DomainError(f"integer powers are capped at |n| <= {_POW_CAP}")
+        num, den = _ratio(self)
         if n < 0:
-            return ONE / self.__pow__(-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            if not num:
+                raise DomainError("division by zero")
+            num, den, n = den, num, -n
+        return _round(num ** n, den ** n)
 
     def __abs__(self) -> "ExtReal":
         return -self if self.hi < 0.0 or (self.hi == 0.0 and self.lo < 0.0) else self
@@ -234,8 +192,38 @@ def _mk(hi: float, lo: float) -> ExtReal:
     return obj
 
 
+def _sum(parts: tuple):
+    """(hi, lo) of the double-double nearest the exact sum of finite doubles:
+    fsum rounds the sum once to hi, then the exact remainder once to lo."""
+    try:
+        hi = math.fsum(parts)
+        return hi, math.fsum(parts + (-hi,))
+    except OverflowError as exc:
+        raise DomainError("sum outside the double range") from exc
+
+
+def _round(num: int, den: int) -> ExtReal:
+    """The double-double nearest num / den (den != 0): int true division
+    rounds once to hi, then the exact remainder num / den - hi once to lo."""
+    if den < 0:
+        num, den = -num, -den
+    try:
+        hi = num / den
+    except OverflowError as exc:
+        raise DomainError("value outside the double range") from exc
+    hn, hd = hi.as_integer_ratio()
+    return _mk(hi, (num * hd - hn * den) / (den * hd))
+
+
+def _ratio(x: ExtReal):
+    """(num, den) with x == num / den exactly, den the larger power of two of
+    hi's and lo's."""
+    (hn, hd), (ln, ld) = x.hi.as_integer_ratio(), x.lo.as_integer_ratio()
+    shift = ld.bit_length() - hd.bit_length()
+    return ((hn << shift) + ln, ld) if shift > 0 else (hn + (ln << -shift), hd)
+
+
 ZERO = _mk(0.0, 0.0)
-ONE = _mk(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +250,15 @@ def to_decimal(x: Union[ExtReal, float, int, Fraction], digits: int = 30) -> str
 
     Fixed-point form for moderate exponents, scientific otherwise; output is
     a pure decimal string, deterministic across platforms.  x becomes one
-    integer ratio num / den: ints and Fractions as they are, an ExtReal's hi
-    and lo (or a float) over their common power of two.
+    integer ratio num / den: ints and Fractions as they are, an ExtReal (or a
+    float) as _ratio gives it.
     """
     if digits < 1:
         raise DomainError("digits must be >= 1")
     if isinstance(x, (int, Fraction)):
         num, den = x.numerator, x.denominator
-    elif not math.isfinite(float(x)):
-        raise DomainError(f"cannot print the non-finite value {x!r}")
-    else:
-        hi, lo = (x.hi, x.lo) if isinstance(x, ExtReal) else (float(x), 0.0)
-        num, den = hi.as_integer_ratio()
-        n_lo, d_lo = lo.as_integer_ratio()  # den and d_lo are powers of two
-        num, den = (num * (d_lo // den) + n_lo, d_lo) if d_lo > den else (num + n_lo * (den // d_lo), den)
+    else:  # a non-finite float is a DomainError here
+        num, den = _ratio(x if isinstance(x, ExtReal) else ExtReal(x))
     if num == 0:
         return "0." + "0" * (digits - 1) if digits > 1 else "0"
     sign = "-" if num < 0 else ""
@@ -426,12 +409,8 @@ FIXED_ONE = 1 << FIXED_BITS
 
 def _exact(x: ExtReal):
     """(n, k) with x == n * 2^(k - FIXED_BITS) exactly."""
-    try:
-        (hn, hd), (ln, ld) = x.hi.as_integer_ratio(), x.lo.as_integer_ratio()
-    except (OverflowError, ValueError) as exc:
-        raise DomainError(f"cannot convert the non-finite value {x!r} to fixed point") from exc
-    d = max(hd, ld)  # both powers of two
-    return hn * (d // hd) + ln * (d // ld), FIXED_BITS + 1 - d.bit_length()
+    n, d = _ratio(x)
+    return n, FIXED_BITS + 1 - d.bit_length()
 
 
 def fixed_rational(x: Fraction) -> Fraction:
@@ -627,7 +606,7 @@ def exp_dd(x: Real) -> ExtReal:
     below that the low double is subnormal and the relative error grows, to
     ~3e-22 at x = -700."""
     v = ExtReal.from_real(x)
-    if not abs(v.hi) <= 700.0:  # also rejects nan from an overflowed caller
+    if not abs(v.hi) <= 700.0:
         raise DomainError("exp_dd argument out of range")
     return from_fixed(*exp_fixed(to_fixed(v)))
 
@@ -637,7 +616,7 @@ def ln_dd(x: Real) -> ExtReal:
     v = ExtReal.from_real(x)
     if v.hi <= 0.0:
         raise DomainError("ln_dd requires a positive argument")
-    d = v - ONE
+    d = v - 1
     if abs(d.hi) < 2.0 ** -40:  # ln(1 + d) = d - d^2/2 + d^3/3, relative, not 2^-200 absolute
         return d - d * d * (0.5 - d / 3)
     return from_fixed(ln_fixed(*_exact(v)))

@@ -23,7 +23,6 @@ from .hpreal import (
     FIXED_ONE,
     DomainError,
     ExtReal,
-    ONE,
     ZERO,
     exp_fixed,
     fixed_rational,
@@ -31,7 +30,7 @@ from .hpreal import (
     levin_sum,
     ln_gamma_fixed,
 )
-from .zeta_core import SeriesResult, zeta
+from .zeta_core import SeriesResult, ZetaPoly, zeta_reg
 
 __all__ = [
     "HypSpec",
@@ -381,9 +380,17 @@ def _core_series(x: Fraction, y: Fraction) -> ExtReal:
     if x == 0:
         return ZERO
     f = evaluate(HypSpec.of([1 + x, 1 - x, 1, 1], [2 + y, 2 - y, 2], 1)).value
-    xv = ExtReal.from_fraction(x)
-    yv = ExtReal.from_fraction(y)
-    return -(xv * xv) / (ONE - yv * yv) * f
+    return ExtReal.from_fraction(-x * x / (1 - y * y)) * f
+
+
+def _odd_zeta_series(x: Fraction) -> ExtReal:
+    """sum_{r>=1} zeta(2r+1) x^(2r) for |x| < 1/2, as x^2/(1-x^2) +
+    sum_{r<=29} (zeta(2r+1) - 1) x^(2r): one exact ring element, the
+    rationals folded into x^60/(1-x^2), rounded once.  The omitted terms
+    fall like (x/2)^(2r)/2, below 1e-42 at r = 30."""
+    x2 = x * x
+    return ZetaPoly.combination([(x2 ** r, zeta_reg(2 * r + 1)) for r in range(1, 30)]
+                                + [(1, x2 ** 30 / (1 - x2))]).finite
 
 
 def check_odd_zeta_series(x: Param) -> ExtReal:
@@ -392,17 +399,12 @@ def check_odd_zeta_series(x: Param) -> ExtReal:
     sum_{m>=1} (x)_m (-x)_m / (m (1+x)_m (1-x)_m) + sum_{r>=1} zeta(2r+1) x^(2r)
 
     The first series is summed through the generic +1 evaluator (it is a
-    balanced 4F3 after the index shift m = n+1); the second from the zeta
-    table as x^2/(1-x^2) + sum_{r<=29} (zeta(2r+1) - 1) x^(2r), whose terms
-    fall like (x/2)^(2r); both truncations are independent.
+    balanced 4F3 after the index shift m = n+1); the second in the exact
+    ring (_odd_zeta_series); both truncations are independent.
     """
     xf = _frac(x)
     if abs(xf) >= Fraction(1, 2):
         raise DomainError("requires |x| < 1/2")
     if xf == 0:
         return ZERO
-    series1 = _core_series(xf, xf)
-    x2 = ExtReal.from_fraction(xf * xf)
-    series2 = sum(((zeta(2 * r + 1) - 1) * x2 ** r for r in range(1, 30)),
-                  ExtReal.from_fraction(xf * xf / (1 - xf * xf)))
-    return abs(series1 + series2)
+    return abs(_core_series(xf, xf) + _odd_zeta_series(xf))

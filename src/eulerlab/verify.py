@@ -385,12 +385,8 @@ def _suite_zagier(n_max: int, fast: bool) -> List[Case]:
             return lhs, rhs
         cases.append((f"reflection[x={x},y={y}]", 1e-18, reflection))
     def diagonal_route(x=Fraction(1, 4)):
-        # sum_r zeta(2r+1) x^2r = x^2/(1-x^2) + sum_r (zeta(2r+1) - 1) x^2r
-        lhs = zg.eval_F(x, x)
-        xv = ExtReal.from_fraction(x)
-        acc = sum(((zeta(2 * r + 1) - 1) * xv ** (2 * r) for r in range(1, 18)),
-                  ExtReal.from_fraction(x * x / (1 - x * x)))
-        return lhs, -sinc_pi(xv) * acc
+        # F(x, x) = -sinc(pi x) sum_r zeta(2r+1) x^2r
+        return zg.eval_F(x, x), -sinc_pi(ExtReal.from_fraction(x)) * hg._odd_zeta_series(x)
     cases.append(("diagonal-route[x=1/4]", 1e-32, diagonal_route))
     return _batched(cases, lambda: zg._prefetch(direct, n_max))
 

@@ -8,7 +8,8 @@ averaging) for the double sums, Pascal's triangle for binomials, the stdlib
 rationals (Bernoulli numbers by the Akiyama-Tanigawa table) for Euler's
 constant and zeta(k), and closed forms in exact rationals for hypergeometric
 sums, for Euler's odd-weight double sums and for Zagier's H(a,b) / H*(a,b),
-and decimal printing by way of one normalised Fraction.
+the double-double nearest an exact Fraction, and decimal printing by way of
+one normalised Fraction.
 The stuffle and shuffle relations of one product are the paper's displayed
 coefficient formulas as ring expressions over the library's ZetaPoly, written
 term by term, apart from the generating-function table that genfun reads
@@ -212,6 +213,14 @@ def sinc_pi(y: Fraction, digits: int = 45) -> Fraction:
         total += -term if n % 2 else term
         n += 1
     return total
+
+
+def nearest_double_double(f: Fraction) -> tuple:
+    """(hi, lo) of the double-double nearest f: hi = float(f), then the exact
+    remainder f - hi rounded to a double, each by Python's correctly rounded
+    Fraction -> float conversion."""
+    hi = float(f)
+    return hi, float(f - Fraction(hi))
 
 
 # ---------------------------------------------------------------------------

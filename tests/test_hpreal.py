@@ -50,11 +50,21 @@ def test_rounded_third_times_three():
 
 
 def test_dd_vs_rational_oracle_bulk():
-    # 1e4 random cases against the exact Fraction oracle: dyadic inputs for
-    # all four operations, dd-rounded general rationals for * / and
-    # cancellation-free +
+    # random cases against the exact Fraction oracle: dyadic inputs for all
+    # four operations, dd-rounded general rationals for * / +, sums and
+    # differences that cancel, and integer powers -8..8.  Each result (and
+    # from_fraction) must be the double-double nearest the exact result
+    # of the rounded operands (oracles.nearest_double_double), and so within
+    # BOUND of it
     rng = random.Random(987654321)
     worst = Fraction(0)
+
+    def check(exact, got):
+        nonlocal worst
+        assert (got.hi, got.lo) == oracles.nearest_double_double(exact), (exact, got)
+        err = abs(got.to_fraction() - exact)
+        worst = max(worst, err / abs(exact) if exact else err)
+
     for _ in range(5000):
         a = Fraction(rng.randint(-2 ** 40, 2 ** 40), 2 ** rng.randint(0, 20))
         b = Fraction(rng.randint(-2 ** 40, 2 ** 40), 2 ** rng.randint(0, 20))
@@ -63,14 +73,33 @@ def test_dd_vs_rational_oracle_bulk():
         da, db = ExtReal.from_fraction(a), ExtReal.from_fraction(b)
         for exact, got in ((a + b, da + db), (a - b, da - db),
                            (a * b, da * db), (a / b, da / db)):
-            err = abs(got.to_fraction() - exact)
-            worst = max(worst, err / abs(exact) if exact else err)
+            check(exact, got)
     for _ in range(5000):
         a = Fraction(rng.randint(1, 2 ** 40), rng.randint(1, 2 ** 20))
         b = Fraction(rng.randint(1, 2 ** 40), rng.randint(1, 2 ** 20))
         da, db = ExtReal.from_fraction(a), ExtReal.from_fraction(b)
-        for exact, got in ((a * b, da * db), (a / b, da / db), (a + b, da + db)):
-            worst = max(worst, abs(got.to_fraction() - exact) / exact)
+        check(a, da)
+        ra, rb = da.to_fraction(), db.to_fraction()
+        for ideal, exact, got in ((a * b, ra * rb, da * db), (a / b, ra / rb, da / db),
+                                  (a + b, ra + rb, da + db)):
+            check(exact, got)
+            # with the operands' own rounding, still within BOUND of a op b
+            worst = max(worst, abs(got.to_fraction() - ideal) / ideal)
+    for _ in range(1000):
+        # b agrees with -a (or a) in its leading bits, so + (or -) cancels them
+        da = ExtReal.from_fraction(Fraction(rng.randint(1, 2 ** 60), rng.randint(1, 2 ** 30)))
+        near = da.to_fraction() * (1 + Fraction(rng.randint(-2 ** 20, 2 ** 20), 2 ** rng.randint(40, 110)))
+        db = ExtReal.from_fraction(near)
+        a, b = da.to_fraction(), db.to_fraction()
+        check(a - b, da - db)
+        check(b - a, db - da)
+        check(a + -b, da + -db)
+    for _ in range(200):
+        da = ExtReal.from_fraction(Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 20)))
+        a = da.to_fraction()
+        for n in range(-8, 9):
+            if a or n >= 0:
+                check(a ** n, da ** n)
     assert worst <= BOUND
 
 
@@ -108,6 +137,26 @@ def test_division_by_zero():
             exp_dd(bad)
     with pytest.raises(DomainError):
         to_decimal(ExtReal(1e300) * 1e300)  # overflows inside the operators
+
+
+def test_results_beyond_the_double_range_raise():
+    big = ExtReal(1e300)
+    tiny = ExtReal(1e-300)
+    for overflow in (lambda: ExtReal(1.7e308) + ExtReal(1.7e308),
+                     lambda: ExtReal(-1.7e308) - ExtReal(1.7e308),
+                     lambda: big * big,
+                     lambda: big * 1e300,
+                     lambda: big / tiny,
+                     lambda: 1 / ExtReal(2.0 ** -1074),
+                     lambda: big ** 2,
+                     lambda: tiny ** -2,
+                     lambda: ExtReal(1.7976931348623157e308, 1e300)):
+        with pytest.raises(DomainError):
+            overflow()
+    with pytest.raises(DomainError):
+        ExtReal(1.0001) ** 1025  # the exact power's size grows with |n|
+    assert ExtReal(2.0) ** 1023 == 2.0 ** 1023 and ExtReal(2.0) ** -1024 == 2.0 ** -1024
+    assert (tiny * tiny).to_fraction() == 0  # underflow rounds to zero
 
 
 def test_from_fraction_beyond_double_range():
