@@ -80,6 +80,16 @@ class DoubleIndex:
     def convergent(self) -> bool:
         return self.s_bar or self.s >= 2
 
+    @property
+    def nested(self) -> tuple:
+        """(exponents, bars, star) of this sum for the nested engine (see _direct)."""
+        if not self.convergent:
+            raise DomainError(
+                f"{self} diverges (unbarred outer exponent 1); "
+                "use the regularized closed forms (closed_plain / closed_bar_r)"
+            )
+        return (self.r, self.s), (self.r_bar, self.s_bar), False
+
     def __str__(self) -> str:
         rr = f"~{self.r}" if self.r_bar else f"{self.r}"
         ss = f"~{self.s}" if self.s_bar else f"{self.s}"
@@ -341,14 +351,14 @@ def _heads(keys: list, star: bool, n_max: int) -> list:
 
 
 @lru_cache(maxsize=4096)
-def _nested_direct(exps: tuple, bars: tuple, star: bool, n_max: int):
-    """(value, tail_estimate) of sum_(m_1 < ... < m_d) prod_j sigma_j(m_j) m_j^-e_j
-    (<= if star), inner to outer: the exact odd and even sums of its head,
-    added or subtracted (a sign flip is exact) and rounded once, plus the tail."""
+def _nested_direct(exps: tuple, bars: tuple, star: bool, n_max: int) -> SeriesResult:
+    """sum_(m_1 < ... < m_d) prod_j sigma_j(m_j) m_j^-e_j (<= if star), inner to
+    outer, truncated at n_max: the exact odd and even sums of its head, added
+    or subtracted (a sign flip is exact) and rounded once, plus the tail."""
     [(odd, even, carry)] = _heads([(exps, bars[:-1])], star, n_max)
     head = (even - odd if bars[-1] else even + odd) / (1 << 1074)
     tail, est = _nested_tail(exps, bars, star, n_max, carry)
-    return ExtReal(head + tail), ExtReal(est)
+    return SeriesResult(value=ExtReal(head + tail), terms_used=n_max, tail_estimate=ExtReal(est))
 
 
 def _valid_n_max(n_max) -> bool:
@@ -358,6 +368,14 @@ def _valid_n_max(n_max) -> bool:
     return isinstance(n_max, int) and not isinstance(n_max, bool) and 100 <= n_max <= N_MAX_CAP
 
 
+def _direct(nested: tuple, n_max: int) -> SeriesResult:
+    """The nested sum (exponents, bars, star) that a request's .nested names,
+    truncated at n_max; n_max is checked here, ahead of _nested_direct's cache."""
+    if not _valid_n_max(n_max):
+        raise DomainError(f"direct sums require an int n_max, 100 <= n_max <= {N_MAX_CAP}")
+    return _nested_direct(*nested, n_max)
+
+
 def double_direct(idx: DoubleIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
     """Direct single-pass evaluation of a double Euler sum truncated at n_max:
     the depth-2 case of _nested_direct, whose head pass zeta(r, s) and
@@ -365,23 +383,21 @@ def double_direct(idx: DoubleIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
     times the outer tail (for r = 1: gamma times it plus the log tail) minus
     the outer tails of the inner remainder's expansion; tail_estimate is the
     first omitted term plus float64 noise."""
-    if not idx.convergent:
-        raise DomainError(
-            f"{idx} diverges (unbarred outer exponent 1); "
-            "use the regularized closed forms (closed_plain / closed_bar_r)"
-        )
-    if not _valid_n_max(n_max):
-        raise DomainError(f"double_direct requires an int n_max, 100 <= n_max <= {N_MAX_CAP}")
-    value, est = _nested_direct((idx.r, idx.s), (idx.r_bar, idx.s_bar), False, n_max)
-    return SeriesResult(value=value, terms_used=n_max, tail_estimate=est)
+    return _direct(idx.nested, n_max)
 
 
-def _prefetch(indices: list, n_max: int) -> None:
-    """Run the head passes of these double sums not cached yet as one pass (see
-    _heads), so that their double_direct calls are cache hits.  The pass runs
-    only if every request is valid; a bad one raises when it is called."""
-    if all(idx.convergent for idx in indices) and _valid_n_max(n_max):
-        _heads([((idx.r, idx.s), (idx.r_bar,)) for idx in indices], False, n_max)
+def _prefetch(requests: list, n_max: int) -> None:
+    """Run the head passes of these direct sums (DoubleIndex, zagier.HIndex)
+    not cached yet as one pass per star value (see _heads), so that their
+    double_direct and h_direct calls are cache hits.  The passes run only if
+    every request is valid; a bad one raises when it is called."""
+    try:
+        nested = [request.nested for request in requests]
+    except DomainError:
+        return
+    if _valid_n_max(n_max):
+        for star in (False, True):
+            _heads([(exps, bars[:-1]) for exps, bars, s in nested if s == star], star, n_max)
 
 
 def double_directs(indices: list, n_max: int = DEFAULT_N_MAX) -> list:

@@ -16,16 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 from .hpreal import DomainError, ExtReal, ZERO, binom, sinc_pi
 from .zeta_core import SeriesResult, ZetaPoly, zeta_bar, zeta_reg
-from .euler_sums import (
-    DEFAULT_N_MAX,
-    N_MAX_CAP,
-    DoubleIndex,
-    _heads,
-    _nested_direct,
-    _valid_n_max,
-    closed_bar_s,
-    double_direct,
-)
+from .euler_sums import DEFAULT_N_MAX, DoubleIndex, _direct, closed_bar_s, double_direct
 from .hypergeom import _core_series
 
 __all__ = [
@@ -64,6 +55,13 @@ class HIndex:
     def exponents(self) -> Tuple[int, ...]:
         return (2,) * self.a + (3,) + (2,) * self.b
 
+    @property
+    def nested(self) -> tuple:
+        """(exponents, bars, star) of this sum for euler_sums' nested engine."""
+        if self.a + self.b >= _DIRECT_DEPTH_CAP:
+            raise DomainError(f"direct evaluation capped at a+b <= {_DIRECT_DEPTH_CAP - 1}")
+        return self.exponents, (False,) * (self.a + self.b + 1), self.star
+
 
 @lru_cache(maxsize=None)
 def _h_single(a: int, star: bool) -> ZetaPoly:
@@ -97,32 +95,12 @@ def mzv_direct(exponents: Sequence[int], star: bool = False,
         raise DomainError(f"direct summation supports depth 1..{_DIRECT_DEPTH_CAP}")
     if any(e < 2 for e in exps):
         raise DomainError("direct nested summation requires all exponents >= 2")
-    if not _valid_n_max(n_max):
-        raise DomainError(f"mzv_direct requires an int n_max, 100 <= n_max <= {N_MAX_CAP}")
-    value, est = _nested_direct(exps, (False,) * d, star, n_max)
-    return SeriesResult(value=value, terms_used=n_max, tail_estimate=est)
+    return _direct((exps, (False,) * d, star), n_max)
 
 
 def h_direct(idx: HIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
     """H(a,b) or H*(a,b) by direct nested summation; depth a+b+1 <= _DIRECT_DEPTH_CAP."""
-    if idx.a + idx.b >= _DIRECT_DEPTH_CAP:
-        raise DomainError(f"direct evaluation capped at a+b <= {_DIRECT_DEPTH_CAP - 1}")
-    return mzv_direct(idx.exponents, star=idx.star, n_max=n_max)
-
-
-def _prefetch(indices: list, n_max: int) -> None:
-    """Run the head passes of these H and H* (HIndex) and double sums
-    (DoubleIndex) not cached yet as one pass per star value (see
-    euler_sums._heads), so that their h_direct and double_direct calls are
-    cache hits.  The passes run only if every request is valid; a bad one
-    raises when it is called."""
-    doubles = [isinstance(idx, DoubleIndex) for idx in indices]
-    valid = all(idx.convergent if double else idx.a + idx.b < _DIRECT_DEPTH_CAP
-                for idx, double in zip(indices, doubles))
-    if valid and _valid_n_max(n_max):
-        for star in (False, True):  # head keys as double_direct and mzv_direct form them
-            _heads([((i.r, i.s), (i.r_bar,)) if double else (i.exponents, (False,) * (i.a + i.b))
-                    for i, double in zip(indices, doubles) if star == (not double and i.star)], star, n_max)
+    return _direct(idx.nested, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +217,7 @@ def eval_F(x, y) -> ExtReal:
     _check_box(xf, yf)
     if xf == 0:
         return ZERO
-    return sinc_pi(ExtReal.from_fraction(yf)) * _core_series(xf, yf)
+    return sinc_pi(yf) * _core_series(xf, yf)
 
 
 def eval_Fstar(x, y) -> ExtReal:
@@ -248,4 +226,4 @@ def eval_Fstar(x, y) -> ExtReal:
     _check_box(xf, yf)
     if yf == 0:
         return ZERO
-    return -_core_series(yf, xf) / sinc_pi(ExtReal.from_fraction(yf))
+    return -_core_series(yf, xf) / sinc_pi(yf)

@@ -39,8 +39,8 @@ from eulerlab.euler_sums import (
 from eulerlab.genfun import shuffle_check, stuffle_check, stuffle_closed_residual
 from conftest import approx_abs, clear_direct_caches
 import oracles
-from eulerlab import euler_sums, zagier
-from eulerlab.zagier import HIndex, mzv_direct
+from eulerlab import euler_sums
+from eulerlab.zagier import HIndex, h_direct, mzv_direct
 
 N = 100_000
 
@@ -259,8 +259,8 @@ def test_outer_sign_siblings_share_one_head_pass(monkeypatch):
     # two requests that differ only in the outer sign (-1)^m run one head
     # pass between them, and each gives the bits it gives from cold caches
     def bits(exps, bars, star, n_max):
-        value, est = _nested_direct(exps, bars, star, n_max)
-        return value.hi, value.lo, est.hi, est.lo
+        res = _nested_direct(exps, bars, star, n_max)
+        return res.value.hi, res.value.lo, res.tail_estimate.hi, res.tail_estimate.lo
 
     blocks = []
     monkeypatch.setattr(euler_sums, "_add_runs", lambda acc, x: (blocks.append(len(x)), _add_runs(acc, x)))
@@ -528,18 +528,19 @@ def test_non_int_n_max_is_rejected_in_either_call_order():
     # a float equal to a cached int n_max must not be a cache hit reporting
     # terms_used = 100000.0: any n_max that is not an int is a DomainError,
     # whether or not the int ran first, and a prefetch skips it
-    idx = DoubleIndex(2, 3)
+    idx, h = DoubleIndex(2, 3), HIndex(0, 1)
     for int_first in (False, True):
         clear_direct_caches()
         if int_first:
             assert double_direct(idx, N).terms_used == N and mzv_direct((2, 3), n_max=N).terms_used == N
+            assert h_direct(h, N).terms_used == N
         heads = dict(_HEADS)
         for n_max in (float(N), 1000.0, True, np.int64(N)):
-            with pytest.raises(DomainError):
-                double_direct(idx, n_max)
-            with pytest.raises(DomainError):
-                mzv_direct((2, 3), n_max=n_max)
+            for call in (lambda: double_direct(idx, n_max), lambda: mzv_direct((2, 3), n_max=n_max),
+                         lambda: h_direct(h, n_max)):
+                with pytest.raises(DomainError):
+                    call()
             euler_sums._prefetch([idx], n_max)
-            zagier._prefetch([idx, HIndex(0, 1)], n_max)
+            euler_sums._prefetch([idx, h], n_max)
             assert _HEADS == heads, n_max
     clear_direct_caches()

@@ -1,7 +1,7 @@
 import hashlib
 from collections import Counter
 
-from eulerlab import euler_sums, verify, zagier
+from eulerlab import euler_sums, hpreal, verify
 from eulerlab.euler_sums import _HEADS
 from conftest import clear_direct_caches
 
@@ -23,7 +23,6 @@ def test_each_suite_takes_one_head_pass_per_star(monkeypatch):
                                     for cid, tol, fn in build(n_max, fast)]
 
     monkeypatch.setattr(euler_sums, "_heads", counted)
-    monkeypatch.setattr(zagier, "_heads", counted)  # h_directs' batches
     for name, build in list(verify._SUITE_BUILDERS.items()):
         monkeypatch.setitem(verify._SUITE_BUILDERS, name, tagged(name, build))
     for name in ("all", *verify._SUITE_BUILDERS):
@@ -49,3 +48,20 @@ def test_rational_grids_are_pinned_and_avoid_degeneracies():
     assert not any(_degenerate(*point) for grid in grids for point in grid)
     digest = hashlib.sha256(repr(grids).encode()).hexdigest()
     assert digest == "1f1ba1b765dbfc7dda804528626010c2d732780858b673edfc82f51d4dfb108b"
+
+
+def test_hyp_suite_catches_a_relative_ln_gamma_fault(monkeypatch):
+    # ln Gamma off by 2^-83 (~1e-25) relative at every argument moves a gamma
+    # ratio by ~1e-25 times its log: gauss, kummer and dougall-limit read up
+    # to ~4e-25, which their 1e-30 tolerance catches and a 1e-18 one did not
+    exact = hpreal._ln_gamma_exact
+
+    def faulty(x):
+        v = exact(x)
+        return v + (v >> 83)
+
+    monkeypatch.setattr(hpreal, "_ln_gamma_exact", faulty)
+    families = {"gauss", "kummer", "dougall-limit"}
+    cases = [c for c in verify.run_suite("hyp", fast=True).cases if c.id.split("[")[0] in families]
+    assert len(cases) == 60
+    assert not any(c.passed for c in cases), [c.id for c in cases if c.passed]

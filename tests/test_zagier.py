@@ -7,13 +7,13 @@ import pytest
 
 from eulerlab.hpreal import DomainError, ExtReal, const_pi, sinc_pi
 from eulerlab.zeta_core import zeta, zeta_bar
-from eulerlab.euler_sums import _HEADS, N_MAX_CAP, DoubleIndex, _nested_tail, closed_bar_s, double_direct
+from eulerlab.euler_sums import (_HEADS, N_MAX_CAP, DoubleIndex, _nested_tail, _prefetch, closed_bar_s,
+                                 double_direct)
 from eulerlab.zagier import (
     HIndex,
     eval_F,
     eval_Fstar,
     h_closed,
-    _prefetch,
     h_direct,
     h_single,
     hstar_closed,
@@ -151,14 +151,17 @@ def test_h_directs_match_solo_calls_bit_for_bit():
 
 
 def test_h_directs_run_no_batch_with_a_bad_request():
-    # a bad request first: no head runs, and it raises when it is called
-    for indices, n_max in (([HIndex(5, 4), HIndex(0, 1)], N), ([DoubleIndex(2, 1), HIndex(0, 1)], N),
-                           ([HIndex(0, 1), HIndex(2, 0, True)], N_MAX_CAP + 1)):
+    # a bad request, first or last: no head runs, and it raises when it is called
+    for indices, bad, n_max in (([HIndex(5, 4), HIndex(0, 1)], 0, N),
+                                ([DoubleIndex(2, 1), HIndex(0, 1)], 0, N),
+                                ([HIndex(0, 1), DoubleIndex(3, 2, False, True), HIndex(1, 0, True),
+                                  HIndex(4, 5, True)], -1, N),
+                                ([HIndex(0, 1), HIndex(2, 0, True)], 0, N_MAX_CAP + 1)):
         clear_direct_caches()
         _prefetch(indices, n_max)
         assert not _HEADS
         with pytest.raises(DomainError):
-            (double_direct if isinstance(indices[0], DoubleIndex) else h_direct)(indices[0], n_max)
+            (double_direct if isinstance(indices[bad], DoubleIndex) else h_direct)(indices[bad], n_max)
 
 
 def test_mzv_memory_is_bounded():
@@ -248,7 +251,7 @@ def test_zeta_from_hstar(frozen):
 def test_reflection_identity():
     for (x, y) in ((F(1, 4), F(1, 3)), (F(1, 2), F(1, 5)), (F(3, 8), F(3, 8))):
         lhs = eval_F(x, y)
-        rhs = -sinc_pi(ExtReal.from_fraction(y)) * sinc_pi(ExtReal.from_fraction(x)) * eval_Fstar(y, x)
+        rhs = -sinc_pi(y) * sinc_pi(x) * eval_Fstar(y, x)
         assert abs(float(lhs - rhs)) < 1e-18, (x, y)
 
 
