@@ -344,12 +344,17 @@ _BERNOULLI_CAP = 60
 
 @lru_cache(maxsize=None)
 def _bernoulli_list(n: int) -> tuple:
-    """B_0..B_n (first kind, B_1 = -1/2) via sum_{j<=n} C(n+1,j) B_j = 0."""
-    if n == 0:
-        return (Fraction(1),)
-    prev = _bernoulli_list(n - 1)
-    total = sum(Fraction(math.comb(n + 1, j)) * prev[j] for j in range(n))
-    return prev + (-total / (n + 1),)
+    """B_0..B_n (first kind, B_1 = -1/2), the even ones from the tangent
+    numbers T_m in integers (Brent and Harvey 2011):
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))."""
+    out = [Fraction(1), Fraction(-1, 2)][:n + 1] + [Fraction(0)] * (n - 1)
+    t = [0] + [math.factorial(k - 1) for k in range(1, n // 2 + 1)]  # t[m] -> T_m
+    for k in range(2, len(t)):
+        for j in range(k, len(t)):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    for m in range(1, len(t)):
+        out[2 * m] = Fraction((-1) ** (m - 1) * 2 * m * t[m], 4 ** m * (4 ** m - 1))
+    return tuple(out)
 
 
 def bernoulli_first(n: int) -> Fraction:
@@ -507,6 +512,12 @@ def ln_gamma_fixed(x: Real) -> int:
     return _ln_gamma_exact(fixed_rational(x.to_fraction() if isinstance(x, ExtReal) else Fraction(x)))
 
 
+@lru_cache(maxsize=None)
+def _stirling_fixed() -> tuple:
+    """The Stirling coefficients B_2j / (2j (2j-1)) in fixed point, j = 1..17."""
+    return tuple(to_fixed(bernoulli(2 * j) / Fraction(2 * j * (2 * j - 1))) for j in range(1, 18))
+
+
 # Gamma ratios repeat their arguments (Gamma(1), Gamma(2), Gamma(3/2) ...)
 @lru_cache(maxsize=1024)
 def _ln_gamma_exact(x: Fraction) -> int:
@@ -521,8 +532,8 @@ def _ln_gamma_exact(x: Fraction) -> int:
     total = fixed_mul(w - (FIXED_ONE >> 1), ln_fixed(w)) - w + _HALF_LN_2PI
     wpow = fixed_div(FIXED_ONE, w)
     w2 = fixed_mul(wpow, wpow)
-    for j in range(1, 18):
-        total += fixed_mul(to_fixed(bernoulli(2 * j) / Fraction(2 * j * (2 * j - 1))), wpow)
+    for c in _stirling_fixed():
+        total += fixed_mul(c, wpow)
         wpow = fixed_mul(wpow, w2)
     return total - shift
 

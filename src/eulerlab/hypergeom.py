@@ -2,13 +2,15 @@
 the unit arguments +1 and -1.
 
 One integer term ratio t_{n+1} = t_n A(n) / B(n) serves every series.
-Terminating series are summed in exact rationals (the Pfaff-Saalschutz sum
-and the Pochhammer-ratio expansion that follows from it are checked to
-*exactly* zero).  Convergent series at +1 (algebraic decay) and at -1
-(alternating) alike go through hpreal.levin_sum, the Levin u-transform on
-the exact terms, rounded once to ExtReal.  So does the s-fold sum on the
-right of the Andrews limit, as one series of exact diagonals (the terms with
-k_1+...+k_s = n, summed for each n).  Pochhammer symbols are exact rationals.
+Terminating series are summed exactly, in integers over one denominator (the
+Pfaff-Saalschutz sum and the Pochhammer-ratio expansion that follows from it
+are checked to *exactly* zero).  Convergent series at +1 (algebraic decay)
+and at -1 (alternating) alike go through hpreal.levin_sum, the Levin
+u-transform on the exact terms, rounded once to ExtReal.  So does the s-fold
+sum on the right of the Andrews limit, as one series of exact diagonals (the
+terms with k_1+...+k_s = n, summed for each n, in integers over one
+denominator per level).  Pochhammer symbols are one integer rising product
+over one denominator; a Fraction is built only where a value leaves a loop.
 """
 from __future__ import annotations
 
@@ -103,15 +105,29 @@ class ConvClass(enum.Enum):
     DIVERGENT = "divergent"
 
 
+def _rising(x: Fraction, n: int) -> Tuple[int, int]:
+    """(x)_n as integers (num, den): prod (p + i q) / q^n for x = p/q."""
+    p, q = x.numerator, x.denominator
+    return math.prod(p + i * q for i in range(n)), q ** n
+
+
+def _poch_quotient(upper, lower, n: int) -> Tuple[int, int]:
+    """prod (u)_n / prod (l)_n as integers (num, den); den is 0 when some (l)_n is."""
+    num = den = 1
+    for u in upper:
+        p, q = _rising(u, n)
+        num, den = num * p, den * q
+    for l in lower:
+        p, q = _rising(l, n)
+        num, den = num * q, den * p
+    return num, den
+
+
 def pochhammer(x: Param, n: int) -> Fraction:
     """Rising factorial (x)_n = x (x+1) ... (x+n-1), exact."""
     if n < 0:
         raise DomainError("pochhammer requires n >= 0")
-    xf = _frac(x)
-    acc = Fraction(1)
-    for i in range(n):
-        acc *= xf + i
-    return acc
+    return Fraction(*_rising(_frac(x), n))
 
 
 def classify(spec: HypSpec) -> ConvClass:
@@ -151,15 +167,16 @@ def _ratios(upper, lower, argument: int):
         yield a, b
 
 
-# Longest terminating series summed exactly.  The cost of the rational sum
-# grows faster than the square of its length: at 1000 terms a 2F1 with small
-# rational parameters takes ~0.05 s and one with 16-digit decimal parameters
-# ~2 s; at 2000 terms the latter takes ~15 s.
+# Longest terminating series summed exactly.  The integer sum's cost grows
+# with the square of its length: at 1000 terms a 2F1 with small rational
+# parameters takes ~0.003 s and one with 16-digit decimal parameters ~0.05 s;
+# at 2000 terms the latter takes ~0.2 s (2 vCPUs).
 TERMINATING_CAP = 1000
 # Largest length times total bit length of the parameters' numerators and
 # denominators: the cost per term grows with the parameters' size.  A 2F1
-# with 16-digit decimal (or float) parameters at 1000 terms is ~225 000 and
-# takes ~2.5 s; one with 50-digit parameters at 600 terms is ~405 000 and ~4 s.
+# with 16-digit decimal (or float) parameters at 1000 terms is ~200 000 and
+# takes ~0.05 s; one with 50-digit parameters at 600 terms is ~400 000 and
+# would take ~0.13 s.  Both caps bound the time and memory of one request.
 TERMINATING_SIZE_CAP = 250_000
 
 
@@ -172,11 +189,11 @@ def _terminating_sum(spec: HypSpec) -> Fraction:
     if n_stop * bits > TERMINATING_SIZE_CAP:
         raise DomainError(f"terminating series too large: {n_stop} terms x {bits} "
                           f"parameter bits exceeds {TERMINATING_SIZE_CAP}")
-    term = total = Fraction(1)
+    p = q = s = 1  # the term p / q and the partial sum s / q, as in levin_sum
     for a, b in itertools.islice(_ratios(spec.upper, spec.lower, spec.argument), n_stop):
-        term = term * a / b
-        total += term
-    return total
+        p, q = p * a, q * b
+        s = s * b + p
+    return Fraction(s, q)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +283,10 @@ def check_saalschutz(a: Param, b: Param, c: Param, n: int) -> Fraction:
         raise DomainError("n must be >= 0")
     spec = HypSpec.of([a, b, -n], [c, 1 + a + b - c - n], 1)
     lhs = evaluate_terminating_exact(spec)
-    den = pochhammer(c, n) * pochhammer(c - a - b, n)
+    num, den = _poch_quotient([c - a, c - b], [c, c - a - b], n)
     if den == 0:
         raise DomainError("right-hand side degenerates")
-    rhs = pochhammer(c - a, n) * pochhammer(c - b, n) / den
-    return lhs - rhs
+    return Fraction(lhs.numerator * den - num * lhs.denominator, lhs.denominator * den)
 
 
 def check_poch_ratio(a: Param, b: Param, c: Param, n: int) -> Fraction:
@@ -282,15 +298,14 @@ def check_poch_ratio(a: Param, b: Param, c: Param, n: int) -> Fraction:
     a, b, c = _frac(a), _frac(b), _frac(c)
     if n < 0:
         raise DomainError("n must be >= 0")
-    den = pochhammer(1 + a - b, n) * pochhammer(1 + a - c, n)
+    num, den = _poch_quotient([b, c], [1 + a - b, 1 + a - c], n)
     if den == 0:
         raise DomainError("left-hand side degenerates")
-    lhs = pochhammer(b, n) * pochhammer(c, n) / den
     # a zero lower Pochhammer symbol on the right needs 1+a-b or 1+a-c in
     # {0, -1, ..., 1-n}, which already zeroes den
     rhs = evaluate_terminating_exact(
         HypSpec.of([a + n, 1 + a - b - c, -n], [1 + a - b, 1 + a - c], 1))
-    return lhs - rhs
+    return Fraction(num * rhs.denominator - rhs.numerator * den, den * rhs.denominator)
 
 
 def check_kummer_type(a: Param, b: Param) -> ExtReal:
@@ -328,21 +343,30 @@ def _diagonals(a: Fraction, bs, cs):
     and G_l(n) = (b_l)_n (c_l)_n / ((1+a-b_(l-1))_n (1+a-c_(l-1))_n).  Level
     l's diagonals f_l(n) = G_l(n) sum_j f_(l-1)(j) (rho_l)_(n-j) / (n-j)! are
     the convolution of level l-1's with the rising factor, so D(n) = f_s(n).
-    The upper parameter 1 in G_l's ratios cancels their n!."""
-    levels = [(_ratios([1 + a - b0 - c0], [], 1), [Fraction(1)],
-               _ratios([b1, c1, 1], [1 + a - b0, 1 + a - c0], 1), [Fraction(1)], [])
+
+    Each level keeps its rising factors, the numerator of G_l(n) and its
+    diagonals as integers over one denominator, a product over the steps so
+    far: step n multiplies the stored integers by that step's factor, and only
+    D(n) becomes a Fraction.  The upper parameter 1 in G_l's ratios cancels
+    their n!: both integers of step n carry the factor n, divided out exactly."""
+    levels = [(_ratios([1 + a - b0 - c0], [], 1), [1],
+               _ratios([b1, c1, 1], [1 + a - b0, 1 + a - c0], 1), [1], [])
               for b0, c0, b1, c1 in zip(bs, cs, bs[1:], cs[1:])]
+    den = 1
     for n in itertools.count():
-        prev = [1]  # level 0: 1 at n = 0, then 0
+        prev, step = [1], 1  # level 0: 1 at n = 0, then 0, over the denominator 1
         for rho_ratios, rising, g_ratios, g, f in levels:
             if n:
-                num, den = next(rho_ratios)
-                rising.append(rising[-1] * num / den)
-                num, den = next(g_ratios)
-                g.append(g[-1] * num / den)
-            f.append(g[-1] * sum(x * y for x, y in zip(prev, reversed(rising))))
+                num, rho_den = next(rho_ratios)
+                rising[:] = [x * rho_den for x in rising] + [rising[-1] * num]
+                num, g_den = next(g_ratios)
+                g[0] *= num // n
+                step *= rho_den * (g_den // n)
+                f[:] = [x * step for x in f]
+            f.append(g[0] * sum(x * y for x, y in zip(prev, reversed(rising))))
             prev = f
-        yield prev[-1]
+        den *= step
+        yield Fraction(prev[-1], den)
 
 
 def check_andrews_limit(s: int, a: Param, bs: Sequence[Param], cs: Sequence[Param]) -> ExtReal:

@@ -192,16 +192,15 @@ def _rational_grid(seed: int, count: int):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        def pick():
-            num = rng.randint(-8, 12)
-            den = rng.randint(1, 6)
-            return Fraction(num, den)
-        a, b, c = pick(), pick(), pick()
+        (pa, qa), (pb, qb), (pc, qc) = [(rng.randint(-8, 12), rng.randint(1, 6)) for _ in range(3)]
         n = rng.randint(0, 6)
+        d = qa * qb * qc  # a, b, c = a_d / d, b_d / d, c_d / d
+        a_d, b_d, c_d = pa * qb * qc, pb * qa * qc, pc * qa * qb
         # l + i == 0 for some 0 <= i < n exactly when l is an integer in [1 - n, 0]
-        if not any(l.denominator == 1 and 1 - n <= l.numerator <= 0
-                   for l in (c, 1 + a + b - c - n, c - a - b, 1 + a - b, 1 + a - c)):
-            out.append((a, b, c, n))
+        if not any(l % d == 0 and (1 - n) * d <= l <= 0
+                   for l in (c_d, d + a_d + b_d - c_d - n * d, c_d - a_d - b_d,
+                             d + a_d - b_d, d + a_d - c_d)):
+            out.append((Fraction(pa, qa), Fraction(pb, qb), Fraction(pc, qc), n))
     return out
 
 
@@ -414,19 +413,20 @@ def run_suite(name: str, fast: bool = True, jobs: Optional[int] = None) -> Verif
     else:
         cases = _SUITE_BUILDERS[name](n_max, fast)
     start = time.monotonic()
+    # tolerances are decimal literals; compare and print them exactly
+    tols = {tol: parse_decimal(repr(tol)) for tol in {tol for _, tol, _ in cases}}
+    tol_text = {tol: to_decimal(exact) for tol, exact in tols.items()}
     results: List[CaseResult] = []
     for cid, tol, fn in cases:
         lhs, rhs = (ExtReal.from_real(v) for v in fn())
         residual = abs(lhs - rhs)
-        # tolerances are decimal literals; compare and print them exactly
-        tol_exact = parse_decimal(repr(tol))
         results.append(CaseResult(
             id=cid,
             lhs=to_decimal(lhs),
             rhs=to_decimal(rhs),
             residual=to_decimal(residual),
-            tolerance=to_decimal(tol_exact),
-            passed=residual.to_fraction() <= tol_exact,
+            tolerance=tol_text[tol],
+            passed=residual.to_fraction() <= tols[tol],
         ))
     results.sort(key=lambda c: c.id)
     elapsed = int((time.monotonic() - start) * 1000)

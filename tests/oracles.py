@@ -163,6 +163,48 @@ def bernoulli_table(count: int) -> tuple:
     return tuple(bern)
 
 
+def bernoulli_recurrence(n: int) -> tuple:
+    """B_0 .. B_n (B_1 = -1/2) by sum_{j<=m} C(m+1, j) B_j = 0, one Fraction
+    per step."""
+    bern = [Fraction(1)]
+    for m in range(1, n + 1):
+        bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    return tuple(bern)
+
+
+def terminating_sum(upper, lower, argument: int) -> Fraction:
+    """sum_n argument^n prod (u)_n / (n! prod (l)_n) for a series with a
+    nonpositive integer upper parameter, term by term in Fractions, each term
+    the previous one times its parameters' next factors."""
+    stop = min(-u.numerator for u in upper if u.denominator == 1 and u <= 0)
+    term = total = Fraction(1)
+    for n in range(stop):
+        for u in upper:
+            term *= u + n
+        for l in lower:
+            term /= l + n
+        term = term * argument / (n + 1)
+        total += term
+    return total
+
+
+def andrews_diagonals(a: Fraction, bs, cs, count: int) -> list:
+    """D(0) .. D(count-1) of the s-fold sum on the right of the Andrews limit
+    (s = len(bs) - 1), from its definition in Fractions: level l's diagonals
+    f_l(n) = G_l(n) sum_j f_(l-1)(j) (rho_l)_(n-j) / (n-j)!, with
+    rho_l = 1+a-b_(l-1)-c_(l-1), G_l(n) = (b_l)_n (c_l)_n / ((1+a-b_(l-1))_n
+    (1+a-c_(l-1))_n) and f_0 = 1, 0, 0, ...; D(n) = f_s(n)."""
+    f = [Fraction(1)] + [Fraction(0)] * (count - 1)
+    for l in range(1, len(bs)):
+        rho, u, v = 1 + a - bs[l - 1] - cs[l - 1], 1 + a - bs[l - 1], 1 + a - cs[l - 1]
+        rising, g = [Fraction(1)], [Fraction(1)]
+        for k in range(1, count):
+            rising.append(rising[-1] * (rho + k - 1) / k)
+            g.append(g[-1] * (bs[l] + k - 1) * (cs[l] + k - 1) / ((u + k - 1) * (v + k - 1)))
+        f = [g[n] * sum(f[j] * rising[n - j] for j in range(n + 1)) for n in range(count)]
+    return f
+
+
 def euler_gamma(n: int = 1000, digits: int = 40) -> Fraction:
     """Euler's constant to `digits` digits by Euler-Maclaurin at N = n:
     gamma = H_N - ln N - 1/(2N) + sum_k B_2k / (2k N^2k), with H_N exact and

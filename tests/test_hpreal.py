@@ -22,6 +22,7 @@ from eulerlab.hpreal import (
     parse_decimal,
     sinc_pi,
     to_decimal,
+    _bernoulli_list,
     _levin_weights,
     _LN2_FIXED,
     _PI_FIXED,
@@ -287,6 +288,11 @@ def test_bernoulli_recurrence_exact_to_60():
     for n in range(1, 61):
         total = sum(Fraction(math.comb(n + 1, j)) * bernoulli_first(j) for j in range(n + 1))
         assert total == 0
+
+
+def test_bernoulli_list_matches_the_fraction_recurrence():
+    for n in (0, 1, 2, 3, 7, 60):
+        assert _bernoulli_list(n) == oracles.bernoulli_recurrence(n), n
 
 
 def test_bernoulli_domain_errors():

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from eulerlab.hpreal import DomainError, ExtReal, _ln_gamma_exact, const_pi, ln_dd, ln_gamma_fixed
 from eulerlab.hypergeom import (
+    TERMINATING_CAP,
+    TERMINATING_SIZE_CAP,
     ConvClass,
     HypSpec,
     _diagonals,
@@ -101,6 +103,33 @@ def test_eval_terminating_exact():
     res = evaluate(spec)
     assert abs(res.value.to_fraction() - F(6, 5)) <= F(6, 5) / 2 ** 104
     assert float(res.tail_estimate) == 0.0
+
+
+def test_terminating_sum_matches_the_term_by_term_oracle():
+    # random 2F1, 3F2 and 4F3 at +1 and -1, the longest series taken and one
+    # at the size cap, against Fractions term by term
+    rng = random.Random(20261020)
+
+    def param():
+        return F(rng.randint(-20, 20), rng.randint(1, 9))
+
+    specs = []
+    while len(specs) < 300:
+        q = rng.randint(1, 3)
+        try:
+            specs.append(HypSpec.of([-rng.randint(0, 40)] + [param() for _ in range(q)],
+                                    [param() for _ in range(q)], rng.choice((1, -1))))
+        except DomainError:
+            continue
+    specs.append(HypSpec.of([-TERMINATING_CAP, F(1, 3)], [F(7, 2)], 1))
+    at_cap = HypSpec.of([-10, F(2 ** 6248 + 1, 2 ** 6248)], [F(2 ** 6248 + 3, 2 ** 6247)], 1)
+    bits = sum(p.numerator.bit_length() + p.denominator.bit_length()
+               for p in at_cap.upper + at_cap.lower)
+    assert 10 * bits == TERMINATING_SIZE_CAP
+    specs.append(at_cap)
+    for spec in specs:
+        exact = oracles.terminating_sum(spec.upper, spec.lower, spec.argument)
+        assert evaluate_terminating_exact(spec) == exact, spec
 
 
 def test_eval_divergent_raises():
@@ -326,6 +355,17 @@ def test_andrews_diagonals_match_the_double_sum():
     for n, d in enumerate(diagonals):
         assert d == sum(rising(1, k1) * g(1, k1) * rising(2, n - k1) * g(2, n)
                         for k1 in range(n + 1)), n
+
+
+@pytest.mark.parametrize("a, bs, cs", [
+    (F(1), [F(1, 3)] * 2, [F(1, 4)] * 2),
+    (F(3, 2), [F(1, 5), F(-1, 2), F(1, 5)], [F(1, 5)] * 3),  # a negative b_l in G_l
+    (F(1, 2), [F(-1, 3)] + [F(1, 10)] * 3, [F(1, 10)] * 4),  # a negative b_0 in rho_1
+    (F(2), [F(1, 5)] * 5, [F(1, 5)] * 5),
+])
+def test_andrews_diagonals_match_the_fraction_oracle(a, bs, cs):
+    # s = 1..4 over 100 terms: the integer levels against the definition in Fractions
+    assert list(itertools.islice(_diagonals(a, bs, cs), 100)) == oracles.andrews_diagonals(a, bs, cs, 100)
 
 
 def test_andrews_limit_validation():

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 from collections import Counter
+from fractions import Fraction
 
-from eulerlab import euler_sums, hpreal, verify
+from eulerlab import euler_sums, hpreal, hypergeom, verify
 from eulerlab.euler_sums import _HEADS
 from conftest import clear_direct_caches
 
@@ -65,3 +67,42 @@ def test_hyp_suite_catches_a_relative_ln_gamma_fault(monkeypatch):
     cases = [c for c in verify.run_suite("hyp", fast=True).cases if c.id.split("[")[0] in families]
     assert len(cases) == 60
     assert not any(c.passed for c in cases), [c.id for c in cases if c.passed]
+
+
+def _hyp_failures() -> Counter:
+    return Counter(c.id.split("[")[0] for c in verify.run_suite("hyp", fast=True).cases if not c.passed)
+
+
+def test_hyp_suite_catches_a_perturbed_rising_step(monkeypatch):
+    # the first step of each level's rising factor in _diagonals (the one
+    # series of ratios without a lower parameter) times 1 + 1e-20
+    ratios = hypergeom._ratios
+
+    def faulty(upper, lower, argument):
+        steps = ratios(upper, lower, argument)
+        if lower:
+            return steps
+        a, b = next(steps)
+        return itertools.chain([(a * (10 ** 20 + 1), b * 10 ** 20)], steps)
+
+    monkeypatch.setattr(hypergeom, "_ratios", faulty)
+    assert _hyp_failures() == {"andrews-limit-s1": 5, "andrews-limit-s2": 5}
+
+
+def test_hyp_suite_catches_a_perturbed_rising_factor(monkeypatch):
+    # the first factor x of every rising product (x)_n, n >= 1, plus 1e-20:
+    # both Pochhammer families fail, in at least the 88 and 93 cases that the
+    # ROADMAP's mutation census counted for one perturbed Fraction factor
+    rising = hypergeom._rising
+
+    def faulty(x, n):
+        if not n:
+            return rising(x, n)
+        num, den = rising(x + 1, n - 1)
+        value = (x + Fraction(1, 10 ** 20)) * Fraction(num, den)
+        return value.numerator, value.denominator
+
+    monkeypatch.setattr(hypergeom, "_rising", faulty)
+    failures = _hyp_failures()
+    assert set(failures) == {"saalschutz", "poch-ratio"}
+    assert failures["saalschutz"] >= 88 and failures["poch-ratio"] >= 93, failures
