@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hpreal import DomainError, ExtReal, ZERO, binom, const_gamma_f64, em_remainder
+from .hpreal import DomainError, ExtReal, ZERO, const_gamma_f64, em_remainder
 from .zeta_core import SeriesResult, ZetaPoly, zeta, zeta_bar, zeta_reg
 
 __all__ = [
@@ -412,7 +412,7 @@ def double_directs(indices: list, n_max: int = DEFAULT_N_MAX) -> list:
 # ---------------------------------------------------------------------------
 
 # a repeat returns the shared element, its finite part already rounded; all
-# 1520 keys of weight <= 39 would hold ~5 MB
+# 1520 keys of weight <= 39 would hold ~1.5 MB besides the products they share
 @lru_cache(maxsize=256)
 def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> ZetaPoly:
     """zeta(r, s) with optional bars, for odd k = r+s, as a finite zeta combination.
@@ -436,8 +436,10 @@ def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> ZetaPoly:
     if s % 2 == 0:
         pairs.append((1, _product(r, r_bar, s, s_bar)))
     sgn = -1 if r % 2 else 1
-    for l in range((k - 1) // 2 + 1):
-        for c, bar in ((binom(k - 2 * l - 1, r - 1), r_bar), (binom(k - 2 * l - 1, s - 1), s_bar)):
+    for l in range(max(r, s) // 2 + 1):  # both binomials vanish beyond
+        c_r, c_s = math.comb(k - 2 * l - 1, r - 1), math.comb(k - 2 * l - 1, s - 1)
+        # equal bars: both binomials weigh one product
+        for c, bar in ((c_r + c_s, r_bar),) if r_bar == s_bar else ((c_r, r_bar), (c_s, s_bar)):
             if c:
                 pairs.append((sgn * c, _product(k - 2 * l, bar, 2 * l, x)))
     return ZetaPoly.combination(pairs)

@@ -281,9 +281,12 @@ def check_saalschutz(a: Param, b: Param, c: Param, n: int) -> Fraction:
     a, b, c = _frac(a), _frac(b), _frac(c)
     if n < 0:
         raise DomainError("n must be >= 0")
-    spec = HypSpec.of([a, b, -n], [c, 1 + a + b - c - n], 1)
+    d = math.lcm(a.denominator, b.denominator, c.denominator)  # the shifts as integers over d
+    a_d, b_d, c_d = (x.numerator * (d // x.denominator) for x in (a, b, c))
+    spec = HypSpec.of([a, b, -n], [c, Fraction(d + a_d + b_d - c_d - n * d, d)], 1)
     lhs = evaluate_terminating_exact(spec)
-    num, den = _poch_quotient([c - a, c - b], [c, c - a - b], n)
+    num, den = _poch_quotient([Fraction(c_d - a_d, d), Fraction(c_d - b_d, d)],
+                              [c, Fraction(c_d - a_d - b_d, d)], n)
     if den == 0:
         raise DomainError("right-hand side degenerates")
     return Fraction(lhs.numerator * den - num * lhs.denominator, lhs.denominator * den)
@@ -298,13 +301,16 @@ def check_poch_ratio(a: Param, b: Param, c: Param, n: int) -> Fraction:
     a, b, c = _frac(a), _frac(b), _frac(c)
     if n < 0:
         raise DomainError("n must be >= 0")
-    num, den = _poch_quotient([b, c], [1 + a - b, 1 + a - c], n)
+    d = math.lcm(a.denominator, b.denominator, c.denominator)  # the shifts as integers over d
+    a_d, b_d, c_d = (x.numerator * (d // x.denominator) for x in (a, b, c))
+    lower = [Fraction(d + a_d - b_d, d), Fraction(d + a_d - c_d, d)]  # 1+a-b, 1+a-c
+    num, den = _poch_quotient([b, c], lower, n)
     if den == 0:
         raise DomainError("left-hand side degenerates")
     # a zero lower Pochhammer symbol on the right needs 1+a-b or 1+a-c in
     # {0, -1, ..., 1-n}, which already zeroes den
     rhs = evaluate_terminating_exact(
-        HypSpec.of([a + n, 1 + a - b - c, -n], [1 + a - b, 1 + a - c], 1))
+        HypSpec.of([Fraction(a_d + n * d, d), Fraction(d + a_d - b_d - c_d, d), -n], lower, 1))
     return Fraction(num * rhs.denominator - rhs.numerator * den, den * rhs.denominator)
 
 

@@ -107,11 +107,13 @@ def h_direct(idx: HIndex, n_max: int = DEFAULT_N_MAX) -> SeriesResult:
 # Closed forms
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def _h(a: int, b: int, star: bool) -> ZetaPoly:
     """H(a,b) = 2 sum_{r<=K} (-1)^r [C(2r,2a+2) zeta(2r+1)
     + C(2r,2b+1) zeta(2r+1-bar)] H(K-r),  K = a+b+1;
     H*(a,b) = -2 sum_{r<=K} {[C(2r,2a) - delta_{r,a}] zeta(2r+1)
-    + C(2r,2b+1) zeta(2r+1-bar)} H*(K-r)."""
+    + C(2r,2b+1) zeta(2r+1-bar)} H*(K-r), a linear form over the products
+    _zeta_times_h shares; a repeat returns it with its finite part rounded."""
     k = a + b + 1
     if k > 20:
         raise DomainError("closed forms capped at K = 20")
@@ -119,8 +121,9 @@ def _h(a: int, b: int, star: bool) -> ZetaPoly:
     for r in range(1, k + 1):
         c_plain = (binom(2 * r, 2 * a) - (r == a)) if star else binom(2 * r, 2 * a + 2)
         sign = -2 if star or r % 2 else 2
-        pairs.append((sign * c_plain, _zeta_times_h(2 * r + 1, False, k - r, star)))
-        pairs.append((sign * binom(2 * r, 2 * b + 1), _zeta_times_h(2 * r + 1, True, k - r, star)))
+        for c, bar in ((c_plain, False), (binom(2 * r, 2 * b + 1), True)):
+            if c:
+                pairs.append((sign * c, _zeta_times_h(2 * r + 1, bar, k - r, star)))
     return ZetaPoly.combination(pairs)
 
 

@@ -5,7 +5,8 @@ zeta(1-bar) = -ln 2, and the exact ring ZetaPoly of closed forms.
 A ZetaPoly has rational coefficients on monomials in pi, ln 2, T and the odd
 zeta values: zeta(2n) enters as a Bernoulli rational times pi^2n and
 zeta(k-bar) as -(1 - 2^(1-k)) zeta(k), so identities among closed forms
-cancel exactly; zeta(k) and zeta_bar(k) cache their rounded values.  The
+cancel exactly; a sum stays a linear form over shared elements, each
+evaluated once.  zeta(k) and zeta_bar(k) cache their rounded values.  The
 direct alternating series zeta_bar_direct, a cross-check independent of the
 reflection formula, is summed by hpreal's Levin transform on its exact terms.
 """
@@ -50,6 +51,16 @@ _BITS = 320
 # pi and ln 2; () is 1.
 _PI, _LN2, _T = -1, 0, 1
 
+_DEPTH = 64  # deepest nesting of linear forms (the library's is at most 3)
+
+
+def _ratio_sum(parts: list) -> tuple:
+    """sum n / d over (n, d) pairs as (num, den), den the lcm of the d."""
+    if len(parts) == 1:
+        return parts[0]
+    den = math.lcm(*(d for _, d in parts))
+    return sum(n * (den // d) for n, d in parts), den
+
 
 @lru_cache(maxsize=None)
 def _generator(g: int) -> int:
@@ -79,22 +90,25 @@ def _monomial(mono: tuple) -> tuple:
 
 
 class ZetaPoly:
-    """Exact element of Q[pi, ln 2, zeta(3), zeta(5), ..., T]: `terms` maps
-    monomials to nonzero Fractions, read-only since cached elements are
-    shared.  Ints, Fractions and ExtReals (as the exact dyadic rationals they
-    hold) combine with it as constants.
+    """Exact element of Q[pi, ln 2, zeta(3), zeta(5), ..., T], read-only
+    since cached elements are shared: a leaf, given by its `terms`
+    (monomials -> nonzero Fractions), or a linear form of (weight, element)
+    pairs from `combination`, whose terms are collected only when `terms`,
+    `*` or `==` asks.  Ints, Fractions and ExtReals (as the exact dyadic
+    rationals they hold) combine with it as constants.
 
-    `finite` (T := 0) and `tcoef` (the coefficient of T) sum the exact
-    integer combination of the monomials' values at 2^-320, so term order
-    cannot matter, and round once to ExtReal.  T*T never occurs in an
-    in-scope relation and is rejected.
-    """
+    `finite` (T := 0) and `tcoef` (the coefficient of T) are linear: the
+    exact sum of c_m v_m, v_m a monomial's value at 2^-320, is a leaf's sum
+    over its terms or a linear form's over its children's exact parts (each
+    keeps its finite one), whatever the order or nesting, and is rounded
+    once to ExtReal.  T*T is rejected."""
 
-    __slots__ = ("terms", "_finite")
+    __slots__ = ("_terms", "_weights", "_elements", "_depth", "_num", "_den", "_finite")
 
     def __init__(self, terms=()):
-        self.terms = MappingProxyType({m: c for m, c in dict(terms).items() if c})
-        self._finite = None  # the rounded finite part, once known
+        self._terms = {m: c for m, c in dict(terms).items() if c}
+        self._weights, self._elements, self._depth = None, None, 0  # a leaf
+        self._num = self._den = self._finite = None  # the exact and rounded finite parts, once known
 
     @staticmethod
     def of(x) -> "ZetaPoly":
@@ -106,36 +120,50 @@ class ZetaPoly:
     @staticmethod
     def combination(pairs) -> "ZetaPoly":
         """sum w * e over (weight, element) pairs, the weights ints or
-        Fractions and the elements ring elements or constants, collected in
-        one pass: each monomial adds integer numerators over a common
-        denominator, and becomes one Fraction at the end."""
-        acc: dict = {}  # monomial -> [numerator, denominator]
-        for w, e in pairs:
-            if not w:
-                continue
-            wn, wd = w.numerator, w.denominator
-            for m, c in ZetaPoly.of(e).terms.items():
-                n, d = wn * c.numerator, wd * c.denominator
-                slot = acc.get(m)
-                if slot is None:
-                    acc[m] = [n, d]
-                elif slot[1] == d:
-                    slot[0] += n
-                else:
-                    den = math.lcm(slot[1], d)
-                    slot[0] = slot[0] * (den // slot[1]) + n * (den // d)
-                    slot[1] = den
-        return ZetaPoly({m: Fraction(n, d) for m, (n, d) in acc.items() if n})
+        Fractions and the elements ring elements or constants, kept as a
+        linear form; one nested more than _DEPTH deep is collected into a
+        leaf, so that no evaluation recurses deeper."""
+        kept = [(w, ZetaPoly.of(e)) for w, e in pairs if w]
+        element = object.__new__(ZetaPoly)
+        element._weights, element._elements = zip(*kept) if kept else ((), ())
+        element._depth = 1 + max([e._depth for e in element._elements], default=0)
+        element._terms = element._num = element._den = element._finite = None
+        return ZetaPoly(element.terms) if element._depth > _DEPTH else element
 
     @staticmethod
     def sum(elements) -> "ZetaPoly":
         """The sum of ring elements and constants: combination with weight 1."""
         return ZetaPoly.combination((1, e) for e in elements)
 
+    @property
+    def terms(self) -> MappingProxyType:
+        """Monomials -> nonzero Fractions; a linear form collects each
+        monomial's integer numerators over one denominator on first use."""
+        if self._terms is None:
+            acc: dict = {}  # monomial -> its (numerator, denominator) pairs
+            for w, e in zip(self._weights, self._elements):
+                for m, c in e.terms.items():
+                    acc.setdefault(m, []).append((w.numerator * c.numerator, w.denominator * c.denominator))
+            self._terms = {m: c for m, parts in acc.items() for c in (Fraction(*_ratio_sum(parts)),) if c}
+        return MappingProxyType(self._terms)
+
+    def _exact_part(self, t_degree: int) -> tuple:
+        """(num, den): num / den is exactly the part of T-degree t_degree times 2^_BITS."""
+        if t_degree == 0 and self._den:
+            return self._num, self._den
+        if self._elements is None:
+            part = _ratio_sum([(c.numerator * v, c.denominator) for m, c in self._terms.items()
+                               for t, v in (_monomial(m),) if t == t_degree])
+        else:
+            part = _ratio_sum([(w.numerator * n, w.denominator * d)
+                               for w, e in zip(self._weights, self._elements)
+                               for n, d in (e._exact_part(t_degree),) if n])
+        if t_degree == 0:
+            self._num, self._den = part
+        return part
+
     def _part(self, t_degree: int) -> ExtReal:
-        parts = [(c, v) for m, c in self.terms.items() for t, v in (_monomial(m),) if t == t_degree]
-        den = math.lcm(*(c.denominator for c, _ in parts))
-        num = sum(c.numerator * (den // c.denominator) * v for c, v in parts)
+        num, den = self._exact_part(t_degree)
         return from_fixed((2 * num + den) // (2 * den), FIXED_BITS - _BITS)
 
     @property
@@ -166,7 +194,7 @@ class ZetaPoly:
                 m = tuple(sorted(m1 + m2)) if m2 else m1
                 if m.count(_T) > 1:
                     raise DomainError("T*T is not defined in the regularized ring")
-                terms[m] = terms.get(m, 0) + c1 * c2
+                terms[m] = terms[m] + c1 * c2 if m in terms else c1 * c2
         return ZetaPoly(terms)
 
     __radd__, __rmul__ = __add__, __mul__

@@ -13,7 +13,9 @@ one normalised Fraction.
 The stuffle and shuffle relations of one product are the paper's displayed
 coefficient formulas as ring expressions over the library's ZetaPoly, written
 term by term, apart from the generating-function table that genfun reads
-them from; their double sums are supplied by the caller.
+them from; their double sums are supplied by the caller.  `ring_part`
+evaluates a ring element from its collected terms, one Fraction per monomial
+over the library's monomial values, apart from ZetaPoly's exact parts.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from eulerlab.zeta_core import ZetaPoly, zeta_reg
+from eulerlab.hpreal import FIXED_BITS, ExtReal, from_fixed
+from eulerlab.zeta_core import _BITS, ZetaPoly, _monomial, zeta_reg
 
 _DEC60 = Context(prec=60)
 
@@ -416,3 +419,15 @@ def product_shuffle(r: int, s: int, which: str, double) -> ZetaPoly:
             if c:
                 terms.append(ZetaPoly.of(double(k - j, j, x, bar)) * -c)
     return ZetaPoly.sum(terms)
+
+
+def ring_part(element: ZetaPoly, t_degree: int) -> ExtReal:
+    """The finite part (t_degree 0) or T-coefficient (1) of a ring element
+    from its collected terms: one Fraction c * v per monomial, v its value
+    at 2^-320 (zeta_core._monomial), summed and rounded once to nearest."""
+    total = Fraction(0)
+    for m, c in element.terms.items():
+        t, v = _monomial(m)
+        if t == t_degree:
+            total += c * v
+    return from_fixed(math.floor(total + Fraction(1, 2)), FIXED_BITS - _BITS)
