@@ -211,16 +211,17 @@ def _doublesums_rows(k: int, n_max: int, digits: int) -> List[dict]:
     if not 2 <= k <= 39:
         raise UsageError("doublesums weight must be in [2, 39]")
     indices = [es.DoubleIndex(r, k - r, rb, sb) for r in range(1, k) for rb, sb in es.CLOSED_FORMS]
-    # even weight: every convergent sum directly, their head passes run as one
+    # even weight: each convergent sum directly, in one head pass; odd: closed forms in one pass
     direct = [idx for idx in indices if idx.convergent and k % 2 == 0]
     values = dict(zip(direct, es.double_directs(direct, n_max)))
+    closed = dict(zip(indices, es.closed_finites(indices))) if k % 2 else {}
     rows = []
     for idx in indices:
         name = es.CLOSED_FORMS[idx.r_bar, idx.s_bar][0]
         if idx in values:
             value_str, route = to_decimal(values[idx].value, digits), f"direct[n={n_max}]"
-        elif k % 2 == 1:
-            value_str = to_decimal(es.closed_form(idx).finite, digits)
+        elif idx in closed:
+            value_str = to_decimal(closed[idx], digits)
             route = f"closed-{name}" if idx.convergent else f"closed-{name}-regularized"
         else:
             value_str, route = "NA", "divergent"
@@ -292,6 +293,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: unrecognized arguments: {' '.join(extra)}", file=sys.stderr)
             return EXIT_USAGE
     try:
+        if ns.command != "verify":  # every --n-max, whether or not a direct sum runs
+            es._check_n_max(ns.n_max)
         if ns.command == "compute":
             return _cmd_compute(ns)
         if ns.command == "verify":

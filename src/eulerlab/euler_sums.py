@@ -16,10 +16,11 @@ zeta(1, 37), leaves the pass there once another sum at that n_max has run
 its inner harmonic sum.  Its tail is
 built level by level from remainder expansions (Euler-Maclaurin for smooth
 sums, Boole for alternating ones) generated from the Bernoulli numbers, for
-every bar pattern and depth; runs from n_max = 1e3 (verify --fast; --slow
-takes 1e6 to cross-check the tails) land within ~2e-16 absolute.  Closed
-forms are exact elements of the ZetaPoly ring, so the identities among them
-cancel exactly.
+every bar pattern and depth, each outer tail memoized; runs from n_max = 1e3
+(verify --fast; --slow takes 1e6 to cross-check the tails) land within
+~2e-16 absolute.  Closed forms are exact elements of the ZetaPoly ring, so
+the identities among them cancel exactly; closed_finites reads a list of
+them, an odd-weight table, in one pass over the products they share.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ __all__ = [
     "closed_bar_s",
     "closed_bar_both",
     "closed_form",
+    "closed_finites",
     "CLOSED_FORMS",
     "sum_formula_check",
     "SUM_FORMULAS",
@@ -118,6 +120,7 @@ def _expansion(q: float, alt: bool, order: int) -> tuple:
     return tuple((float(c), float(p)) for c, p in pairs)
 
 
+@lru_cache(maxsize=1024)
 def _tail(q: float, n: float, alt: bool) -> float:
     """sum_{m>n} sigma(m) m^-q (q > 1 unless alt): Boole from m = n + 1, or
     Euler-Maclaurin at n, where excluding m = n changes the half term's sign."""
@@ -361,18 +364,18 @@ def _nested_direct(exps: tuple, bars: tuple, star: bool, n_max: int) -> SeriesRe
     return SeriesResult(value=ExtReal(head + tail), terms_used=n_max, tail_estimate=ExtReal(est))
 
 
-def _valid_n_max(n_max) -> bool:
-    """Whether n_max is a truncation direct sums accept: an int (not a bool),
-    100 <= n_max <= N_MAX_CAP.  A float would reach range() or, once an equal
-    int has run, a cache hit reporting terms_used as that float."""
-    return isinstance(n_max, int) and not isinstance(n_max, bool) and 100 <= n_max <= N_MAX_CAP
+def _check_n_max(n_max) -> None:
+    """Raise DomainError unless n_max is a truncation direct sums accept: an
+    int (not a bool), 100 <= n_max <= N_MAX_CAP.  A float would reach range()
+    or, once an equal int has run, a cache hit reporting terms_used as that float."""
+    if not (isinstance(n_max, int) and not isinstance(n_max, bool) and 100 <= n_max <= N_MAX_CAP):
+        raise DomainError(f"direct sums require an int n_max, 100 <= n_max <= {N_MAX_CAP}")
 
 
 def _direct(nested: tuple, n_max: int) -> SeriesResult:
     """The nested sum (exponents, bars, star) that a request's .nested names,
     truncated at n_max; n_max is checked here, ahead of _nested_direct's cache."""
-    if not _valid_n_max(n_max):
-        raise DomainError(f"direct sums require an int n_max, 100 <= n_max <= {N_MAX_CAP}")
+    _check_n_max(n_max)
     return _nested_direct(*nested, n_max)
 
 
@@ -393,11 +396,11 @@ def _prefetch(requests: list, n_max: int) -> None:
     every request is valid; a bad one raises when it is called."""
     try:
         nested = [request.nested for request in requests]
+        _check_n_max(n_max)
     except DomainError:
         return
-    if _valid_n_max(n_max):
-        for star in (False, True):
-            _heads([(exps, bars[:-1]) for exps, bars, s in nested if s == star], star, n_max)
+    for star in (False, True):
+        _heads([(exps, bars[:-1]) for exps, bars, s in nested if s == star], star, n_max)
 
 
 def double_directs(indices: list, n_max: int = DEFAULT_N_MAX) -> list:
@@ -411,19 +414,18 @@ def double_directs(indices: list, n_max: int = DEFAULT_N_MAX) -> list:
 # Odd-weight closed forms, exact in the ZetaPoly ring
 # ---------------------------------------------------------------------------
 
-# a repeat returns the shared element, its finite part already rounded; all
-# 1520 keys of weight <= 39 would hold ~1.5 MB besides the products they share
-@lru_cache(maxsize=256)
-def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> ZetaPoly:
-    """zeta(r, s) with optional bars, for odd k = r+s, as a finite zeta combination.
+def _closed_row(r: int, s: int, r_bar: bool, s_bar: bool) -> tuple:
+    """(weights, elements) of zeta(r, s) with optional bars, for odd k = r+s:
+    int weights on the products zeta(w; w_bar) zeta(e; e_bar) of weight k.
 
     With x = r_bar xor s_bar:
-    -1/2 zeta(k; x) + (1+(-1)^s)/2 zeta(r; r_bar) zeta(s; s_bar)
+    zeta(k; x) zeta(0; x) + (1+(-1)^s)/2 zeta(r; r_bar) zeta(s; s_bar)
     + (-1)^r sum_l [C(k-2l-1, r-1) zeta(k-2l; r_bar)
                     + C(k-2l-1, s-1) zeta(k-2l; s_bar)] zeta(2l; x),
     where zeta(w; b) is zeta(w-bar) if b else zeta(w), zeta(1) enters as the
     symbol T and zeta(0) = zeta(0-bar) = -1/2.  On convergent indices the
-    T-part cancels and the finite part is the double sum.
+    T-part cancels and the finite part is the double sum.  A product may
+    appear twice (with equal bars, say); its weights add.
     """
     k, x = r + s, r_bar != s_bar
     if r < 1 or s < 1:
@@ -432,17 +434,24 @@ def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> ZetaPoly:
         raise DomainError(f"closed forms hold for odd weight only, got k = {k}")
     if k > 39:
         raise DomainError("closed forms capped at weight 39")
-    pairs = [(Fraction(-1, 2), zeta_reg(k, x))]
+    elements = [_product(k, x, 0, x)]
     if s % 2 == 0:
-        pairs.append((1, _product(r, r_bar, s, s_bar)))
+        elements.append(_product(r, r_bar, s, s_bar))
+    weights = [1] * len(elements)
     sgn = -1 if r % 2 else 1
-    for l in range(max(r, s) // 2 + 1):  # both binomials vanish beyond
-        c_r, c_s = math.comb(k - 2 * l - 1, r - 1), math.comb(k - 2 * l - 1, s - 1)
-        # equal bars: both binomials weigh one product
-        for c, bar in ((c_r + c_s, r_bar),) if r_bar == s_bar else ((c_r, r_bar), (c_s, s_bar)):
-            if c:
-                pairs.append((sgn * c, _product(k - 2 * l, bar, 2 * l, x)))
-    return ZetaPoly.combination(pairs)
+    for j, bar, other in ((r - 1, r_bar, s), (s - 1, s_bar, r)):
+        ls = range(other // 2 + 1)  # C(k-2l-1, j) vanishes beyond
+        weights += [sgn * math.comb(k - 2 * l - 1, j) for l in ls]
+        elements += [_product(k - 2 * l, bar, 2 * l, x) for l in ls]
+    return weights, elements
+
+
+# a repeat returns the shared element, its finite part already rounded (all 1520
+# would hold ~1.5 MB); a table reads closed_finites, which builds no element
+@lru_cache(maxsize=256)
+def _closed(r: int, s: int, r_bar: bool, s_bar: bool) -> ZetaPoly:
+    """zeta(r, s) with optional bars, for odd r+s: the linear form of its _closed_row."""
+    return ZetaPoly.combination(zip(*_closed_row(r, s, r_bar, s_bar)))
 
 
 @lru_cache(maxsize=None)
@@ -484,6 +493,13 @@ CLOSED_FORMS = {
 def closed_form(idx: DoubleIndex) -> ZetaPoly:
     """Dispatch to the closed form matching the index's bar pattern."""
     return CLOSED_FORMS[(idx.r_bar, idx.s_bar)][1](idx.r, idx.s)
+
+
+def closed_finites(indices: list) -> list:
+    """[closed_form(idx).finite for idx in indices], bit for bit, in one pass
+    over the products their rows share (see ZetaPoly.finites), as an
+    odd-weight table takes them; no element is built or cached."""
+    return ZetaPoly.finites([_closed_row(idx.r, idx.s, idx.r_bar, idx.s_bar) for idx in indices])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -60,6 +61,12 @@ def _ratio_sum(parts: list) -> tuple:
         return parts[0]
     den = math.lcm(*(d for _, d in parts))
     return sum(n * (den // d) for n, d in parts), den
+
+
+def _rounded(num: int, den: int) -> ExtReal:
+    """num / den times 2^-_BITS, rounded to the nearest multiple of 2^-_BITS
+    (ties up), then once to ExtReal: the one rounding of every finite part."""
+    return from_fixed((2 * num + den) // (2 * den), FIXED_BITS - _BITS)
 
 
 @lru_cache(maxsize=None)
@@ -131,6 +138,19 @@ class ZetaPoly:
         return ZetaPoly(element.terms) if element._depth > _DEPTH else element
 
     @staticmethod
+    def finites(rows) -> list:
+        """[combination(zip(weights, elements)).finite for each (weights,
+        elements) row], bit for bit, for int weights: each distinct element's
+        exact finite part is scaled once to one common denominator, so a row is
+        one integer dot product, rounded once."""
+        distinct = {id(e): e for _, elements in rows for e in elements}
+        parts = {key: e._exact_part(0) for key, e in distinct.items()}
+        den = math.lcm(*(d for _, d in parts.values()))
+        scaled = {key: n * (den // d) for key, (n, d) in parts.items()}
+        return [_rounded(sum(map(operator.mul, weights, map(scaled.__getitem__, map(id, elements)))), den)
+                for weights, elements in rows]
+
+    @staticmethod
     def sum(elements) -> "ZetaPoly":
         """The sum of ring elements and constants: combination with weight 1."""
         return ZetaPoly.combination((1, e) for e in elements)
@@ -163,8 +183,7 @@ class ZetaPoly:
         return part
 
     def _part(self, t_degree: int) -> ExtReal:
-        num, den = self._exact_part(t_degree)
-        return from_fixed((2 * num + den) // (2 * den), FIXED_BITS - _BITS)
+        return _rounded(*self._exact_part(t_degree))
 
     @property
     def finite(self) -> ExtReal:

@@ -76,6 +76,12 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(["compute", "mzv", "2", "2", "--n-max", "10000001"], capsys)
     assert code == 2  # above the direct-summation cap
+    # every --n-max is checked up front, whether or not a direct sum runs
+    for argv in (["compute", "zeta", "3", "--n-max", "5"], ["compute", "mzv", "2", "~3", "--n-max", "99"],
+                 ["compute", "hsum", "1", "1", "--n-max", "3"], ["table", "doublesums", "5", "--n-max", "5"],
+                 ["table", "doublesums", "4", "--n-max", "5"], ["table", "hsums", "3", "--n-max", "20000000"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and "n_max" in err, argv
     code, _, _ = run_cli(["compute", "zeta", "3", "--digits", "33"], capsys)
     assert code == 2  # more digits than a double-double holds
     code, _, _ = run_cli(["table", "hsums", "2", "--digits", "0"], capsys)

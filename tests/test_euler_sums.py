@@ -103,6 +103,18 @@ def test_tails_match_partial_sums():
                 assert abs(got - ref) <= 1e-14 * abs(ref), (tail.__name__, q, alt, got, ref)
 
 
+def test_memoized_tails_equal_uncached_ones():
+    # _tail is a pure float function, so its cache may only save time: every
+    # value, first computed or a hit, is the uncached value to the bit
+    _tail.cache_clear()
+    grid = [(q, n, alt) for q in (1.0, 2, 3.0, 5.5, 17.0, 40.0) for n in (100.0, 999.0, 1e3, 1e5, 1e7)
+            for alt in (False, True) if alt or q > 1]
+    for _ in range(2):
+        for q, n, alt in grid:
+            assert _tail(q, n, alt).hex() == _tail.__wrapped__(q, n, alt).hex(), (q, n, alt)
+    assert _tail.cache_info().hits == len(grid) and _tail.cache_info().misses == len(grid)
+
+
 # ---------------------------------------------------------------------------
 # blocked direct sums: the exact accumulator and the block seams
 # ---------------------------------------------------------------------------

@@ -23,13 +23,16 @@ def _assert_parts_match_the_oracle(key, element):
 
 
 def test_closed_forms_round_like_their_collected_terms():
-    # all 1520 odd-weight double sums with k <= 39 and all 420 H, H* with K <= 20
+    # all 1520 odd-weight double sums with k <= 39 and all 420 H, H* with K <= 20;
+    # a weight's batch (the odd-weight tables) equals each element bit for bit
     count = 0
     for k in range(3, 40, 2):
-        for r in range(1, k):
-            for bars in euler_sums.CLOSED_FORMS:
-                _assert_parts_match_the_oracle((r, k - r) + bars, euler_sums._closed(r, k - r, *bars))
-                count += 1
+        indices = [euler_sums.DoubleIndex(r, k - r, *bars) for r in range(1, k) for bars in euler_sums.CLOSED_FORMS]
+        for idx, value in zip(indices, euler_sums.closed_finites(indices), strict=True):
+            element = euler_sums._closed(idx.r, idx.s, idx.r_bar, idx.s_bar)
+            _assert_parts_match_the_oracle((idx.r, idx.s, idx.r_bar, idx.s_bar), element)
+            assert _bits(value) == _bits(element.finite), idx
+            count += 1
     for total in range(20):
         for a in range(total + 1):
             for star in (False, True):
