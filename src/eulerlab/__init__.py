@@ -31,7 +31,7 @@ from .euler_sums import (
     double_direct,
     sum_formula_check,
 )
-from .genfun import (RELATIONS, build, shuffle_check, stuffle_check, stuffle_closed_residual,
+from .genfun import (RELATIONS, build, shuffle_check, stuffle_check, stuffle_closed_check,
                      substitute, verify_relations)
 from .hypergeom import (
     ConvClass,

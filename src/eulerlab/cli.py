@@ -197,13 +197,20 @@ def _cmd_compute(ns) -> int:
     return EXIT_OK
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to the file at path; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_verify(ns, out=None) -> int:
     report = run_suite(ns.suite, fast=not ns.slow, jobs=ns.jobs)
     print(report.table(), file=out or sys.stdout)
     if ns.json:
-        with open(ns.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        _write(ns.json, report.to_json() + "\n")
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 
 
@@ -265,8 +272,7 @@ def _cmd_table(ns) -> int:
     else:
         text = json.dumps({"kind": ns.kind, "bound": ns.bound, "rows": rows}, indent=2) + "\n"
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(ns.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

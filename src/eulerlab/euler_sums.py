@@ -530,8 +530,8 @@ def _sum_formula_sums(k: int, which: str):
             [sign for sign, *_ in rhs_sums])
 
 
-def sum_formula_check(k: int, which: str, n_max: int = DEFAULT_N_MAX) -> ExtReal:
-    """Residual of a fixed-weight summation formula, evaluated directly.
+def sum_formula_check(k: int, which: str, n_max: int = DEFAULT_N_MAX) -> tuple:
+    """The two sides of a fixed-weight summation formula, evaluated directly.
 
     which = "plain":     sum_{s=2}^{k-1} zeta(k-s, s) = zeta(k)
     which = "inner-bar": sum zeta(k-s-bar, s) = zeta(k-bar) + zeta(1, k-1-bar)
@@ -547,10 +547,7 @@ def sum_formula_check(k: int, which: str, n_max: int = DEFAULT_N_MAX) -> ExtReal
     """
     indices, signs = _sum_formula_sums(k, which)
     values = [res.value for res in double_directs(indices, n_max)]
-    lhs = ZERO
-    for value in values[:k - 2]:
-        lhs = lhs + value
     rhs = zeta_reg(k, SUM_FORMULAS[which][0]).finite
     for sign, value in zip(signs, values[k - 2:]):
         rhs = rhs + value if sign > 0 else rhs - value
-    return lhs - rhs
+    return sum(values[:k - 2], ZERO), rhs

@@ -7,20 +7,21 @@ sum_{r+s=k} c_{r,s} x^(r-1) y^(s-1), stored as the tuple of its coefficients
 indexed by r = 1..k-1.  Coefficients are ZetaPoly ring elements: products of
 single zeta values, and double sums from the direct summation evaluators (as
 constants), so the relation checks are independent of the closed forms under
-test, which only stuffle_closed_residual reads.  A substitution (x, y) ->
+test, which only stuffle_closed_check reads.  Each check returns the two
+sides of its relations, not their difference.  A substitution (x, y) ->
 (a x + b y, c x + d y) is an integer matrix acting on the coefficients.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from .hpreal import DomainError, ExtReal, binom
 from .zeta_core import ZetaPoly, zeta_reg
 from .euler_sums import _WEIGHT_CAP, DEFAULT_N_MAX, DoubleIndex, closed_form, double_directs
 
-__all__ = ["build", "direct_indices", "substitute", "RelationResidual", "RELATIONS",
-           "verify_relations", "stuffle_check", "stuffle_closed_residual", "shuffle_check"]
+__all__ = ["build", "direct_indices", "substitute", "RELATIONS",
+           "verify_relations", "stuffle_check", "stuffle_closed_check", "shuffle_check"]
 
 Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -106,13 +107,6 @@ def substitute(coeffs: tuple, mat: Matrix) -> tuple:
     return tuple(ZetaPoly.combination(zip(row, coeffs)) for row in rows)
 
 
-class RelationResidual(NamedTuple):
-    """Max |LHS - RHS| over coefficients, finite parts and T-parts separately."""
-
-    finite: float
-    tpart: float
-
-
 _ID: Matrix = ((1, 0), (0, 1))
 
 # family -> relations (lhs_terms, rhs_terms); a term (sign, name, M) stands for
@@ -154,36 +148,39 @@ RELATIONS = {
 }
 
 
+def _side(terms: tuple, k: int, n_max) -> tuple:
+    """The coefficients at weight k of one side of a relation: its terms fold
+    into one integer matrix per named function, so each coefficient is one
+    exact ring sum."""
+    folded: dict = {}  # name -> the summed matrices of its terms
+    for sign, name, mat in terms:
+        rows = folded.setdefault(name, [[0] * (k - 1) for _ in range(k - 1)])
+        for acc, row in zip(rows, _matrix(k, mat)):
+            for i, w in enumerate(row):
+                acc[i] += sign * w
+    return tuple(ZetaPoly.combination(pair for name, rows in folded.items()
+                                      for pair in zip(rows[u], _coefficients(name, k, n_max)))
+                 for u in range(k - 1))
+
+
 @lru_cache(maxsize=256)
-def _residuals(family: str, k: int, n_max) -> tuple:
-    """Per relation of a RELATIONS family, the coefficients of LHS - RHS at
-    weight k, with the double sums as in _coefficients (closed forms if n_max
-    is None).  Each relation folds into one integer matrix per named
-    function, so each coefficient is one exact ring sum."""
-    out = []
-    for lhs, rhs in RELATIONS[family]:
-        folded: dict = {}  # name -> the summed matrices of its terms
-        for side, terms in ((1, lhs), (-1, rhs)):
-            for sign, name, mat in terms:
-                rows = folded.setdefault(name, [[0] * (k - 1) for _ in range(k - 1)])
-                for acc, row in zip(rows, _matrix(k, mat)):
-                    for i, w in enumerate(row):
-                        acc[i] += side * sign * w
-        out.append(tuple(ZetaPoly.combination(pair for name, rows in folded.items()
-                                              for pair in zip(rows[u], _coefficients(name, k, n_max)))
-                         for u in range(k - 1)))
-    return tuple(out)
+def _sides(family: str, k: int, n_max) -> tuple:
+    """Per relation of a RELATIONS family, the coefficients of its LHS and of
+    its RHS at weight k, with the double sums as in _coefficients (closed
+    forms if n_max is None)."""
+    return tuple((_side(lhs, k, n_max), _side(rhs, k, n_max)) for lhs, rhs in RELATIONS[family])
 
 
-def verify_relations(family: str, k: int, n_max: int = DEFAULT_N_MAX) -> RelationResidual:
-    """Max residual of LHS - RHS over the relations of one RELATIONS family."""
+def verify_relations(family: str, k: int, n_max: int = DEFAULT_N_MAX) -> Tuple[tuple, tuple]:
+    """The two sides of the relations of one RELATIONS family at weight k:
+    (LHS, RHS), each the tuple of its coefficients over all the relations."""
     if family not in RELATIONS:
         raise DomainError(f"unknown relation family {family!r}")
     if family == "reduction" and k % 2 == 0:
         raise DomainError("the antisymmetrized relations need odd weight")
     _check_weight(k)
-    parts = [c for coeffs in _residuals(family, k, n_max) for c in coeffs]
-    return RelationResidual(max(abs(float(c.finite)) for c in parts), max(abs(float(c.tcoef)) for c in parts))
+    sides = _sides(family, k, n_max)
+    return tuple(c for lhs, _ in sides for c in lhs), tuple(c for _, rhs in sides for c in rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -195,39 +192,43 @@ def verify_relations(family: str, k: int, n_max: int = DEFAULT_N_MAX) -> Relatio
 _WHICH = {"mixed": 0, "alternating": 1}
 
 
-def _residual(family: str, r: int, s: int, which: str, n_max) -> ZetaPoly:
-    """Coefficient r - 1 (of x^(r-1) y^(s-1)) of LHS - RHS of the family's
-    relation for `which`, from the residuals of the whole weight r + s."""
+def _product_sides(family: str, r: int, s: int, which: str, n_max) -> Tuple[ZetaPoly, ZetaPoly]:
+    """Coefficient r - 1 (of x^(r-1) y^(s-1)) of the LHS and of the RHS of the
+    family's relation for `which`, from the sides of the whole weight r + s."""
     if which not in _WHICH:
         raise DomainError("which must be 'mixed' or 'alternating'")
     if which == "mixed" and s < 2 and n_max is not None:
         raise DomainError("the relations with an unbarred factor zeta(s) need s >= 2")
     DoubleIndex(r, s)  # r, s >= 1 and the weight cap
-    return _residuals(family, r + s, n_max)[_WHICH[which]][r - 1]
+    lhs, rhs = _sides(family, r + s, n_max)[_WHICH[which]]
+    return lhs[r - 1], rhs[r - 1]
 
 
-def stuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_MAX) -> ZetaPoly:
-    """Residual of a double-stuffle relation with double sums taken directly.
+def stuffle_check(r: int, s: int, which: str = "mixed",
+                  n_max: int = DEFAULT_N_MAX) -> Tuple[ZetaPoly, ZetaPoly]:
+    """The two sides of a double-stuffle relation with double sums taken directly.
 
-    which = "mixed":        zeta(r-bar) zeta(s) - zeta(r-bar,s) - zeta(s,r-bar)
-                            - zeta(r+s-bar)        (requires s >= 2)
-    which = "alternating":  zeta(r-bar) zeta(s-bar) - zeta(r-bar,s-bar)
-                            - zeta(s-bar,r-bar) - zeta(r+s)   (r, s >= 1)
+    which = "mixed":        zeta(r-bar) zeta(s) = zeta(r-bar,s) + zeta(s,r-bar)
+                            + zeta(r+s-bar)        (requires s >= 2)
+    which = "alternating":  zeta(r-bar) zeta(s-bar) = zeta(r-bar,s-bar)
+                            + zeta(s-bar,r-bar) + zeta(r+s)   (r, s >= 1)
     """
-    return _residual("stuffle", r, s, which, n_max)
+    return _product_sides("stuffle", r, s, which, n_max)
 
 
-def stuffle_closed_residual(r: int, s: int, which: str = "mixed") -> ZetaPoly:
-    """Residual of a stuffle relation with every double sum from its closed form.
+def stuffle_closed_check(r: int, s: int, which: str = "mixed") -> Tuple[ZetaPoly, ZetaPoly]:
+    """The two sides of a stuffle relation with every double sum from its closed form.
 
-    No direct sums are involved, so the residual is exactly 0; in the mixed
-    relation at s = 1 both sides carry a T-part, which cancels too.
+    No direct sums are involved, so the sides are equal ring elements; in the
+    mixed relation at s = 1 both carry the same T-part.
     """
-    return _residual("stuffle", r, s, which, None)
+    return _product_sides("stuffle", r, s, which, None)
 
 
-def shuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_MAX) -> ExtReal:
-    """Residual of a double-shuffle relation, all double sums taken directly.
+def shuffle_check(r: int, s: int, which: str = "mixed",
+                  n_max: int = DEFAULT_N_MAX) -> Tuple[ExtReal, ExtReal]:
+    """The finite parts of the two sides of a double-shuffle relation, all
+    double sums taken directly.
 
     With x = a xor b:
       zeta(r; a) zeta(s; b) = sum_j C(j-1,r-1) zeta(k-j, j; x, a)
@@ -238,4 +239,5 @@ def shuffle_check(r: int, s: int, which: str = "mixed", n_max: int = DEFAULT_N_M
     which = "alternating" (both bars; r, s >= 1):
       zeta(r-bar) zeta(s-bar) = sum_j [C(j-1,r-1)+C(j-1,s-1)] zeta(k-j, j-bar)
     """
-    return _residual("shuffle", r, s, which, n_max).finite
+    lhs, rhs = _product_sides("shuffle", r, s, which, n_max)
+    return lhs.finite, rhs.finite

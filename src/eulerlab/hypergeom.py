@@ -3,13 +3,13 @@ the unit arguments +1 and -1.
 
 One integer term ratio t_{n+1} = t_n A(n) / B(n) serves every series.
 Terminating series are summed exactly, in integers over one denominator (the
-Pfaff-Saalschutz sum and the Pochhammer-ratio expansion that follows from it
-are checked to *exactly* zero).  Convergent series at +1 (algebraic decay)
-and at -1 (alternating) alike go through hpreal.levin_sum, the Levin
-u-transform on the exact terms, rounded once to ExtReal.  So does the s-fold
-sum on the right of the Andrews limit, as one series of exact diagonals (the
-terms with k_1+...+k_s = n, summed for each n, in integers over one
-denominator per level).  Pochhammer symbols are one integer rising product
+two sides of the Pfaff-Saalschutz sum and of the Pochhammer-ratio expansion
+that follows from it are exact rationals).  Convergent series at +1
+(algebraic decay) and at -1 (alternating) alike go through hpreal.levin_sum,
+the Levin u-transform on the exact terms, rounded once to ExtReal.  So does
+the s-fold sum on the right of the Andrews limit, as one series of exact
+diagonals (the terms with k_1+...+k_s = n, summed for each n, in integers
+over one denominator per level).  Pochhammer symbols are one integer rising product
 over one denominator; a Fraction is built only where a value leaves a loop.
 """
 from __future__ import annotations
@@ -261,23 +261,23 @@ def gamma_ratio(numerators: Sequence[Param], denominators: Sequence[Param]) -> E
 
 
 # ---------------------------------------------------------------------------
-# Identity checks
+# Identity checks: each returns the two sides of its identity
 # ---------------------------------------------------------------------------
 
-def check_gauss(a: Param, b: Param, c: Param) -> ExtReal:
-    """|2F1(a,b;c;1) - Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b))|."""
+def check_gauss(a: Param, b: Param, c: Param) -> Tuple[ExtReal, ExtReal]:
+    """The two sides of 2F1(a,b;c;1) = Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b))."""
     a, b, c = _frac(a), _frac(b), _frac(c)
     if c - a - b <= 0:
         raise DomainError("Gauss summation requires c - a - b > 0")
     if _is_nonpositive_int(c):
         raise DomainError("c must not be a nonpositive integer")
     lhs = evaluate(HypSpec.of([a, b], [c], 1)).value
-    rhs = gamma_ratio([c, c - a - b], [c - a, c - b])
-    return abs(lhs - rhs)
+    return lhs, gamma_ratio([c, c - a - b], [c - a, c - b])
 
 
-def check_saalschutz(a: Param, b: Param, c: Param, n: int) -> Fraction:
-    """Exact residual of the balanced terminating 3F2 summation; must be 0."""
+def check_saalschutz(a: Param, b: Param, c: Param, n: int) -> Tuple[Fraction, Fraction]:
+    """The two exact sides of the balanced terminating 3F2 summation (Pfaff-Saalschutz):
+    3F2(a, b, -n; c, 1+a+b-c-n; 1) = (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n)."""
     a, b, c = _frac(a), _frac(b), _frac(c)
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -289,11 +289,11 @@ def check_saalschutz(a: Param, b: Param, c: Param, n: int) -> Fraction:
                               [c, Fraction(c_d - a_d - b_d, d)], n)
     if den == 0:
         raise DomainError("right-hand side degenerates")
-    return Fraction(lhs.numerator * den - num * lhs.denominator, lhs.denominator * den)
+    return lhs, Fraction(num, den)
 
 
-def check_poch_ratio(a: Param, b: Param, c: Param, n: int) -> Fraction:
-    """Exact residual of the Pochhammer-ratio expansion; must be 0.
+def check_poch_ratio(a: Param, b: Param, c: Param, n: int) -> Tuple[Fraction, Fraction]:
+    """The two exact sides of the Pochhammer-ratio expansion:
 
     (b)_n (c)_n / ((1+a-b)_n (1+a-c)_n)
       = sum_{r<=n} (a+n)_r (1+a-b-c)_r (-n)_r / (r! (1+a-b)_r (1+a-c)_r)
@@ -311,11 +311,11 @@ def check_poch_ratio(a: Param, b: Param, c: Param, n: int) -> Fraction:
     # {0, -1, ..., 1-n}, which already zeroes den
     rhs = evaluate_terminating_exact(
         HypSpec.of([Fraction(a_d + n * d, d), Fraction(d + a_d - b_d - c_d, d), -n], lower, 1))
-    return Fraction(num * rhs.denominator - rhs.numerator * den, den * rhs.denominator)
+    return Fraction(num, den), rhs
 
 
-def check_kummer_type(a: Param, b: Param) -> ExtReal:
-    """|2F1(a,b;1+a-b;-1) - (1/2) G(a/2)G(1+a-b) / (G(a)G(1+a/2-b))|."""
+def check_kummer_type(a: Param, b: Param) -> Tuple[ExtReal, ExtReal]:
+    """The two sides of 2F1(a,b;1+a-b;-1) = (1/2) G(a/2)G(1+a-b) / (G(a)G(1+a/2-b))."""
     a, b = _frac(a), _frac(b)
     if b >= 1:
         raise DomainError("requires b < 1")
@@ -324,12 +324,11 @@ def check_kummer_type(a: Param, b: Param) -> ExtReal:
     if a <= 0 or 1 + a / 2 - b <= 0:
         raise DomainError("gamma arguments must stay positive")
     lhs = evaluate(HypSpec.of([a, b], [1 + a - b], -1)).value
-    rhs = gamma_ratio([a / 2, 1 + a - b], [a, 1 + a / 2 - b]) / 2
-    return abs(lhs - rhs)
+    return lhs, gamma_ratio([a / 2, 1 + a - b], [a, 1 + a / 2 - b]) / 2
 
 
-def check_dougall_limit(a: Param, b: Param, c: Param) -> ExtReal:
-    """Residual of the well-poised 4F3(-1) summation (Dougall limiting case):
+def check_dougall_limit(a: Param, b: Param, c: Param) -> Tuple[ExtReal, ExtReal]:
+    """The two sides of the well-poised 4F3(-1) summation (Dougall limiting case):
     the Andrews limit at s = 0, after its own domain checks."""
     a, b, c = _frac(a), _frac(b), _frac(c)
     for v in (a / 2, 1 + a - b, 1 + a - c):
@@ -375,8 +374,9 @@ def _diagonals(a: Fraction, bs, cs):
         yield Fraction(prev[-1], den)
 
 
-def check_andrews_limit(s: int, a: Param, bs: Sequence[Param], cs: Sequence[Param]) -> ExtReal:
-    """Residual of the 2s+4 F 2s+3 (-1) summation with s-fold nested-sum RHS.
+def check_andrews_limit(s: int, a: Param, bs: Sequence[Param],
+                        cs: Sequence[Param]) -> Tuple[ExtReal, ExtReal]:
+    """The two sides of the 2s+4 F 2s+3 (-1) summation with s-fold nested-sum RHS.
 
     bs and cs hold the s+1 numerator-parameter pairs; the verification grid
     keeps the left side's convergence margin strictly positive.  The right
@@ -399,10 +399,10 @@ def check_andrews_limit(s: int, a: Param, bs: Sequence[Param], cs: Sequence[Para
     lhs = evaluate(spec).value
     pre = gamma_ratio([1 + a - bs[s], 1 + a - cs[s]], [1 + a, 1 + a - bs[s] - cs[s]])
     if not s:
-        return abs(lhs - pre)
+        return lhs, pre
     ratios = (d1 / d0 for d0, d1 in itertools.pairwise(_diagonals(a, bs, cs)))
     total, _, _ = levin_sum((r.numerator, r.denominator) for r in ratios)
-    return abs(lhs - pre * ExtReal.from_fraction(total))
+    return lhs, pre * ExtReal.from_fraction(total)
 
 
 def _core_series(x: Fraction, y: Fraction) -> ExtReal:
@@ -423,10 +423,10 @@ def _odd_zeta_series(x: Fraction) -> ExtReal:
                                 + [(1, x2 ** 30 / (1 - x2))]).finite
 
 
-def check_odd_zeta_series(x: Param) -> ExtReal:
-    """Residual of the digamma-derivative identity behind the fixed-weight sums:
+def check_odd_zeta_series(x: Param) -> Tuple[ExtReal, ExtReal]:
+    """The two sides of the digamma-derivative identity behind the fixed-weight sums:
 
-    sum_{m>=1} (x)_m (-x)_m / (m (1+x)_m (1-x)_m) + sum_{r>=1} zeta(2r+1) x^(2r)
+    sum_{m>=1} (x)_m (-x)_m / (m (1+x)_m (1-x)_m) = -sum_{r>=1} zeta(2r+1) x^(2r)
 
     The first series is summed through the generic +1 evaluator (it is a
     balanced 4F3 after the index shift m = n+1); the second in the exact
@@ -436,5 +436,5 @@ def check_odd_zeta_series(x: Param) -> ExtReal:
     if abs(xf) >= Fraction(1, 2):
         raise DomainError("requires |x| < 1/2")
     if xf == 0:
-        return ZERO
-    return abs(_core_series(xf, xf) + _odd_zeta_series(xf))
+        return ZERO, ZERO
+    return _core_series(xf, xf), -_odd_zeta_series(xf)

@@ -10,6 +10,7 @@ import pytest
 from eulerlab import genfun
 from eulerlab.euler_sums import _HEADS, _PREFIXES, _nested_direct
 from eulerlab.hpreal import ExtReal, parse_decimal
+from eulerlab.zeta_core import ZetaPoly
 
 # frozen reference digits, cross-validated in test_hpreal against the
 # exact-rational oracles in oracles.py
@@ -40,6 +41,14 @@ def approx_abs(value, reference, tol: float) -> bool:
     return abs(Fraction(value) - Fraction(reference)) <= Fraction(tol)
 
 
+def gap(sides) -> Fraction:
+    """|lhs - rhs| of a check's two sides, exactly: an ExtReal as the rational
+    it holds, a ring element at its finite part."""
+    lhs, rhs = (v.finite if isinstance(v, ZetaPoly) else v for v in sides)
+    lhs, rhs = (v.to_fraction() if isinstance(v, ExtReal) else Fraction(v) for v in (lhs, rhs))
+    return abs(lhs - rhs)
+
+
 def clear_direct_caches() -> None:
     """Empty the direct-sum caches (values, heads and inner prefix sums) and
     genfun's, which hold direct sums, so the next direct request runs its
@@ -48,4 +57,4 @@ def clear_direct_caches() -> None:
     _HEADS.clear()
     _PREFIXES.clear()
     genfun._coefficients.cache_clear()
-    genfun._residuals.cache_clear()
+    genfun._sides.cache_clear()

@@ -1,11 +1,15 @@
 """sha256 digests of the outputs that take no direct sum, so that they are
 the same on every platform: the CSV of each odd-weight
 `eulerlab table doublesums k` (k = 3, 5, ..., 39) and of `table hsums 20`,
-and the cases of `eulerlab verify all --fast` outside the families that take
-a direct sum (README's list: the closed-closed, hypergeometric and Zagier
-closed-form families).  tests/golden.json records them and
-tests/test_golden.py checks them.
+and the cases of `eulerlab verify all --fast` and of `verify all --slow`
+outside the families that take a direct sum (README's list: the
+closed-closed, hypergeometric and Zagier closed-form families).
+tests/golden.json records them.  tests/test_golden.py checks all but the
+--slow digest, which takes a few seconds more; CI checks every key with
 
+    PYTHONPATH=src python tests/golden.py --check
+
+which recomputes them, prints the outputs that changed and writes nothing.
 A change that alters these bytes on purpose re-records them, and this prints
 which outputs changed:
 
@@ -15,6 +19,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 import tempfile
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
@@ -23,6 +28,7 @@ TABLES = [("doublesums", k) for k in range(3, 40, 2)] + [("hsums", 20)]
 DIRECT_FAMILIES = re.compile(r".*-vs-direct|hstar-closed-vs-pilehrood|stuffle-mixed|stuffle-alt"
                              r"|shuffle-.*|sumformula-.*|genfun-.*-finite")
 VERIFY = "verify all --fast, cases without a direct sum"
+VERIFY_SLOW = "verify all --slow, cases without a direct sum"
 
 
 def _family(case_id: str) -> str:
@@ -30,12 +36,21 @@ def _family(case_id: str) -> str:
     return case_id.split(":", 1)[1].split("[", 1)[0]
 
 
-def digests() -> dict:
-    """'table <kind> <bound>' -> the sha256 of its CSV, each written by the CLI
-    in this process, and VERIFY -> the sha256 of those cases' (id, lhs, rhs,
-    residual, tolerance, pass), in report order."""
-    from eulerlab.cli import main
+def _verify_digest(fast: bool) -> str:
+    """The sha256 of the (id, lhs, rhs, residual, tolerance, pass) of the
+    cases of `verify all` outside DIRECT_FAMILIES, in report order."""
     from eulerlab.verify import run_suite
+
+    cases = [[c.id, c.lhs, c.rhs, c.residual, c.tolerance, c.passed]
+             for c in run_suite("all", fast=fast).cases if not DIRECT_FAMILIES.fullmatch(_family(c.id))]
+    return hashlib.sha256(json.dumps(cases).encode()).hexdigest()
+
+
+def digests(slow: bool = True) -> dict:
+    """'table <kind> <bound>' -> the sha256 of its CSV, each written by the CLI
+    in this process, VERIFY -> the --fast cases' digest and, if slow,
+    VERIFY_SLOW -> the --slow cases' digest."""
+    from eulerlab.cli import main
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -45,9 +60,9 @@ def digests() -> dict:
                 raise RuntimeError(f"table {kind} {bound} failed")
             with open(path, "rb") as fh:
                 out[f"table {kind} {bound}"] = hashlib.sha256(fh.read()).hexdigest()
-    cases = [[c.id, c.lhs, c.rhs, c.residual, c.tolerance, c.passed]
-             for c in run_suite("all", fast=True).cases if not DIRECT_FAMILIES.fullmatch(_family(c.id))]
-    out[VERIFY] = hashlib.sha256(json.dumps(cases).encode()).hexdigest()
+    out[VERIFY] = _verify_digest(True)
+    if slow:
+        out[VERIFY_SLOW] = _verify_digest(False)
     return out
 
 
@@ -57,10 +72,13 @@ def recorded() -> dict:
 
 
 if __name__ == "__main__":
+    check = sys.argv[1:] == ["--check"]
     old = recorded() if os.path.exists(GOLDEN) else {}
     new = digests()
+    changed = [name for name in {**old, **new} if old.get(name) != new.get(name)]
+    print("\n".join(f"changed: {name}" for name in changed) if changed else "no output changed")
+    if check:
+        sys.exit(1 if changed else 0)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(new, fh, indent=2)
         fh.write("\n")
-    changed = [name for name in new if old.get(name) != new[name]]
-    print("\n".join(f"changed: {name}" for name in changed) if changed else "no output changed")

@@ -399,26 +399,26 @@ def zagier_h(a: int, b: int, star: bool) -> Fraction:
 PRODUCT_BARS = {"mixed": (True, False), "alternating": (True, True)}
 
 
-def product_stuffle(r: int, s: int, which: str, double) -> ZetaPoly:
-    """zeta(r; a) zeta(s; b) - D(r, s; a, b) - D(s, r; b, a) - zeta(r+s; a xor b),
-    where double(r, s, r_bar, s_bar) gives the double sum D."""
+def product_stuffle(r: int, s: int, which: str, double) -> tuple:
+    """The two sides of zeta(r; a) zeta(s; b) = D(r, s; a, b) + D(s, r; b, a)
+    + zeta(r+s; a xor b), where double(r, s, r_bar, s_bar) gives the double sum D."""
     a, b = PRODUCT_BARS[which]
-    return (zeta_reg(r, a) * zeta_reg(s, b) - double(r, s, a, b) - double(s, r, b, a)
-            - zeta_reg(r + s, a != b))
+    return (zeta_reg(r, a) * zeta_reg(s, b),
+            ZetaPoly.sum([double(r, s, a, b), double(s, r, b, a), zeta_reg(r + s, a != b)]))
 
 
-def product_shuffle(r: int, s: int, which: str, double) -> ZetaPoly:
-    """zeta(r; a) zeta(s; b) - sum_{j<k} [C(j-1, r-1) D(k-j, j; x, a)
+def product_shuffle(r: int, s: int, which: str, double) -> tuple:
+    """The two sides of zeta(r; a) zeta(s; b) = sum_{j<k} [C(j-1, r-1) D(k-j, j; x, a)
     + C(j-1, s-1) D(k-j, j; x, b)], k = r+s, x = a xor b, where
     double(r, s, r_bar, s_bar) gives the double sum D."""
     a, b = PRODUCT_BARS[which]
     k, x = r + s, a != b
-    terms = [zeta_reg(r, a) * zeta_reg(s, b)]
+    terms = []
     for j in range(1, k):
         for c, bar in ((pascal_binom(j - 1, r - 1), a), (pascal_binom(j - 1, s - 1), b)):
             if c:
-                terms.append(ZetaPoly.of(double(k - j, j, x, bar)) * -c)
-    return ZetaPoly.sum(terms)
+                terms.append(ZetaPoly.of(double(k - j, j, x, bar)) * c)
+    return zeta_reg(r, a) * zeta_reg(s, b), ZetaPoly.sum(terms)
 
 
 def ring_part(element: ZetaPoly, t_degree: int) -> ExtReal:

@@ -65,7 +65,7 @@ def test_divergent_requests_exit_3(capsys):
         assert "reg" in err or "closed" in err  # names the regularized alternative
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, _ = run_cli(["compute", "mzv", "x"], capsys)
     assert code == 2
     code, _, _ = run_cli(["compute", "mzv", "~1", "2", "3"], capsys)
@@ -99,6 +99,12 @@ def test_usage_errors_exit_2(capsys):
                             "--lower", "2/7", "--x", "1"], capsys)
     assert code == 2 and "too large" in err  # 1000 terms, but a 60-digit parameter
     assert time.perf_counter() - start < 0.5  # rejected before any term
+    # an output path that cannot be written, in a directory that does not exist
+    missing = tmp_path / "nonexistent"
+    for argv in (["table", "doublesums", "3", "--out", str(missing / "x.csv")],
+                 ["verify", "genfun", "--json", str(missing / "x.json")]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and "cannot write" in err, argv
 
 
 def test_huge_parameter_sizes_stay_fast(capsys):

@@ -21,8 +21,9 @@ def test_each_suite_takes_one_head_pass_per_star(monkeypatch):
         return heads(keys, star, n_max)
 
     def tagged(name, build):
-        return lambda n_max, fast: [(cid, tol, lambda fn=fn: (running.__setitem__(0, name), fn())[1])
-                                    for cid, tol, fn in build(n_max, fast)]
+        return lambda n_max, fast: [
+            verify.Case(c.id, c.tolerance, lambda c=c: (running.__setitem__(0, name), c.sides())[1])
+            for c in build(n_max, fast)]
 
     monkeypatch.setattr(euler_sums, "_heads", counted)
     for name, build in list(verify._SUITE_BUILDERS.items()):
@@ -106,3 +107,34 @@ def test_hyp_suite_catches_a_perturbed_rising_factor(monkeypatch):
     failures = _hyp_failures()
     assert set(failures) == {"saalschutz", "poch-ratio"}
     assert failures["saalschutz"] >= 88 and failures["poch-ratio"] >= 93, failures
+
+
+def test_the_runner_subtracts_the_two_sides_exactly(monkeypatch):
+    # two rationals 1e-40 apart, relative, round to one double-double: a
+    # residual taken between the rounded sides would read 0 and pass at 0
+    third = Fraction(1, 3)
+    near = (third, third * (1 + Fraction(1, 10 ** 40)))
+    assert hpreal.ExtReal.from_fraction(near[0]) == hpreal.ExtReal.from_fraction(near[1])
+    # vector sides: the residual is the largest component gap, printed with its sides
+    eps = Fraction(1, 10 ** 10)
+    vector = ((Fraction(1), Fraction(2), Fraction(3)), (Fraction(1), 2 + eps, 3 - 2 * eps))
+    monkeypatch.setitem(verify._SUITE_BUILDERS, "made-up", lambda n_max, fast: [
+        verify.Case("near[0]", 0.0, lambda: near), verify.Case("vector[0]", 1e-9, lambda: vector)])
+    near_case, vector_case = verify.run_suite("made-up").cases
+    assert not near_case.passed
+    assert near_case.residual == hpreal.to_decimal(Fraction(1, 3 * 10 ** 40))
+    assert vector_case.passed
+    assert (vector_case.lhs, vector_case.rhs, vector_case.residual) == tuple(
+        map(hpreal.to_decimal, (3, 3 - 2 * eps, 2 * eps)))
+
+
+def test_cases_print_their_two_sides():
+    # only the T-coefficient checks state "= 0"; every other case prints its
+    # two sides, 0 only where both are exactly 0 (a vanishing Pochhammer symbol)
+    zero = hpreal.to_decimal(0)
+    zero_rhs = [c for c in verify.run_suite("all", fast=True).cases if c.rhs == zero]
+    tcoef = [c for c in zero_rhs if c.id.startswith("closedforms:closed-") and "-tcoef[" in c.id]
+    assert len(tcoef) == 110
+    both_zero = Counter(c.id.split("[")[0] for c in zero_rhs if c not in tcoef and c.lhs == zero)
+    assert sum(both_zero.values()) == len(zero_rhs) - 110
+    assert set(both_zero) <= {"hyp:saalschutz", "hyp:poch-ratio"}, both_zero
