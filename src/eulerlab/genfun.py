@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Tuple
 
-from .hpreal import DomainError, ExtReal, binom
+from .hpreal import DomainError, binom
 from .zeta_core import ZetaPoly, zeta_reg
 from .euler_sums import _WEIGHT_CAP, DEFAULT_N_MAX, DoubleIndex, closed_form, double_directs
 
@@ -226,9 +226,8 @@ def stuffle_closed_check(r: int, s: int, which: str = "mixed") -> Tuple[ZetaPoly
 
 
 def shuffle_check(r: int, s: int, which: str = "mixed",
-                  n_max: int = DEFAULT_N_MAX) -> Tuple[ExtReal, ExtReal]:
-    """The finite parts of the two sides of a double-shuffle relation, all
-    double sums taken directly.
+                  n_max: int = DEFAULT_N_MAX) -> Tuple[ZetaPoly, ZetaPoly]:
+    """The two sides of a double-shuffle relation, all double sums taken directly.
 
     With x = a xor b:
       zeta(r; a) zeta(s; b) = sum_j C(j-1,r-1) zeta(k-j, j; x, a)
@@ -239,5 +238,4 @@ def shuffle_check(r: int, s: int, which: str = "mixed",
     which = "alternating" (both bars; r, s >= 1):
       zeta(r-bar) zeta(s-bar) = sum_j [C(j-1,r-1)+C(j-1,s-1)] zeta(k-j, j-bar)
     """
-    lhs, rhs = _product_sides("shuffle", r, s, which, n_max)
-    return lhs.finite, rhs.finite
+    return _product_sides("shuffle", r, s, which, n_max)

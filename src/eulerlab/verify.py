@@ -1,7 +1,7 @@
 """Named verification suites and machine-readable reports.
 
 Every case is a Case(id, tolerance, sides): one thunk returns the two sides
-of the identity the case states, as exact values (see _value), or as two
+of the identity the case states, as exact values (see _read), or as two
 equal-length tuples of them.  The runner alone subtracts them, exactly: the
 residual is the largest |lhs - rhs| over the components, compared with the
 tolerance exactly, and the report prints the component where it occurs.  All
@@ -19,21 +19,13 @@ from functools import lru_cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .hpreal import ZERO, ExtReal, _ratio, parse_decimal, sinc_pi, to_decimal
-from .zeta_core import SeriesResult, ZetaPoly, zeta, zeta_bar
+from .zeta_core import _BITS, SeriesResult, ZetaPoly, zeta, zeta_bar
 from . import euler_sums as es
 from . import genfun
 from . import hypergeom as hg
 from . import zagier as zg
 
-__all__ = [
-    "Case",
-    "CaseResult",
-    "VerifyReport",
-    "SUITES",
-    "run_suite",
-    "FAST_N_MAX",
-    "SLOW_N_MAX",
-]
+__all__ = ["Case", "TPart", "CaseResult", "VerifyReport", "SUITES", "run_suite", "FAST_N_MAX", "SLOW_N_MAX"]
 
 FAST_N_MAX = 1_000
 SLOW_N_MAX = 1_000_000
@@ -45,6 +37,13 @@ class Case(NamedTuple):
     id: str
     tolerance: float
     sides: Callable[[], tuple]
+
+
+@dataclass(frozen=True)
+class TPart:
+    """A side read at a ring element's T-coefficient, not its finite part."""
+
+    poly: ZetaPoly
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,10 @@ def _suite_closedforms(n_max: int, fast: bool) -> List[Case]:
                     cases.append(Case(f"closed-{name}-vs-direct[r={r},s={s}]", 1e-6,
                                       lambda fn=fn, r=r, s=s, idx=idx: (fn(r, s), es.double_direct(idx, n_max))))
                     cases.append(Case(f"closed-{name}-tcoef[r={r},s={s}]", 0.0,
-                                      lambda fn=fn, r=r, s=s: (fn(r, s).tcoef, ZERO)))
+                                      lambda fn=fn, r=r, s=s: (TPart(fn(r, s)), ZERO)))
             for tag, which in _PRODUCTS:  # each side as its (finite, T-part) pair
                 cases.append(Case(f"stuffle-closed-{tag}[r={r},s={s}]", 0.0, lambda r=r, s=s, which=which: tuple(
-                    (e.finite, e.tcoef) for e in genfun.stuffle_closed_check(r, s, which))))
+                    (e, TPart(e)) for e in genfun.stuffle_closed_check(r, s, which))))
     return _batched(cases, direct, n_max)
 
 
@@ -177,7 +176,7 @@ def _suite_genfun(n_max: int, fast: bool) -> List[Case]:
             relations = lru_cache(None)(lambda family=family, k=k: genfun.verify_relations(family, k, n_max))
             cases.append(Case(f"genfun-{family}-finite[k={k}]", 1e-6, relations))
             cases.append(Case(f"genfun-{family}-tpart[k={k}]", 0.0, lambda relations=relations: tuple(
-                tuple(c.tcoef for c in side) for side in relations())))
+                tuple(map(TPart, side)) for side in relations())))
     return _batched(cases, [idx for k in weights for idx in genfun.direct_indices(k)], n_max)
 
 
@@ -309,11 +308,10 @@ def _suite_hyp(n_max: int, fast: bool) -> List[Case]:
 
 
 def _suite_zagier(n_max: int, fast: bool) -> List[Case]:
-    cases: List[Case] = []
     direct = []  # the H and H* indices and the double sums
     z3 = zeta(3)
-    cases.append(Case("h-closed[0,0]=zeta3", 0.0, lambda: (zg.h_closed(0, 0), z3)))
-    cases.append(Case("hstar-closed[0,0]=zeta3", 0.0, lambda: (zg.hstar_closed(0, 0), z3)))
+    cases = [Case("h-closed[0,0]=zeta3", 0.0, lambda: (zg.h_closed(0, 0), z3)),
+             Case("hstar-closed[0,0]=zeta3", 0.0, lambda: (zg.hstar_closed(0, 0), z3))]
     for total in range((4 if fast else 5) + 1):
         for a in range(total + 1):
             b = total - a
@@ -327,8 +325,8 @@ def _suite_zagier(n_max: int, fast: bool) -> List[Case]:
             cases.append(Case(f"hstar-closed-vs-closeddouble[{a},{b}]", 0.0,
                               lambda a=a, b=b: (zg.hstar_closed(a, b), zg.hstar_closed_via_double(a, b))))
     for k in range(1, 7):
-        cases.append(Case(f"sumident-H[K={k}]", 0.0, lambda k=k: zg.sum_identities(k)[0]))
-        cases.append(Case(f"sumident-Hstar[K={k}]", 0.0, lambda k=k: zg.sum_identities(k)[1]))
+        cases += [Case(f"sumident-{tag}[K={k}]", 0.0, lambda k=k, i=i: zg.sum_identities(k)[i])
+                  for i, tag in enumerate(("H", "Hstar"))]
         cases.append(Case(f"zetabar-from-hstar[K={k}]", 0.0,
                           lambda k=k: (zg.zeta_bar_odd_from_hstar(k), zeta_bar(2 * k + 1))))
     cases.append(Case("zeta-from-hstar[0,1]", 0.0, lambda: (zg.zeta_from_hstar(0, 1), z3 / 8)))
@@ -367,21 +365,26 @@ _SUITE_BUILDERS: Dict[str, Callable[[int, bool], List[Case]]] = {
 SUITES = (*_SUITE_BUILDERS, "all")
 
 
-def _value(side):
-    """A side's exact value: a SeriesResult's value, a ZetaPoly's finite part,
-    or the side itself (an ExtReal, a Fraction or an int)."""
-    if isinstance(side, SeriesResult):
-        return side.value
-    return side.finite if isinstance(side, ZetaPoly) else side
+def _read(side) -> tuple:
+    """(printed value, num, den), num / den a side's exact value: a ring
+    element's finite part (a TPart's T-coefficient) before `finite` (`tcoef`)
+    rounds it for print, or the side itself (an ExtReal, Fraction or int)."""
+    if isinstance(side, (ZetaPoly, TPart)):
+        poly, t_degree = (side, 0) if isinstance(side, ZetaPoly) else (side.poly, 1)
+        num, den = poly._exact_part(t_degree)
+        return poly.tcoef if t_degree else poly.finite, num, den << _BITS
+    return (side, *(_ratio(side) if isinstance(side, ExtReal) else (side.numerator, side.denominator)))
 
 
-def _gap(lhs, rhs) -> Fraction:
-    """|lhs - rhs| of two values, exactly: two equal values of one type need
-    no subtraction, and two others subtract as integer ratios, one Fraction."""
-    if type(lhs) is type(rhs) and lhs == rhs:
-        return Fraction(0)
-    (a, b), (c, d) = (_ratio(v) if isinstance(v, ExtReal) else (v.numerator, v.denominator) for v in (lhs, rhs))
-    return Fraction(abs(a * d - c * b), b * d)
+def _gap(lhs, rhs) -> tuple:
+    """(|lhs - rhs|, printed lhs, printed rhs), the gap exact: a SeriesResult
+    reads as its value, two equal ExtReals or rationals need no subtraction,
+    and other sides subtract as integer ratios, into one Fraction."""
+    lhs, rhs = (side.value if isinstance(side, SeriesResult) else side for side in (lhs, rhs))
+    if type(lhs) is type(rhs) and isinstance(lhs, (ExtReal, Fraction, int)) and lhs == rhs:
+        return Fraction(0), lhs, rhs
+    (l, a, b), (r, c, d) = _read(lhs), _read(rhs)
+    return Fraction(abs(a * d - c * b), b * d), l, r
 
 
 def run_suite(name: str, fast: bool = True, jobs: Optional[int] = None) -> VerifyReport:
@@ -407,13 +410,13 @@ def run_suite(name: str, fast: bool = True, jobs: Optional[int] = None) -> Verif
     for cid, tol, sides in cases:
         lhs, rhs = sides()
         pairs = zip(lhs, rhs, strict=True) if isinstance(lhs, tuple) else [(lhs, rhs)]
-        gaps = [(_gap(l, r), l, r) for l, r in ((_value(l), _value(r)) for l, r in pairs)]
         # the largest gap; of equal gaps, the component with the largest |rhs|
-        gap, lhs, rhs = max(gaps, key=lambda g: (g[0], abs(g[2])))
+        gap, lhs, rhs = max((_gap(l, r) for l, r in pairs), key=lambda g: (g[0], abs(g[2])))
+        lhs = to_decimal(lhs)
         results.append(CaseResult(
             id=cid,
-            lhs=to_decimal(lhs),
-            rhs=to_decimal(rhs),
+            lhs=lhs,
+            rhs=lhs if gap == 0 else to_decimal(rhs),  # two equal values print alike
             residual=to_decimal(gap),
             tolerance=tol_text[tol],
             passed=gap <= tols[tol],

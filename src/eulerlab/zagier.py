@@ -167,18 +167,18 @@ def hstar_closed_via_double(a: int, b: int) -> ExtReal:
 # Fixed-weight sum rules
 # ---------------------------------------------------------------------------
 
-def sum_identities(k: int) -> Tuple[Tuple[ExtReal, ExtReal], Tuple[ExtReal, ExtReal]]:
-    """The finite parts of the two sides, (lhs, rhs), of each fixed-weight sum
-    identity at K = k, H's first:
+def sum_identities(k: int) -> Tuple[Tuple[ZetaPoly, ZetaPoly], Tuple[ZetaPoly, ZetaPoly]]:
+    """The two sides, (lhs, rhs), of each fixed-weight sum identity at K = k,
+    as ring elements, H's first:
 
     sum_{a+b=K-1} H(a,b)  = sum_r (-1)^(r-1) H(K-r) zeta(2r+1)
     sum_{a+b=K-1} H*(a,b) = sum_r H*(K-r) zeta(2r+1)
     """
     if k < 1:
         raise DomainError("sum identities require K >= 1")
-    return tuple((ZetaPoly.sum(_h(a, k - 1 - a, star) for a in range(k)).finite,
+    return tuple((ZetaPoly.sum(_h(a, k - 1 - a, star) for a in range(k)),
                   ZetaPoly.combination((1 if star else (-1) ** (r - 1), _zeta_times_h(2 * r + 1, False, k - r, star))
-                                       for r in range(1, k + 1)).finite) for star in (False, True))
+                                       for r in range(1, k + 1))) for star in (False, True))
 
 
 def _weighted_hstar(k: int, scale: Fraction, r: Optional[int] = None) -> ZetaPoly:

@@ -107,15 +107,15 @@ class ZetaPoly:
     `finite` (T := 0) and `tcoef` (the coefficient of T) are linear: the
     exact sum of c_m v_m, v_m a monomial's value at 2^-320, is a leaf's sum
     over its terms or a linear form's over its children's exact parts (each
-    keeps its finite one), whatever the order or nesting, and is rounded
+    keeps both, once known), whatever the order or nesting, and is rounded
     once to ExtReal.  T*T is rejected."""
 
-    __slots__ = ("_terms", "_weights", "_elements", "_depth", "_num", "_den", "_finite")
+    __slots__ = ("_terms", "_weights", "_elements", "_depth", "_num", "_den", "_tpart", "_finite")
 
     def __init__(self, terms=()):
         self._terms = {m: c for m, c in dict(terms).items() if c}
         self._weights, self._elements, self._depth = None, None, 0  # a leaf
-        self._num = self._den = self._finite = None  # the exact and rounded finite parts, once known
+        self._num = self._den = self._tpart = self._finite = None  # exact and rounded parts, once known
 
     @staticmethod
     def of(x) -> "ZetaPoly":
@@ -134,7 +134,7 @@ class ZetaPoly:
         element = object.__new__(ZetaPoly)
         element._weights, element._elements = zip(*kept) if kept else ((), ())
         element._depth = 1 + max([e._depth for e in element._elements], default=0)
-        element._terms = element._num = element._den = element._finite = None
+        element._terms = element._num = element._den = element._tpart = element._finite = None
         return ZetaPoly(element.terms) if element._depth > _DEPTH else element
 
     @staticmethod
@@ -171,6 +171,8 @@ class ZetaPoly:
         """(num, den): num / den is exactly the part of T-degree t_degree times 2^_BITS."""
         if t_degree == 0 and self._den:
             return self._num, self._den
+        if t_degree and self._tpart:
+            return self._tpart
         if self._elements is None:
             part = _ratio_sum([(c.numerator * v, c.denominator) for m, c in self._terms.items()
                                for t, v in (_monomial(m),) if t == t_degree])
@@ -180,6 +182,8 @@ class ZetaPoly:
                                for n, d in (e._exact_part(t_degree),) if n])
         if t_degree == 0:
             self._num, self._den = part
+        else:
+            self._tpart = part
         return part
 
     def _part(self, t_degree: int) -> ExtReal:

@@ -10,7 +10,7 @@ import pytest
 from eulerlab import genfun
 from eulerlab.euler_sums import _HEADS, _PREFIXES, _nested_direct
 from eulerlab.hpreal import ExtReal, parse_decimal
-from eulerlab.zeta_core import ZetaPoly
+from eulerlab.zeta_core import _BITS, ZetaPoly
 
 # frozen reference digits, cross-validated in test_hpreal against the
 # exact-rational oracles in oracles.py
@@ -41,11 +41,16 @@ def approx_abs(value, reference, tol: float) -> bool:
     return abs(Fraction(value) - Fraction(reference)) <= Fraction(tol)
 
 
-def gap(sides) -> Fraction:
+def gap(sides, t_degree: int = 0) -> Fraction:
     """|lhs - rhs| of a check's two sides, exactly: an ExtReal as the rational
-    it holds, a ring element at its finite part."""
-    lhs, rhs = (v.finite if isinstance(v, ZetaPoly) else v for v in sides)
-    lhs, rhs = (v.to_fraction() if isinstance(v, ExtReal) else Fraction(v) for v in (lhs, rhs))
+    it holds, a ring element at its part of T-degree t_degree (the finite part
+    or the T-coefficient) before that part is rounded."""
+    def exact(v) -> Fraction:
+        if isinstance(v, ZetaPoly):
+            num, den = v._exact_part(t_degree)
+            return Fraction(num, den << _BITS)
+        return v.to_fraction() if isinstance(v, ExtReal) else Fraction(v)
+    lhs, rhs = map(exact, sides)
     return abs(lhs - rhs)
 
 

@@ -64,7 +64,7 @@ def test_criterion_2_stuffle_closed_consistency():
             s = k - r
             for which in ("mixed", "alternating"):
                 lhs, rhs = genfun.stuffle_closed_check(r, s, which)
-                m = float(max(gap((lhs, rhs)), gap((lhs.tcoef, rhs.tcoef))))
+                m = float(max(gap((lhs, rhs)), gap((lhs, rhs), 1)))
                 worst = max(worst, m)
                 assert m <= 1e-24, (k, r, s, which, m)
     _report("2 stuffle-closed", f"worst {worst:.2e}")
@@ -95,7 +95,7 @@ def test_criterion_4_generating_function_relations():
             checks.append(genfun.verify_relations("reduction", k, N))
         for lhs, rhs in checks:
             finite = float(max(map(gap, zip(lhs, rhs))))
-            tpart = float(max(gap((l.tcoef, r.tcoef)) for l, r in zip(lhs, rhs)))
+            tpart = float(max(gap(pair, 1) for pair in zip(lhs, rhs)))
             worst_f = max(worst_f, finite)
             worst_t = max(worst_t, tpart)
             assert finite <= 1e-6 and tpart <= 1e-24, (k, finite, tpart)

@@ -507,7 +507,7 @@ def test_stuffle_closed_all_odd_weights():
             for which in ("mixed", "alternating"):
                 lhs, rhs = stuffle_closed_check(r, s, which)
                 assert gap((lhs, rhs)) <= 1e-24, (r, s, which)
-                assert gap((lhs.tcoef, rhs.tcoef)) <= 1e-24, (r, s, which)
+                assert gap((lhs, rhs), 1) <= 1e-24, (r, s, which)
 
 
 def test_shuffle_relations_numeric():

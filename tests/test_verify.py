@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from eulerlab import euler_sums, hpreal, hypergeom, verify
 from eulerlab.euler_sums import _HEADS
+from eulerlab.zeta_core import ZetaPoly, zeta_reg
 from conftest import clear_direct_caches
 
 
@@ -118,11 +119,20 @@ def test_the_runner_subtracts_the_two_sides_exactly(monkeypatch):
     # vector sides: the residual is the largest component gap, printed with its sides
     eps = Fraction(1, 10 ** 10)
     vector = ((Fraction(1), Fraction(2), Fraction(3)), (Fraction(1), 2 + eps, 3 - 2 * eps))
+    # ring sides, read at their finite parts or (TPart) at their T-coefficients,
+    # subtract before either is rounded: the finite parts of these two differ by
+    # 1e-40 relative, and so do their T-parts
+    t = zeta_reg(1, False)  # T, the regularized zeta(1)
+    ring = tuple(ZetaPoly.sum((x, t * x)) for x in near)
     monkeypatch.setitem(verify._SUITE_BUILDERS, "made-up", lambda n_max, fast: [
-        verify.Case("near[0]", 0.0, lambda: near), verify.Case("vector[0]", 1e-9, lambda: vector)])
-    near_case, vector_case = verify.run_suite("made-up").cases
-    assert not near_case.passed
-    assert near_case.residual == hpreal.to_decimal(Fraction(1, 3 * 10 ** 40))
+        verify.Case("near[0]", 0.0, lambda: near), verify.Case("vector[0]", 1e-9, lambda: vector),
+        verify.Case("ring-finite[0]", 0.0, lambda: ring),
+        verify.Case("ring-tpart[0]", 0.0, lambda: tuple(map(verify.TPart, ring)))])
+    near_case, ring_finite, ring_tpart, vector_case = verify.run_suite("made-up").cases
+    assert (ring[0].finite, ring[0].tcoef) == (ring[1].finite, ring[1].tcoef)
+    for case in (near_case, ring_finite, ring_tpart):
+        assert not case.passed, case.id
+        assert case.residual == hpreal.to_decimal(Fraction(1, 3 * 10 ** 40)), case.id
     assert vector_case.passed
     assert (vector_case.lhs, vector_case.rhs, vector_case.residual) == tuple(
         map(hpreal.to_decimal, (3, 3 - 2 * eps, 2 * eps)))

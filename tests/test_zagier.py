@@ -210,7 +210,7 @@ def test_pilehrood_weight3(frozen):
 
 
 def test_sum_identities():
-    # both sum rules are exactly 0 in the ring, up to _h's cap K = 20
+    # the two sides of both sum rules are one ring element, up to _h's cap K = 20
     for k in range(1, 21):
         for lhs, rhs in sum_identities(k):
             assert lhs == rhs, k
