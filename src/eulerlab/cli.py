@@ -311,10 +311,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DivergentRequest as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENT
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # infrastructure failure

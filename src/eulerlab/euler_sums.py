@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hpreal import DomainError, ExtReal, ZERO, const_gamma_f64, em_remainder
+from .hpreal import DomainError, ExtReal, const_gamma_f64, em_remainder
 from .zeta_core import SeriesResult, ZetaPoly, zeta, zeta_bar, zeta_reg
 
 __all__ = [
@@ -531,7 +531,8 @@ def _sum_formula_sums(k: int, which: str):
 
 
 def sum_formula_check(k: int, which: str, n_max: int = DEFAULT_N_MAX) -> tuple:
-    """The two sides of a fixed-weight summation formula, evaluated directly.
+    """The two sides of a fixed-weight summation formula, evaluated directly:
+    ring sums of the direct double sums' values, added exactly.
 
     which = "plain":     sum_{s=2}^{k-1} zeta(k-s, s) = zeta(k)
     which = "inner-bar": sum zeta(k-s-bar, s) = zeta(k-bar) + zeta(1, k-1-bar)
@@ -547,7 +548,5 @@ def sum_formula_check(k: int, which: str, n_max: int = DEFAULT_N_MAX) -> tuple:
     """
     indices, signs = _sum_formula_sums(k, which)
     values = [res.value for res in double_directs(indices, n_max)]
-    rhs = zeta_reg(k, SUM_FORMULAS[which][0]).finite
-    for sign, value in zip(signs, values[k - 2:]):
-        rhs = rhs + value if sign > 0 else rhs - value
-    return sum(values[:k - 2], ZERO), rhs
+    return (ZetaPoly.sum(values[:k - 2]),
+            ZetaPoly.combination([(1, zeta_reg(k, SUM_FORMULAS[which][0])), *zip(signs, values[k - 2:])]))

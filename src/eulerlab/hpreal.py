@@ -7,8 +7,11 @@ digits.  Its operations are correctly rounded: +, -, *, / and integer **
 take the exact value of their operands, compute the exact result (math.fsum
 over the four parts for + and -, integer ratios for the rest) and round it
 once to the nearest double-double; a result beyond the double range raises
-DomainError.  All operations here are pure; values are immutable after
-construction, so everything in this module is safe to share across threads.
+DomainError.  That is the one rule by which any exact value becomes an
+ExtReal: `_round` for an integer ratio (`from_fixed` and the ring's parts
+too), `_sum`, its fast path, for a sum of doubles.  All operations here are
+pure; values are immutable after construction, so everything in this module
+is safe to share across threads.
 
 Hot loops (exp, ln, log-gamma, sinc) run in fixed
 point: an int N stands for N * 2^-FIXED_BITS.  ExtReal stays the public value
@@ -177,13 +180,6 @@ class ExtReal:
         return hash((self.hi, self.lo))
 
 
-def _double(f: Fraction) -> float:
-    try:
-        return float(f)
-    except OverflowError as exc:
-        raise DomainError("rational value outside the double range") from exc
-
-
 def _mk(hi: float, lo: float) -> ExtReal:
     """Trusted constructor: (hi, lo) already canonical."""
     obj = object.__new__(ExtReal)
@@ -202,15 +198,21 @@ def _sum(parts: tuple):
         raise DomainError("sum outside the double range") from exc
 
 
-def _round(num: int, den: int) -> ExtReal:
-    """The double-double nearest num / den (den != 0): int true division
-    rounds once to hi, then the exact remainder num / den - hi once to lo."""
-    if den < 0:
-        num, den = -num, -den
+def _quotient(num: int, den: int) -> float:
+    """The double nearest num / den (den != 0), by int true division."""
     try:
-        hi = num / den
+        return num / den
     except OverflowError as exc:
         raise DomainError("value outside the double range") from exc
+
+
+def _round(num: int, den: int) -> ExtReal:
+    """The double-double nearest num / den (den != 0), the one rule by which
+    an exact value becomes an ExtReal: num / den rounds once to hi, then the
+    exact remainder num / den - hi once to lo."""
+    if den < 0:
+        num, den = -num, -den
+    hi = _quotient(num, den)
     hn, hd = hi.as_integer_ratio()
     return _mk(hi, (num * hd - hn * den) / (den * hd))
 
@@ -425,7 +427,7 @@ def fixed_rational(x: Fraction) -> Fraction:
     the double range."""
     if max(x.numerator.bit_length(), x.denominator.bit_length()) <= FIXED_BITS:
         return x
-    f = _double(x)
+    f = _quotient(x.numerator, x.denominator)
     if abs(f) < 2.0 ** -1022:
         return Fraction(0)
     s = max(FIXED_BITS - math.frexp(f)[1], 0)
@@ -436,22 +438,16 @@ def to_fixed(x: Union[ExtReal, Fraction, int]) -> int:
     """floor(x * 2^FIXED_BITS) of an ExtReal or an exact rational."""
     if not isinstance(x, ExtReal):
         x = Fraction(x)
-        _double(x)  # DomainError beyond the double range
+        _quotient(x.numerator, x.denominator)  # DomainError beyond the double range
         return (x.numerator << FIXED_BITS) // x.denominator
     n, k = _exact(x)
     return n << k if k >= 0 else n >> -k
 
 
 def from_fixed(n: int, k: int = 0) -> ExtReal:
-    """The ExtReal nearest n * 2^(k - FIXED_BITS) (the low bits beyond 110 are cut)."""
-    shift = max(n.bit_length() - 110, 0)
-    m = n >> shift
-    hi = float(m)
-    try:
-        return _mk(math.ldexp(hi, shift + k - FIXED_BITS),
-                   math.ldexp(float(m - int(hi)), shift + k - FIXED_BITS))
-    except OverflowError as exc:
-        raise DomainError("fixed-point value outside the double range") from exc
+    """The ExtReal nearest n * 2^(k - FIXED_BITS), by _round."""
+    e = k - FIXED_BITS
+    return _round(n << e, 1) if e >= 0 else _round(n, 1 << -e)
 
 
 def fixed_mul(a: int, b: int) -> int:
@@ -542,13 +538,6 @@ def _ln_gamma_exact(x: Fraction) -> int:
 # its exact partial sum N_k / Q_k: a refusal at either costs well under 1 s.
 LEVIN_CAP = 400
 LEVIN_BITS = 1 << 17
-
-
-def _quotient(num: int, den: int) -> float:
-    try:
-        return num / den
-    except OverflowError as exc:
-        raise DomainError("series value outside the double range") from exc
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .hpreal import ZERO, ExtReal, _ratio, parse_decimal, sinc_pi, to_decimal
-from .zeta_core import _BITS, SeriesResult, ZetaPoly, zeta, zeta_bar
+from .zeta_core import SeriesResult, ZetaPoly, zeta, zeta_bar
 from . import euler_sums as es
 from . import genfun
 from . import hypergeom as hg
@@ -194,7 +194,7 @@ def _rational_grid(seed: int, count: int):
         # l + i == 0 for some 0 <= i < n exactly when l is an integer in [1 - n, 0]
         if not any(l % d == 0 and (1 - n) * d <= l <= 0
                    for l in (c_d, d + a_d + b_d - c_d - n * d, c_d - a_d - b_d,
-                             d + a_d - b_d, d + a_d - c_d)):
+                             d + a_d - b_d, d + a_d - c_d, b_d, c_d - a_d, c_d - b_d)):
             out.append((Fraction(pa, qa), Fraction(pb, qb), Fraction(pc, qc), n))
     return out
 
@@ -366,25 +366,33 @@ SUITES = (*_SUITE_BUILDERS, "all")
 
 
 def _read(side) -> tuple:
-    """(printed value, num, den), num / den a side's exact value: a ring
-    element's finite part (a TPart's T-coefficient) before `finite` (`tcoef`)
-    rounds it for print, or the side itself (an ExtReal, Fraction or int)."""
-    if isinstance(side, (ZetaPoly, TPart)):
-        poly, t_degree = (side, 0) if isinstance(side, ZetaPoly) else (side.poly, 1)
-        num, den = poly._exact_part(t_degree)
-        return poly.tcoef if t_degree else poly.finite, num, den << _BITS
-    return (side, *(_ratio(side) if isinstance(side, ExtReal) else (side.numerator, side.denominator)))
+    """(num, den), num / den a side's exact value: a ring element's finite
+    part (a TPart's T-coefficient), or the side itself (an ExtReal, Fraction
+    or int)."""
+    if isinstance(side, ZetaPoly):
+        return side._exact_part(0)
+    if isinstance(side, TPart):
+        return side.poly._exact_part(1)
+    return _ratio(side) if isinstance(side, ExtReal) else (side.numerator, side.denominator)
+
+
+def _printed(side):
+    """The value a side prints: a ring element's finite part (a TPart's
+    T-coefficient) rounded by `finite` (`tcoef`), or the side itself."""
+    if isinstance(side, ZetaPoly):
+        return side.finite
+    return side.poly.tcoef if isinstance(side, TPart) else side
 
 
 def _gap(lhs, rhs) -> tuple:
-    """(|lhs - rhs|, printed lhs, printed rhs), the gap exact: a SeriesResult
-    reads as its value, two equal ExtReals or rationals need no subtraction,
-    and other sides subtract as integer ratios, into one Fraction."""
+    """(|lhs - rhs|, lhs, rhs), the gap exact: a SeriesResult reads as its
+    value, two equal ExtReals or rationals need no subtraction, and other
+    sides subtract as integer ratios, into one Fraction."""
     lhs, rhs = (side.value if isinstance(side, SeriesResult) else side for side in (lhs, rhs))
     if type(lhs) is type(rhs) and isinstance(lhs, (ExtReal, Fraction, int)) and lhs == rhs:
         return Fraction(0), lhs, rhs
-    (l, a, b), (r, c, d) = _read(lhs), _read(rhs)
-    return Fraction(abs(a * d - c * b), b * d), l, r
+    (a, b), (c, d) = _read(lhs), _read(rhs)
+    return Fraction(abs(a * d - c * b), b * d), lhs, rhs
 
 
 def run_suite(name: str, fast: bool = True, jobs: Optional[int] = None) -> VerifyReport:
@@ -410,13 +418,18 @@ def run_suite(name: str, fast: bool = True, jobs: Optional[int] = None) -> Verif
     for cid, tol, sides in cases:
         lhs, rhs = sides()
         pairs = zip(lhs, rhs, strict=True) if isinstance(lhs, tuple) else [(lhs, rhs)]
-        # the largest gap; of equal gaps, the component with the largest |rhs|
-        gap, lhs, rhs = max((_gap(l, r) for l, r in pairs), key=lambda g: (g[0], abs(g[2])))
-        lhs = to_decimal(lhs)
+        gaps = [_gap(l, r) for l, r in pairs]
+        gap = max(g for g, _, _ in gaps)
+        # of equal gaps, the component with the largest printed |rhs|; only
+        # the printed component is rounded
+        tied = [(l, r) for g, l, r in gaps if g == gap]
+        lhs, rhs = tied[0] if len(tied) == 1 else max(
+            ((_printed(l), _printed(r)) for l, r in tied), key=lambda side: abs(side[1]))
+        lhs = to_decimal(_printed(lhs))
         results.append(CaseResult(
             id=cid,
             lhs=lhs,
-            rhs=lhs if gap == 0 else to_decimal(rhs),  # two equal values print alike
+            rhs=lhs if gap == 0 else to_decimal(_printed(rhs)),  # two equal values print alike
             residual=to_decimal(gap),
             tolerance=tol_text[tol],
             passed=gap <= tols[tol],

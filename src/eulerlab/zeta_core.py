@@ -20,8 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .hpreal import (FIXED_BITS, DomainError, ExtReal, bernoulli, em_remainder, from_fixed,
-                     levin_sum, pi_ln2_fixed)
+from .hpreal import DomainError, ExtReal, _round, bernoulli, em_remainder, levin_sum, pi_ln2_fixed
 
 __all__ = ["WEIGHT_CAP", "ZetaPoly", "SeriesResult", "zeta", "zeta_bar", "zeta_reg",
            "zeta_bar_direct"]
@@ -63,12 +62,6 @@ def _ratio_sum(parts: list) -> tuple:
     return sum(n * (den // d) for n, d in parts), den
 
 
-def _rounded(num: int, den: int) -> ExtReal:
-    """num / den times 2^-_BITS, rounded to the nearest multiple of 2^-_BITS
-    (ties up), then once to ExtReal: the one rounding of every finite part."""
-    return from_fixed((2 * num + den) // (2 * den), FIXED_BITS - _BITS)
-
-
 @lru_cache(maxsize=None)
 def _generator(g: int) -> int:
     """The generator g times 2^_BITS: pi and ln 2 from hpreal.pi_ln2_fixed,
@@ -108,7 +101,7 @@ class ZetaPoly:
     exact sum of c_m v_m, v_m a monomial's value at 2^-320, is a leaf's sum
     over its terms or a linear form's over its children's exact parts (each
     keeps both, once known), whatever the order or nesting, and is rounded
-    once to ExtReal.  T*T is rejected."""
+    once, by hpreal._round, to the nearest ExtReal.  T*T is rejected."""
 
     __slots__ = ("_terms", "_weights", "_elements", "_depth", "_num", "_den", "_tpart", "_finite")
 
@@ -144,10 +137,11 @@ class ZetaPoly:
         exact finite part is scaled once to one common denominator, so a row is
         one integer dot product, rounded once."""
         distinct = {id(e): e for _, elements in rows for e in elements}
-        parts = {key: e._exact_part(0) for key, e in distinct.items()}
+        parts = {key: e._scaled_part(0) for key, e in distinct.items()}
         den = math.lcm(*(d for _, d in parts.values()))
         scaled = {key: n * (den // d) for key, (n, d) in parts.items()}
-        return [_rounded(sum(map(operator.mul, weights, map(scaled.__getitem__, map(id, elements)))), den)
+        den <<= _BITS
+        return [_round(sum(map(operator.mul, weights, map(scaled.__getitem__, map(id, elements)))), den)
                 for weights, elements in rows]
 
     @staticmethod
@@ -168,6 +162,11 @@ class ZetaPoly:
         return MappingProxyType(self._terms)
 
     def _exact_part(self, t_degree: int) -> tuple:
+        """(num, den): num / den is exactly the part of T-degree t_degree."""
+        num, den = self._scaled_part(t_degree)
+        return num, den << _BITS
+
+    def _scaled_part(self, t_degree: int) -> tuple:
         """(num, den): num / den is exactly the part of T-degree t_degree times 2^_BITS."""
         if t_degree == 0 and self._den:
             return self._num, self._den
@@ -179,25 +178,22 @@ class ZetaPoly:
         else:
             part = _ratio_sum([(w.numerator * n, w.denominator * d)
                                for w, e in zip(self._weights, self._elements)
-                               for n, d in (e._exact_part(t_degree),) if n])
+                               for n, d in (e._scaled_part(t_degree),) if n])
         if t_degree == 0:
             self._num, self._den = part
         else:
             self._tpart = part
         return part
 
-    def _part(self, t_degree: int) -> ExtReal:
-        return _rounded(*self._exact_part(t_degree))
-
     @property
     def finite(self) -> ExtReal:
         if self._finite is None:
-            self._finite = self._part(0)
+            self._finite = _round(*self._exact_part(0))
         return self._finite
 
     @property
     def tcoef(self) -> ExtReal:
-        return self._part(1)
+        return _round(*self._exact_part(1))
 
     def __add__(self, other) -> "ZetaPoly":
         return ZetaPoly.sum((self, other))
@@ -242,7 +238,7 @@ def _single(k: int, bar: bool) -> dict:
 
 @lru_cache(maxsize=None)
 def zeta(k: int) -> ExtReal:
-    """zeta(k) for integer k in [2, 60], within 2^-106 relative."""
+    """zeta(k) for integer k in [2, 60], the double-double nearest it."""
     if not 2 <= k <= WEIGHT_CAP:
         raise DomainError(f"zeta requires 2 <= k <= {WEIGHT_CAP}; use zeta_reg for k in {{0, 1}}")
     return ZetaPoly(_single(k, False)).finite

@@ -10,7 +10,7 @@ import pytest
 from eulerlab import genfun
 from eulerlab.euler_sums import _HEADS, _PREFIXES, _nested_direct
 from eulerlab.hpreal import ExtReal, parse_decimal
-from eulerlab.zeta_core import _BITS, ZetaPoly
+from eulerlab.zeta_core import ZetaPoly
 
 # frozen reference digits, cross-validated in test_hpreal against the
 # exact-rational oracles in oracles.py
@@ -47,8 +47,7 @@ def gap(sides, t_degree: int = 0) -> Fraction:
     or the T-coefficient) before that part is rounded."""
     def exact(v) -> Fraction:
         if isinstance(v, ZetaPoly):
-            num, den = v._exact_part(t_degree)
-            return Fraction(num, den << _BITS)
+            return Fraction(*v._exact_part(t_degree))
         return v.to_fraction() if isinstance(v, ExtReal) else Fraction(v)
     lhs, rhs = map(exact, sides)
     return abs(lhs - rhs)

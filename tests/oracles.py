@@ -24,8 +24,8 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from eulerlab.hpreal import FIXED_BITS, ExtReal, from_fixed
-from eulerlab.zeta_core import _BITS, ZetaPoly, _monomial, zeta_reg
+from eulerlab.hpreal import ExtReal
+from eulerlab.zeta_core import ZetaPoly, _monomial, zeta_reg
 
 _DEC60 = Context(prec=60)
 
@@ -424,10 +424,12 @@ def product_shuffle(r: int, s: int, which: str, double) -> tuple:
 def ring_part(element: ZetaPoly, t_degree: int) -> ExtReal:
     """The finite part (t_degree 0) or T-coefficient (1) of a ring element
     from its collected terms: one Fraction c * v per monomial, v its value
-    at 2^-320 (zeta_core._monomial), summed and rounded once to nearest."""
+    at zeta_core._monomial's scale (2^320, the empty monomial's value),
+    summed, scaled back and rounded once by nearest_double_double."""
+    one = _monomial(())[1]
     total = Fraction(0)
     for m, c in element.terms.items():
         t, v = _monomial(m)
         if t == t_degree:
             total += c * v
-    return from_fixed(math.floor(total + Fraction(1, 2)), FIXED_BITS - _BITS)
+    return ExtReal(*nearest_double_double(total / one))

@@ -301,6 +301,22 @@ def test_bernoulli_domain_errors():
             bernoulli(bad)
 
 
+def test_from_fixed_is_the_nearest_double_double():
+    # from_fixed rounds by the kernel's one rule: n * 2^(k - FIXED_BITS),
+    # exactly, to the nearest double-double, whatever n's length or sign and
+    # however small lo is (below 2^-1022 it is subnormal)
+    rng = random.Random(20261020)
+    points = [((1 << 60) + 3, -860), (-(1 << 60) - 3, -860), (3, 0), (-1, FIXED_BITS)]
+    for _ in range(2000):
+        bits = rng.randint(1, 400)
+        n = rng.getrandbits(bits) * rng.choice((1, -1))
+        points.append((n, rng.randint(-860, 900) + FIXED_BITS - bits))
+    assert from_fixed(*points[0]).lo == 3 * 2.0 ** -1060  # subnormal
+    for n, k in points:
+        got = from_fixed(n, k)
+        assert (got.hi, got.lo) == oracles.nearest_double_double(n * Fraction(2) ** (k - FIXED_BITS)), (n, k)
+
+
 def test_fixed_point_boundary_rejects_values_beyond_the_double_range():
     assert float(from_fixed(1 << (FIXED_BITS + 1000))) == 2.0 ** 1000
     with pytest.raises(DomainError):

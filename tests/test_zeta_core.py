@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from eulerlab import euler_sums, zagier
 from eulerlab.hpreal import DomainError, ExtReal, pi_ln2_fixed
 from eulerlab.zeta_core import (
-    _BITS,
     _LN2,
     _PI,
     ZetaPoly,
@@ -39,7 +38,18 @@ def test_zeta_at_60_dominated_tail():
 
 
 def test_ring_pi_and_ln2_are_the_routine_values():
-    assert (_generator(_PI), _generator(_LN2)) == pi_ln2_fixed(_BITS)
+    assert (_generator(_PI), _generator(_LN2)) == pi_ln2_fixed(320)
+
+
+def test_zeta_values_are_the_nearest_double_doubles():
+    # each zeta(k) and zeta_bar(k) is the double-double nearest its value, read
+    # from the 80-digit oracles, which share no code with the ring
+    assert (zeta_bar(1).hi, zeta_bar(1).lo) == oracles.nearest_double_double(-oracles.atanh_ln2(80))
+    for k in range(2, 61):
+        exact = oracles.zeta_80(k)
+        assert (zeta(k).hi, zeta(k).lo) == oracles.nearest_double_double(exact), k
+        bar = -(1 - Fraction(1, 2 ** (k - 1))) * exact
+        assert (zeta_bar(k).hi, zeta_bar(k).lo) == oracles.nearest_double_double(bar), k
 
 
 def test_zeta_monotone_decreasing():
@@ -239,5 +249,6 @@ def _ring_digest() -> str:
 
 
 def test_closed_forms_keep_their_bits():
-    # recorded before ZetaPoly.combination replaced the per-term scalar products
-    assert _ring_digest() == "58782b6de4a991ca703a2110621095b0dd82d5db9d8d2685d75773a2dc7e66cc"
+    # recorded when finite and tcoef began to round by hpreal._round, to the
+    # nearest double-double, and not at 2^-320 first
+    assert _ring_digest() == "b0294cd65238cc074c5ff70c58eadb1e82b4817d21edb81f1f33c23dcd09d62f"
